@@ -13,10 +13,12 @@ higher (cost grows fast) to watch the turnover.
 """
 
 import argparse
+import os
 import sys
 
-from growthlab.cli import emit_plotdata
-from growthlab.mclab import ExperimentConfig, fit_growth, run_growth_ensemble
+from growthlab.mclab import (ENSEMBLE_CSV_HEADER, ExperimentConfig, fit_growth,
+                             run_growth_ensemble)
+from growthlab.reporting import write_csv, write_json
 
 
 def main():
@@ -47,8 +49,11 @@ def main():
         print("flatness ranking:", ", ".join(f"{r.name} (slope {r.slope:+.4f})"
                                              for r in fit.rows))
     if args.out:
-        emit_plotdata(rep, "growth", args.out)
-        print(f"plot data written to {args.out}")
+        write_json(os.path.join(args.out, "report.json"), rep.to_json())
+        write_csv(os.path.join(args.out, "quantiles.csv"), ENSEMBLE_CSV_HEADER,
+                  rep.quantile_rows(), comments=[f"seed: {args.seed}",
+                                                 f"config_hash: {rep.config_hash}"])
+        print(f"report.json and quantiles.csv written to {args.out}")
     return 0
 
 

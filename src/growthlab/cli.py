@@ -15,9 +15,11 @@ Subcommands map onto the library's statement families:
   run           dispatch any of the above from a JSON config
 
 Every run directory receives a manifest.json (config hash, seed, version,
-wall time) sufficient to reproduce the outputs byte for byte.  Exit codes:
-0 success, 2 validation error (line-delimited JSON diagnostic on stderr),
-1 internal error.  stdout carries progress text only; results go to files.
+wall time) sufficient to reproduce the outputs byte for byte.  It is written
+as "running" before the work starts and rewritten at the end as "complete",
+or as "failed" with the error code.  Exit codes: 0 success, 2 validation
+error (line-delimited JSON diagnostic on stderr), 1 internal error.  stdout
+carries progress text only; results go to files.
 """
 
 from __future__ import annotations
@@ -36,22 +38,16 @@ from .criteria import RATIO_KINDS, score_blockwise, score_sup_ratio
 from .disk import ANALYTIC, REAL_HARMONIC
 from .errors import GrowthLabError
 from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, SZ_CSV_HEADER,
-                    EnsembleReport, ExperimentConfig, config_from_json,
-                    riesz_probe, run_growth_ensemble, salem_zygmund_probe,
-                    scheme_from_provenance)
+                    ExperimentConfig, config_from_json, riesz_probe,
+                    run_growth_ensemble, salem_zygmund_probe, scheme_from_provenance)
 from .randomness import SeedSpec, make_model
 from .reporting import config_hash, write_csv, write_json
-from .schemes import NuSequence, blocks_from_provenance
+from .schemes import (SCHEMES, NuSequence, blocks_from_provenance, blocks_provenance,
+                      scheme_fields)
 from .sphere import (CAP_CSV_HEADER, build_basis, cap_fraction, default_covering,
                      random_degree_combination)
-from .weights import (block_sequence, bloch_reciprocal, parse_weight_spec,
-                      weight_to_json)
-
-SUBCOMMANDS = ("weights", "scheme", "check", "census", "growth", "probe-sz",
-               "probe-riesz", "cap", "bloch", "analytic", "run")
-
-SCHEME_NAMES = ("loglog", "uniform", "saturating", "riesz_lacunary",
-                "rudin_shapiro", "hadamard")
+from .weights import (block_sequence, bloch_reciprocal, doubling_audit, make_weight,
+                      parse_weight_spec)
 
 
 class _CliError(Exception):
@@ -89,6 +85,34 @@ def main(argv=None) -> int:
         return 1
 
 
+class _Run:
+    """One subcommand run: its output directory and manifest."""
+
+    def __init__(self, name, out):
+        self.name = name
+        self.out = out
+        self.manifest = None      # set once the "running" manifest is on disk
+
+    def start(self, cfg, seed, config_path=None):
+        """Create the output directory and write the manifest as running."""
+        os.makedirs(self.out, exist_ok=True)
+        digest = config_hash(cfg)
+        self.notes = [f"seed: {seed}", f"config_hash: {digest}"]
+        self.started = time.monotonic()
+        man = {"subcommand": self.name, "config": cfg, "config_path": config_path,
+               "config_hash": digest, "output_dir": os.path.abspath(self.out),
+               "tool_version": __version__, "seed": seed, "status": "running"}
+        write_json(self.path("manifest.json"), man)
+        self.manifest = man
+
+    def path(self, filename) -> str:
+        return os.path.join(self.out, filename)
+
+    def finish(self, status, **extra):
+        self.manifest.update(status=status, **extra)
+        write_json(self.path("manifest.json"), self.manifest)
+
+
 def _dispatch(argv) -> int:
     if not argv:
         raise _CliError("UNKNOWN_SUBCOMMAND", f"expected one of {', '.join(SUBCOMMANDS)}")
@@ -99,16 +123,23 @@ def _dispatch(argv) -> int:
     if cmd not in SUBCOMMANDS:
         raise _CliError("UNKNOWN_SUBCOMMAND", f"unknown subcommand {cmd!r}; "
                         f"expected one of {', '.join(SUBCOMMANDS)}")
-    handler = globals()["_cmd_" + cmd.replace("-", "_")]
-    return handler(argv[1:])
-
-
-def _common_parser(name, **kwargs) -> _Parser:
-    p = _Parser(prog=f"growthlab {name}", **kwargs)
+    flags, body = SUBCOMMANDS[cmd]
+    p = _Parser(prog=f"growthlab {cmd}")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=20260808)
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
-    return p
+    for flag, spec in flags:
+        p.add_argument(flag, **spec)
+    args = p.parse_args(argv[1:])
+    run = _Run(cmd, args.out or os.path.join("growthlab_out", cmd))
+    try:
+        code = body(args, run)
+    except Exception as e:
+        if run.manifest is not None:
+            failed = e.code if isinstance(e, (_CliError, GrowthLabError)) else "INTERNAL"
+            run.finish("failed", error=failed)
+        raise
+    if run.manifest is not None:
+        run.finish("complete", wall_time=time.monotonic() - run.started)
+    return code or 0
 
 
 def _load_config(path) -> dict:
@@ -121,253 +152,129 @@ def _load_config(path) -> dict:
         raise _CliError("CONFIG_INVALID", f"config is not valid JSON: {e}")
 
 
-def _csv_comments(cfg_obj, seed):
-    return [f"seed: {seed}", f"config_hash: {config_hash(cfg_obj)}"]
+# provenance field -> its value from the scheme flags
+_FLAG_FIELDS = {
+    "k_max": lambda a: a.k_max,
+    "rule": lambda a: a.rule,
+    "fill_both": lambda a: False,
+    "nu": lambda a: {"kind": a.nu},
+    "blocks": lambda a: blocks_provenance(
+        block_sequence(parse_weight_spec(a.weight), a.ratio_A, a.n0, a.k_max)),
+}
 
 
-def _outdir(args, name) -> str:
-    out = args.out or os.path.join("growthlab_out", name)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _scheme_provenance(args) -> dict:
+    if args.scheme is None:
+        raise _CliError("CONFIG_INVALID", "missing --scheme", pointer="/scheme")
+    prov = {"name": args.scheme}
+    prov.update((f, _FLAG_FIELDS[f](args)) for f in scheme_fields(args.scheme))
+    return prov
 
 
-def _manifest(outdir, subcommand, cfg_obj, seed, started, finalize=False, wall=None,
-              config_path=None):
-    man = {"subcommand": subcommand, "config": cfg_obj, "config_path": config_path,
-           "config_hash": config_hash(cfg_obj), "output_dir": os.path.abspath(outdir),
-           "tool_version": __version__, "seed": seed,
-           "status": "complete" if finalize else "running"}
-    if finalize:
-        man["wall_time"] = wall if wall is not None else time.monotonic() - started
-    write_json(os.path.join(outdir, "manifest.json"), man)
-    return man
+# -- subcommand bodies: build the config, run.start(config, seed), write results --
 
-
-def _add_scheme_flags(p: _Parser):
-    p.add_argument("--scheme", default=None,
-                   help=f"one of {', '.join(SCHEME_NAMES)}")
-    p.add_argument("--weight", default="power:1", help="weight spec, e.g. power:1")
-    p.add_argument("--ratio-A", type=float, default=2.0)
-    p.add_argument("--n0", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--rule", default="g_over_sqrt_nlogn",
-                   help="magnitude rule for the uniform scheme")
-    p.add_argument("--nu", default="constant", help="constant | log | sqrt")
-
-
-def _scheme_provenance_from_args(args) -> dict:
-    name = args.scheme
-    if name is None:
-        raise _CliError("CONFIG_INVALID", "missing --scheme (or supply --config)",
-                        pointer="/scheme")
-    if name == "loglog":
-        return {"name": "loglog", "k_max": args.k_max}
-    w = parse_weight_spec(args.weight)
-    blocks = block_sequence(w, args.ratio_A, args.n0, args.k_max)
-    bl = {"weight": weight_to_json(w), "A": blocks.ratio_a, "n": list(blocks.n)}
-    if name == "uniform":
-        return {"name": "uniform", "rule": args.rule, "fill_both": False, "blocks": bl}
-    if name == "saturating":
-        return {"name": "saturating", "nu": {"kind": args.nu}, "blocks": bl}
-    if name == "riesz_lacunary":
-        return {"name": "riesz_lacunary", "nu": {"kind": args.nu}, "blocks": bl}
-    if name == "rudin_shapiro":
-        return {"name": "rudin_shapiro", "blocks": bl}
-    if name == "hadamard":
-        return {"name": "hadamard", "blocks": bl}
-    raise _CliError("CONFIG_INVALID", f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
-
-
-# -- subcommands ----------------------------------------------------------------
-
-def _cmd_weights(argv) -> int:
-    p = _common_parser("weights")
-    p.add_argument("--family", default="power")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--log-base", type=float, default=math.e)
-    p.add_argument("--ratio-A", type=float, default=2.0)
-    p.add_argument("--n0", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--require-doubling", action="store_true")
-    p.add_argument("--audit-x-max", type=float, default=1e6)
-    args = p.parse_args(argv)
-    from .weights import doubling_audit, make_weight
+def _weights(args, run):
     w = make_weight(args.family, args.alpha, args.log_base)
     blocks = block_sequence(w, args.ratio_A, args.n0, args.k_max,
                             require_doubling_growth=args.require_doubling)
     audit = doubling_audit(w, args.audit_x_max)
-    cfg = {"family": args.family, "alpha": args.alpha, "log_base": args.log_base,
-           "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max}
-    out = _outdir(args, "weights")
-    started = time.monotonic()
-    _manifest(out, "weights", cfg, args.seed, started)
-    with open(os.path.join(out, "blocks.csv"), "w") as f:
-        for c in _csv_comments(cfg, args.seed):
+    run.start({"family": args.family, "alpha": args.alpha, "log_base": args.log_base,
+               "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max}, args.seed)
+    with open(run.path("blocks.csv"), "w") as f:
+        for c in run.notes:
             f.write(f"# {c}\n")
         f.write(blocks.to_csv())
-    write_json(os.path.join(out, "audit.json"),
+    write_json(run.path("audit.json"),
                {"d_hat": audit.d_hat, "worst_x": audit.worst_x,
                 "known_doubling": w.known_doubling})
-    _manifest(out, "weights", cfg, args.seed, started, finalize=True)
-    print(f"wrote {out}/blocks.csv ({len(blocks.n)} rows), d_hat={audit.d_hat:.6g}")
-    return 0
+    print(f"wrote {run.out}/blocks.csv ({len(blocks.n)} rows), d_hat={audit.d_hat:.6g}")
 
 
-def _cmd_scheme(argv) -> int:
-    p = _common_parser("scheme")
-    _add_scheme_flags(p)
-    args = p.parse_args(argv)
-    prov = _scheme_provenance_from_args(args)
+def _scheme(args, run):
+    prov = _scheme_provenance(args)
     scheme = scheme_from_provenance(prov)
-    out = _outdir(args, "scheme")
-    started = time.monotonic()
-    _manifest(out, "scheme", prov, args.seed, started)
-    scheme.write_csv(os.path.join(out, "scheme.csv"))
-    _manifest(out, "scheme", prov, args.seed, started, finalize=True)
-    print(f"wrote {out}/scheme.csv ({scheme.size} entries, degree {scheme.max_degree})")
-    return 0
+    run.start(prov, args.seed)
+    scheme.write_csv(run.path("scheme.csv"))
+    print(f"wrote {run.out}/scheme.csv ({scheme.size} entries, degree {scheme.max_degree})")
 
 
-def _cmd_check(argv) -> int:
-    p = _common_parser("check")
-    _add_scheme_flags(p)
-    p.add_argument("--kind", default="l2_log", choices=RATIO_KINDS)
-    p.add_argument("--n-max", type=int, default=None)
-    args = p.parse_args(argv)
-    prov = _scheme_provenance_from_args(args)
+def _check(args, run):
+    prov = _scheme_provenance(args)
     scheme = scheme_from_provenance(prov)
-    w = parse_weight_spec(args.weight)
-    rep = score_sup_ratio(args.kind, scheme, w, args.n_max)
-    cfg = {"scheme": prov, "kind": args.kind, "weight": args.weight, "n_max": args.n_max}
-    out = _outdir(args, "check")
-    started = time.monotonic()
-    _manifest(out, "check", cfg, args.seed, started)
-    write_json(os.path.join(out, "score.json"), rep.to_json())
-    write_csv(os.path.join(out, "score.csv"), ["n", "ratio"], rep.checkpoint_rows(),
-              comments=_csv_comments(cfg, args.seed))
-    _manifest(out, "check", cfg, args.seed, started, finalize=True)
+    rep = score_sup_ratio(args.kind, scheme, parse_weight_spec(args.weight), args.n_max)
+    run.start({"scheme": prov, "kind": args.kind, "weight": args.weight,
+               "n_max": args.n_max}, args.seed)
+    write_json(run.path("score.json"), rep.to_json())
+    write_csv(run.path("score.csv"), ["n", "ratio"], rep.checkpoint_rows(),
+              comments=run.notes)
     print(f"score={rep.score:.6g} witness={rep.witness} trend={rep.trend_ratio:.4g}")
-    return 0
 
 
-def _cmd_census(argv) -> int:
-    p = _common_parser("census")
-    _add_scheme_flags(p)
-    p.add_argument("--p", default="log", help="threshold sequence: constant | log | sqrt")
-    p.add_argument("--n-max", type=int, default=None)
-    args = p.parse_args(argv)
-    prov = _scheme_provenance_from_args(args)
+def _census(args, run):
+    prov = _scheme_provenance(args)
     scheme = scheme_from_provenance(prov)
     w = parse_weight_spec(args.weight)
     n_max = args.n_max or scheme.max_degree
     rep = coefficient_census(scheme, w, NuSequence(args.p), n_max)
-    cfg = {"scheme": prov, "weight": args.weight, "p": args.p, "n_max": n_max}
-    out = _outdir(args, "census")
-    started = time.monotonic()
-    _manifest(out, "census", cfg, args.seed, started)
-    write_csv(os.path.join(out, "census.csv"), CENSUS_CSV_HEADER, rep.to_rows(),
-              comments=_csv_comments(cfg, args.seed))
+    run.start({"scheme": prov, "weight": args.weight, "p": args.p, "n_max": n_max},
+              args.seed)
+    write_csv(run.path("census.csv"), CENSUS_CSV_HEADER, rep.to_rows(), comments=run.notes)
     if "blocks" in prov:
-        blocks = blocks_from_provenance(prov["blocks"])
-        lim = liminf_profile(scheme, blocks, w)
-        write_csv(os.path.join(out, "liminf.csv"), LIMINF_CSV_HEADER, lim.to_rows(),
-                  comments=_csv_comments(cfg, args.seed))
-    _manifest(out, "census", cfg, args.seed, started, finalize=True)
+        lim = liminf_profile(scheme, blocks_from_provenance(prov["blocks"]), w)
+        write_csv(run.path("liminf.csv"), LIMINF_CSV_HEADER, lim.to_rows(),
+                  comments=run.notes)
     print(f"census fraction at n={rep.rows[-1].n}: {rep.rows[-1].fraction:.6g}")
-    return 0
 
 
-def _growth_common(argv, name, flavor) -> int:
-    p = _common_parser(name)
-    _add_scheme_flags(p)
-    p.add_argument("--model", default="rademacher" if flavor == REAL_HARMONIC else "steinhaus")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--radii", default="block", help="'block' or comma-separated list")
-    p.add_argument("--oversample", type=float, default=16.0)
-    p.add_argument("--refine", action="store_true")
-    p.add_argument("--candidates", default="sqrt_log,sqrt_log_loglog")
-    p.add_argument("--threads", type=int, default=None)
-    args = p.parse_args(argv)
-    threads = args.threads if args.threads is not None else int(os.environ.get("GROWTHLAB_THREADS", "1"))
+def _ensemble(flavor, args, run):
     if args.config:
         cfg = config_from_json(_load_config(args.config))
     else:
         radii = args.radii if args.radii == "block" else [float(r) for r in args.radii.split(",")]
+        threads = (args.threads if args.threads is not None
+                   else int(os.environ.get("GROWTHLAB_THREADS", "1")))
         cfg = ExperimentConfig(
-            scheme=_scheme_provenance_from_args(args), model={"kind": args.model},
+            scheme=_scheme_provenance(args), model={"kind": args.model},
             seed=args.seed, trials=args.trials, radii=radii, oversample=args.oversample,
             refine=args.refine, candidates=tuple(args.candidates.split(",")),
             flavor=flavor, threads=threads)
-    out = _outdir(args, name)
-    started = time.monotonic()
-    _manifest(out, name, cfg.to_json(), cfg.seed, started, config_path=args.config)
+    run.start(cfg.to_json(), cfg.seed, config_path=args.config)
     print(f"running {cfg.trials} trials ...")
     rep = run_growth_ensemble(cfg)
-    write_json(os.path.join(out, "report.json"), rep.to_json())
-    notes = _csv_comments(cfg.to_json(), cfg.seed)
-    write_csv(os.path.join(out, "quantiles.csv"), ENSEMBLE_CSV_HEADER,
-              rep.quantile_rows(), comments=notes)
-    write_csv(os.path.join(out, "candidates.csv"), ["candidate", "r", "ratio"],
+    write_json(run.path("report.json"), rep.to_json())
+    write_csv(run.path("quantiles.csv"), ENSEMBLE_CSV_HEADER, rep.quantile_rows(),
+              comments=run.notes)
+    write_csv(run.path("candidates.csv"), ["candidate", "r", "ratio"],
               [(name, r, v) for name, vals in sorted(rep.candidate_ratios.items())
-               for r, v in zip(rep.radii, vals)], comments=notes)
-    emit_plotdata(rep, "growth", out)
-    _manifest(out, name, cfg.to_json(), cfg.seed, started, finalize=True,
-              wall=rep.wall_time, config_path=args.config)
-    print(f"wrote {out}/report.json ({len(rep.radii)} radii, wall {rep.wall_time:.1f}s)")
-    return 0
+               for r, v in zip(rep.radii, vals)], comments=run.notes)
+    print(f"wrote {run.out}/report.json ({len(rep.radii)} radii, wall {rep.wall_time:.1f}s)")
 
 
-def _cmd_growth(argv) -> int:
-    return _growth_common(argv, "growth", REAL_HARMONIC)
-
-
-def _cmd_analytic(argv) -> int:
-    return _growth_common(argv, "analytic", ANALYTIC)
-
-
-def _cmd_probe_sz(argv) -> int:
-    p = _common_parser("probe-sz")
-    _add_scheme_flags(p)
-    p.add_argument("--model", default="rademacher")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--n-list", default="8,10")
-    args = p.parse_args(argv)
-    prov = _scheme_provenance_from_args(args)
+def _block_scheme(args, what):
+    prov = _scheme_provenance(args)
     if "blocks" not in prov:
-        raise _CliError("CONFIG_INVALID", "probe-sz needs a block-based scheme")
-    scheme = scheme_from_provenance(prov)
-    blocks = blocks_from_provenance(prov["blocks"])
+        raise _CliError("CONFIG_INVALID", f"{what} needs a block-based scheme")
+    return prov, scheme_from_provenance(prov), blocks_from_provenance(prov["blocks"])
+
+
+def _probe_sz(args, run):
+    prov, scheme, blocks = _block_scheme(args, "probe-sz")
     n_list = [int(x) for x in args.n_list.split(",")]
-    cfg = {"scheme": prov, "model": args.model, "trials": args.trials, "n_list": n_list,
-           "seed": args.seed}
-    out = _outdir(args, "probe-sz")
-    started = time.monotonic()
-    _manifest(out, "probe-sz", cfg, args.seed, started)
+    run.start({"scheme": prov, "model": args.model, "trials": args.trials,
+               "n_list": n_list, "seed": args.seed}, args.seed)
     rep = salem_zygmund_probe(scheme, blocks, make_model(args.model), SeedSpec(args.seed),
                               args.trials, n_list)
-    write_csv(os.path.join(out, "sz.csv"), SZ_CSV_HEADER,
+    write_csv(run.path("sz.csv"), SZ_CSV_HEADER,
               [(r.n_index, r.n, r.big_r, r.t4_ratio, r.q05, r.q50, r.q95) for r in rep.rows],
-              comments=_csv_comments(cfg, args.seed))
-    _manifest(out, "probe-sz", cfg, args.seed, started, finalize=True)
+              comments=run.notes)
     print("q05 per N: " + ", ".join(f"{r.n_index}:{r.q05:.4f}" for r in rep.rows))
-    return 0
 
 
-def _cmd_probe_riesz(argv) -> int:
-    p = _common_parser("probe-riesz")
-    p.add_argument("--n-terms", default="2,3,4,5,6")
-    p.add_argument("--offsets", default="0")
-    p.add_argument("--oversample", type=float, default=64.0)
-    p.add_argument("--signed", action="store_true",
-                   help="scan +- sign patterns for the nontrivial constant")
-    args = p.parse_args(argv)
+def _probe_riesz(args, run):
     terms = [int(x) for x in args.n_terms.split(",")]
     offsets = [int(x) for x in args.offsets.split(",")]
-    cfg = {"n_terms": terms, "offsets": offsets, "oversample": args.oversample,
-           "signed": args.signed}
-    out = _outdir(args, "probe-riesz")
-    started = time.monotonic()
-    _manifest(out, "probe-riesz", cfg, args.seed, started)
+    run.start({"n_terms": terms, "offsets": offsets, "oversample": args.oversample,
+               "signed": args.signed}, args.seed)
     rows = []
     for nt in terms:
         rep = riesz_probe(nt, offsets=offsets, theta_oversample=args.oversample,
@@ -375,23 +282,13 @@ def _cmd_probe_riesz(argv) -> int:
         rows.extend((nt, r.offset, "".join("+" if s > 0 else "-" for s in r.pattern), r.ratio)
                     for r in rep.rows)
         print(f"n_terms={nt}: c_emp={rep.c_emp:.6f}")
-    write_csv(os.path.join(out, "riesz.csv"), ["n_terms"] + RIESZ_CSV_HEADER, rows,
-              comments=_csv_comments(cfg, args.seed))
-    _manifest(out, "probe-riesz", cfg, args.seed, started, finalize=True)
-    return 0
+    write_csv(run.path("riesz.csv"), ["n_terms"] + RIESZ_CSV_HEADER, rows, comments=run.notes)
 
 
-def _cmd_cap(argv) -> int:
-    p = _common_parser("cap")
-    p.add_argument("--degrees", default="4,8,16,32")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--combos", type=int, default=50)
-    args = p.parse_args(argv)
+def _cap(args, run):
     degrees = [int(x) for x in args.degrees.split(",")]
-    cfg = {"degrees": degrees, "alpha": args.alpha, "combos": args.combos, "seed": args.seed}
-    out = _outdir(args, "cap")
-    started = time.monotonic()
-    _manifest(out, "cap", cfg, args.seed, started)
+    run.start({"degrees": degrees, "alpha": args.alpha, "combos": args.combos,
+               "seed": args.seed}, args.seed)
     basis = build_basis(max(degrees))
     model = make_model("rademacher")
     seed = SeedSpec(args.seed)
@@ -405,91 +302,113 @@ def _cmd_cap(argv) -> int:
             rows.append(rep.row())
             fracs.append(rep.fraction)
         print(f"degree {n}: min c_implied = {min(f * n * n for f in fracs):.4f}")
-    write_csv(os.path.join(out, "cap.csv"), CAP_CSV_HEADER, rows,
-              comments=_csv_comments(cfg, args.seed))
-    _manifest(out, "cap", cfg, args.seed, started, finalize=True)
-    return 0
+    write_csv(run.path("cap.csv"), CAP_CSV_HEADER, rows, comments=run.notes)
 
 
-def _cmd_bloch(argv) -> int:
-    p = _common_parser("bloch")
-    _add_scheme_flags(p)
-    p.add_argument("--w-weight", default="power:1",
-                   help="Bloch weight w as its reciprocal growth spec")
-    args = p.parse_args(argv)
-    prov = _scheme_provenance_from_args(args)
-    if "blocks" not in prov:
-        raise _CliError("CONFIG_INVALID", "bloch scoring needs a block-based scheme")
-    scheme = scheme_from_provenance(prov)
-    blocks = blocks_from_provenance(prov["blocks"])
+def _bloch(args, run):
+    prov, scheme, blocks = _block_scheme(args, "bloch scoring")
     w = parse_weight_spec(args.weight)
     bw = bloch_reciprocal(parse_weight_spec(args.w_weight))
     rep = score_blockwise(scheme, blocks, w, m_weighted=True, bloch_w=bw)
-    cfg = {"scheme": prov, "weight": args.weight, "w_weight": args.w_weight}
-    out = _outdir(args, "bloch")
-    started = time.monotonic()
-    _manifest(out, "bloch", cfg, args.seed, started)
-    write_json(os.path.join(out, "bloch_score.json"), rep.to_json())
-    write_csv(os.path.join(out, "bloch_targets.csv"),
+    run.start({"scheme": prov, "weight": args.weight, "w_weight": args.w_weight}, args.seed)
+    write_json(run.path("bloch_score.json"), rep.to_json())
+    write_csv(run.path("bloch_targets.csv"),
               ["k", "n_k", "block_l2", "target", "rhs", "ratio"],
               [(r.k, r.n_k, r.block_l2, r.target, r.rhs, r.ratio) for r in rep.rows],
-              comments=_csv_comments(cfg, args.seed))
-    _manifest(out, "bloch", cfg, args.seed, started, finalize=True)
+              comments=run.notes)
     print(f"bloch blockwise score={rep.score:.6g} witness=k{rep.witness}")
-    return 0
 
 
-def _cmd_run(argv) -> int:
-    p = _Parser(prog="growthlab run")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    args = p.parse_args(argv)
+def _run_config(args, run) -> int:
     cfg = _load_config(args.config)
     sub = cfg.get("subcommand")
     if sub not in SUBCOMMANDS or sub == "run":
-        raise _CliError("CONFIG_INVALID",
-                        f"config must name a subcommand among {SUBCOMMANDS[:-1]}",
+        others = ", ".join(name for name in SUBCOMMANDS if name != "run")
+        raise _CliError("CONFIG_INVALID", f"config must name a subcommand among {others}",
                         pointer="/subcommand")
-    flags = cfg.get("argv", [])
+    flags = list(cfg.get("argv", []))
     if args.out:
-        flags = list(flags) + ["--out", args.out]
-    return _dispatch([sub] + list(flags))
+        flags += ["--out", args.out]
+    return _dispatch([sub] + flags)
 
 
-# -- plot data -------------------------------------------------------------------
+# -- the subcommand table ---------------------------------------------------------
 
-def emit_plotdata(report, kind: str, outdir: str):
-    """Write plain (x, y) column files for external plotting tools."""
-    os.makedirs(outdir, exist_ok=True)
-    if kind == "growth":
-        if not isinstance(report, EnsembleReport):
-            raise GrowthLabError("KIND_MISMATCH", f"growth plot data needs an EnsembleReport, got {type(report).__name__}")
-        for name, ratios in report.candidate_ratios.items():
-            path = os.path.join(outdir, f"plot_growth_{name}.dat")
-            with open(path, "w") as f:
-                f.write(f"# config_hash: {report.config_hash}\n")
-                f.write("# r median_ratio\n")
-                for r, v in zip(report.radii, ratios):
-                    f.write(f"{r!r} {v!r}\n")
-        path = os.path.join(outdir, "plot_growth_quantiles.dat")
-        with open(path, "w") as f:
-            f.write(f"# config_hash: {report.config_hash}\n")
-            f.write("# r q10 median q90\n")
-            for r, a, b, c in zip(report.radii, report.lower_q10, report.lower_med,
-                                  report.lower_q90):
-                f.write(f"{r!r} {a!r} {b!r} {c!r}\n")
-        return
-    if kind == "census":
-        from .census import CensusReport
-        if not isinstance(report, CensusReport):
-            raise GrowthLabError("KIND_MISMATCH", f"census plot data needs a CensusReport, got {type(report).__name__}")
-        path = os.path.join(outdir, "plot_census.dat")
-        with open(path, "w") as f:
-            f.write("# n fraction\n")
-            for row in report.rows:
-                f.write(f"{row.n} {row.fraction!r}\n")
-        return
-    raise GrowthLabError("KIND_MISMATCH", f"unknown plot kind {kind!r}")
+_SEED = [("--seed", dict(type=int, default=20260808))]
+
+_SCHEME_FLAGS = _SEED + [
+    ("--scheme", dict(default=None, help=f"one of {', '.join(SCHEMES)}")),
+    ("--weight", dict(default="power:1", help="weight spec, e.g. power:1")),
+    ("--ratio-A", dict(type=float, default=2.0)),
+    ("--n0", dict(type=int, default=1)),
+    ("--k-max", dict(type=int, default=10)),
+    ("--rule", dict(default="g_over_sqrt_nlogn", help="magnitude rule for the uniform scheme")),
+    ("--nu", dict(default="constant", help="constant | log | sqrt")),
+]
+
+
+def _ensemble_flags(model):
+    return _SCHEME_FLAGS + [
+        ("--config", dict(default=None, help="ExperimentConfig JSON used instead of the flags")),
+        ("--model", dict(default=model)),
+        ("--trials", dict(type=int, default=200)),
+        ("--radii", dict(default="block", help="'block' or comma-separated list")),
+        ("--oversample", dict(type=float, default=16.0)),
+        ("--refine", dict(action="store_true")),
+        ("--candidates", dict(default="sqrt_log,sqrt_log_loglog")),
+        ("--threads", dict(type=int, default=None)),
+    ]
+
+
+# name -> (flags beside --out, body(args, run)); a body that never calls
+# run.start leaves no manifest, which lets `run` hand over to another body
+SUBCOMMANDS = {
+    "weights": (_SEED + [
+        ("--family", dict(default="power")),
+        ("--alpha", dict(type=float, default=1.0)),
+        ("--log-base", dict(type=float, default=math.e)),
+        ("--ratio-A", dict(type=float, default=2.0)),
+        ("--n0", dict(type=int, default=1)),
+        ("--k-max", dict(type=int, default=10)),
+        ("--require-doubling", dict(action="store_true")),
+        ("--audit-x-max", dict(type=float, default=1e6)),
+    ], _weights),
+    "scheme": (_SCHEME_FLAGS, _scheme),
+    "check": (_SCHEME_FLAGS + [
+        ("--kind", dict(default="l2_log", choices=RATIO_KINDS)),
+        ("--n-max", dict(type=int, default=None)),
+    ], _check),
+    "census": (_SCHEME_FLAGS + [
+        ("--p", dict(default="log", help="threshold sequence: constant | log | sqrt")),
+        ("--n-max", dict(type=int, default=None)),
+    ], _census),
+    "growth": (_ensemble_flags("rademacher"),
+               lambda args, run: _ensemble(REAL_HARMONIC, args, run)),
+    "probe-sz": (_SCHEME_FLAGS + [
+        ("--model", dict(default="rademacher")),
+        ("--trials", dict(type=int, default=500)),
+        ("--n-list", dict(default="8,10")),
+    ], _probe_sz),
+    "probe-riesz": (_SEED + [
+        ("--n-terms", dict(default="2,3,4,5,6")),
+        ("--offsets", dict(default="0")),
+        ("--oversample", dict(type=float, default=64.0)),
+        ("--signed", dict(action="store_true",
+                          help="scan +- sign patterns for the nontrivial constant")),
+    ], _probe_riesz),
+    "cap": (_SEED + [
+        ("--degrees", dict(default="4,8,16,32")),
+        ("--alpha", dict(type=float, default=0.5)),
+        ("--combos", dict(type=int, default=50)),
+    ], _cap),
+    "bloch": (_SCHEME_FLAGS + [
+        ("--w-weight", dict(default="power:1",
+                            help="Bloch weight w as its reciprocal growth spec")),
+    ], _bloch),
+    "analytic": (_ensemble_flags("steinhaus"),
+                 lambda args, run: _ensemble(ANALYTIC, args, run)),
+    "run": ([("--config", dict(required=True))], _run_config),
+}
 
 
 if __name__ == "__main__":

@@ -168,45 +168,35 @@ def _block_sums(scheme: CoefficientScheme, blocks: BlockSequence, m_weighted: bo
     return sums[1:]        # S_k for k = 1..k_max
 
 
-def _block_targets(blocks: BlockSequence, weight: Weight, bloch_w: Optional[Weight]):
-    w = bloch_w if bloch_w is not None else weight
+def _score_blocks(criterion: str, prefix: bool, scheme: CoefficientScheme,
+                  blocks: BlockSequence, weight: Weight, m_weighted: bool,
+                  bloch_w: Optional[Weight]) -> BlockScoreReport:
+    S = _block_sums(scheme, blocks, m_weighted or bloch_w is not None)
     nk = np.asarray(blocks.n[1:], dtype=float)
-    return eval_g(w, nk), nk
+    targets = eval_g(bloch_w if bloch_w is not None else weight, nk)
+    logs = clamped_log(nk)
+    terms = np.sqrt(S * logs)
+    ratios = (np.cumsum(terms) if prefix else terms) / targets
+    i = int(np.argmax(ratios)) if len(ratios) else 0
+    rows = tuple(BlockRow(k=k + 1, n_k=int(nk[k]), block_l2=float(math.sqrt(S[k])),
+                          target=float(targets[k]), rhs=float(targets[k] / math.sqrt(logs[k])),
+                          ratio=float(ratios[k]))
+                 for k in range(len(ratios)))
+    c1 = float(np.max(targets[1:] / targets[:-1])) if len(targets) > 1 else 1.0
+    return BlockScoreReport(criterion=criterion, score=float(ratios[i]) if len(ratios) else 0.0,
+                            witness=i + 1, c1_hat=c1, rows=rows)
 
 
 def score_block_sum(scheme: CoefficientScheme, blocks: BlockSequence, weight: Weight,
                     m_weighted: bool = False, bloch_w: Optional[Weight] = None) -> BlockScoreReport:
     """Prefix sums of sqrt(S_j log n_j) against the target at each block end."""
-    S = _block_sums(scheme, blocks, m_weighted or bloch_w is not None)
-    targets, nk = _block_targets(blocks, weight, bloch_w)
-    logs = clamped_log(nk)
-    prefix = np.cumsum(np.sqrt(S * logs))
-    ratios = prefix / targets
-    i = int(np.argmax(ratios)) if len(ratios) else 0
-    rows = tuple(BlockRow(k=k + 1, n_k=int(nk[k]), block_l2=float(math.sqrt(S[k])),
-                          target=float(targets[k]), rhs=float(targets[k] / math.sqrt(logs[k])),
-                          ratio=float(ratios[k]))
-                 for k in range(len(ratios)))
-    c1 = float(np.max(targets[1:] / targets[:-1])) if len(targets) > 1 else 1.0
-    return BlockScoreReport(criterion="block_sum", score=float(ratios[i]) if len(ratios) else 0.0,
-                            witness=i + 1, c1_hat=c1, rows=rows)
+    return _score_blocks("block_sum", True, scheme, blocks, weight, m_weighted, bloch_w)
 
 
 def score_blockwise(scheme: CoefficientScheme, blocks: BlockSequence, weight: Weight,
                     m_weighted: bool = False, bloch_w: Optional[Weight] = None) -> BlockScoreReport:
     """Per-block sqrt(S_k log n_k) against the target, no prefix sum."""
-    S = _block_sums(scheme, blocks, m_weighted or bloch_w is not None)
-    targets, nk = _block_targets(blocks, weight, bloch_w)
-    logs = clamped_log(nk)
-    ratios = np.sqrt(S * logs) / targets
-    i = int(np.argmax(ratios)) if len(ratios) else 0
-    rows = tuple(BlockRow(k=k + 1, n_k=int(nk[k]), block_l2=float(math.sqrt(S[k])),
-                          target=float(targets[k]), rhs=float(targets[k] / math.sqrt(logs[k])),
-                          ratio=float(ratios[k]))
-                 for k in range(len(ratios)))
-    c1 = float(np.max(targets[1:] / targets[:-1])) if len(targets) > 1 else 1.0
-    return BlockScoreReport(criterion="blockwise", score=float(ratios[i]) if len(ratios) else 0.0,
-                            witness=i + 1, c1_hat=c1, rows=rows)
+    return _score_blocks("blockwise", False, scheme, blocks, weight, m_weighted, bloch_w)
 
 
 CESARO = "cesaro"

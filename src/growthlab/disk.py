@@ -85,7 +85,7 @@ def unit_series(scheme: CoefficientScheme, flavor: str = REAL_HARMONIC) -> Rando
 
 
 def _check_radius(series: RandomizedSeries, r: float):
-    if r < 0.0 or r > 1.0:
+    if not (0.0 <= r <= 1.0):
         fail("RADIUS_OUT_OF_RANGE", f"need 0 <= r <= 1 for finite series, got {r}")
 
 
@@ -194,7 +194,7 @@ def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float,
     lower = max(gmax - tail, 0.0)
     if refine_fn is not None:
         h = 2.0 * math.pi / M
-        top = np.argsort(vals)[-3:]
+        top = np.argpartition(vals, -3)[-3:]
         for t in top:
             th = 2.0 * math.pi * float(t) / M
             lower = max(lower, _golden_max(refine_fn, th - h, th + h))

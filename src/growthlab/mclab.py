@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,10 +35,8 @@ from .disk import REAL_HARMONIC, cesaro_mean, randomize, sup_bracket, unit_serie
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, make_model, model_from_json
 from .reporting import canonical_json, config_hash
-from .schemes import (CoefficientScheme, blocks_from_provenance, clamped_log,
-                      hadamard_lacunary_scheme, loglog_energy_scheme, nu_from_json,
-                      riesz_lacunary_scheme, rudin_shapiro_scheme, saturating_scheme,
-                      scheme_from_arrays, uniform_block_scheme)
+from . import schemes
+from .schemes import CoefficientScheme, clamped_log, scheme_from_arrays
 
 # -- named growth candidates ---------------------------------------------------
 
@@ -73,27 +71,11 @@ def resolve_candidate(name: str) -> Callable:
 # -- scheme regeneration from provenance ---------------------------------------
 
 def scheme_from_provenance(prov: dict) -> CoefficientScheme:
-    """Rebuild a scheme bit-exactly from its provenance dict."""
-    name = prov.get("name")
-    if name == "loglog":
-        return loglog_energy_scheme(prov["k_max"])
-    if name == "uniform":
-        return uniform_block_scheme(blocks_from_provenance(prov["blocks"]),
-                                    prov["rule"], prov.get("fill_both", False))
-    if name == "saturating":
-        return saturating_scheme(blocks_from_provenance(prov["blocks"]),
-                                 nu_from_json(prov["nu"]))
-    if name == "riesz_lacunary":
-        return riesz_lacunary_scheme(blocks_from_provenance(prov["blocks"]),
-                                     nu_from_json(prov["nu"]))
-    if name == "rudin_shapiro":
-        return rudin_shapiro_scheme(blocks_from_provenance(prov["blocks"]))
-    if name == "hadamard":
-        return hadamard_lacunary_scheme(blocks_from_provenance(prov["blocks"]))
-    if name == "random":
+    """Rebuild a scheme bit-exactly from its provenance dict, random ones included."""
+    if prov.get("name") == "random":
         return random_scheme(SeedSpec(prov["seed"]), prov["trial"], prov["degree"],
                              prov.get("density", 1.0), prov.get("both", True))
-    fail("CONFIG_INVALID", f"cannot regenerate scheme from provenance {name!r}")
+    return schemes.scheme_from_provenance(prov)
 
 
 def random_scheme(seed_spec: SeedSpec, trial: int, degree: int,
@@ -113,7 +95,11 @@ def random_scheme(seed_spec: SeedSpec, trial: int, degree: int,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully serializable ensemble description; identical config, identical bytes."""
+    """Fully serializable ensemble description; identical config, identical bytes.
+
+    `threads` only sets how many trials run at once; it is left out of the
+    JSON form, the hash and equality because it cannot change an output byte.
+    """
 
     scheme: dict
     model: dict
@@ -125,14 +111,14 @@ class ExperimentConfig:
     candidates: tuple = ("sqrt_log", "sqrt_log_loglog")
     flavor: str = REAL_HARMONIC
     max_evals: float = 1e11
-    threads: int = 1
+    threads: int = field(default=1, compare=False)
 
     def to_json(self) -> dict:
         return {"scheme": self.scheme, "model": self.model, "seed": self.seed,
                 "trials": self.trials, "radii": self.radii,
                 "oversample": self.oversample, "refine": self.refine,
                 "candidates": list(self.candidates), "flavor": self.flavor,
-                "max_evals": self.max_evals, "threads": self.threads}
+                "max_evals": self.max_evals}
 
     @property
     def hash(self) -> str:
@@ -189,19 +175,22 @@ ENSEMBLE_CSV_HEADER = ["r", "n_of_r", "lower_q10", "lower_med", "lower_q90",
                        "upper_q10", "upper_med", "upper_q90"]
 
 
-def _resolve_radii(cfg: ExperimentConfig, scheme: CoefficientScheme):
+def _resolve_radii(cfg: ExperimentConfig):
     if cfg.radii == "block":
         prov = cfg.scheme
         blocks = prov.get("blocks")
         if blocks is not None:
             ns = blocks["n"]
         elif prov.get("name") == "loglog":
-            from .schemes import TOWER_BLOCKS
-            ns = TOWER_BLOCKS[:prov["k_max"] + 1]
+            ns = schemes.TOWER_BLOCKS[:prov["k_max"] + 1]
         else:
             fail("CONFIG_INVALID", "radii rule 'block' needs a block-based scheme")
         return [1.0 - 1.0 / n for n in ns if n >= 2]
-    return [float(r) for r in cfg.radii]
+    radii = [float(r) for r in cfg.radii]
+    for r in radii:
+        if not (0.0 <= r <= 1.0):
+            fail("RADIUS_OUT_OF_RANGE", f"need 0 <= r <= 1 for finite series, got {r}")
+    return radii
 
 
 def _estimate_evals(cfg, scheme, radii) -> float:
@@ -217,10 +206,10 @@ def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
     """Randomize, bracket and aggregate; deterministic given the config."""
     if config.trials < 1:
         fail("DOMAIN", f"need at least one trial, got {config.trials}")
+    radii = _resolve_radii(config)
     scheme = scheme_from_provenance(config.scheme)
     model = model_from_json(config.model)
     seed = SeedSpec(config.seed)
-    radii = _resolve_radii(config, scheme)
     cost = _estimate_evals(config, scheme, radii)
     if cost > config.max_evals:
         fail("BUDGET_EXCEEDED",

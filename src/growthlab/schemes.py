@@ -3,7 +3,8 @@
 A scheme stores sparse pairs (a_j0, a_j1) for the cosine and sine components
 at degree j; |a_j| = sqrt(a_j0^2 + a_j1^2) is what all membership criteria
 consume.  Every constructor records a provenance dict from which the scheme
-regenerates bit-exactly (see ``scheme_from_provenance`` in mclab).
+regenerates bit-exactly through ``scheme_from_provenance``, which reads the
+constructor for each scheme name from the ``SCHEMES`` table at the end.
 
 Constructors, with n_{k-1} < j <= n_k denoting block k of a BlockSequence:
 
@@ -161,7 +162,7 @@ def scheme_from_csv(text: str) -> CoefficientScheme:
     return scheme_from_arrays(support, a0, a1, max_degree, prov)
 
 
-def _blocks_provenance(blocks: BlockSequence) -> dict:
+def blocks_provenance(blocks: BlockSequence) -> dict:
     return {"weight": weight_to_json(blocks.weight), "A": blocks.ratio_a,
             "n": list(blocks.n)}
 
@@ -206,7 +207,7 @@ def uniform_block_scheme(blocks: BlockSequence, rule: str,
     cos = vals
     sin = vals.copy() if fill_both else np.zeros_like(vals)
     prov = {"name": "uniform", "rule": rule, "fill_both": fill_both,
-            "blocks": _blocks_provenance(blocks)}
+            "blocks": blocks_provenance(blocks)}
     return scheme_from_arrays(support, cos, sin, blocks.n[-1], prov)
 
 
@@ -257,7 +258,7 @@ def riesz_lacunary_scheme(blocks: BlockSequence, nu: NuSequence) -> CoefficientS
     support = np.concatenate(support) if support else np.zeros(0, dtype=np.int64)
     vals = np.concatenate(vals) if vals else np.zeros(0)
     prov = {"name": "riesz_lacunary", "nu": nu.to_json(),
-            "blocks": _blocks_provenance(blocks)}
+            "blocks": blocks_provenance(blocks)}
     return scheme_from_arrays(support, vals, np.zeros_like(vals),
                               blocks.n[-1], prov)
 
@@ -275,7 +276,7 @@ def saturating_scheme(blocks: BlockSequence, nu: NuSequence) -> CoefficientSchem
     vals = base.cos_coeffs * scale
     keep = base.support > 2
     prov = {"name": "saturating", "nu": nu.to_json(),
-            "blocks": _blocks_provenance(blocks)}
+            "blocks": blocks_provenance(blocks)}
     return scheme_from_arrays(base.support[keep], vals[keep],
                               np.zeros(int(keep.sum())), blocks.n[-1], prov)
 
@@ -315,7 +316,7 @@ def rudin_shapiro_scheme(blocks: BlockSequence) -> CoefficientScheme:
         vals.append(signs * (float(gs[k]) / math.sqrt(m)))
     support = np.concatenate(support) if support else np.zeros(0, dtype=np.int64)
     vals = np.concatenate(vals) if vals else np.zeros(0)
-    prov = {"name": "rudin_shapiro", "blocks": _blocks_provenance(blocks)}
+    prov = {"name": "rudin_shapiro", "blocks": blocks_provenance(blocks)}
     return scheme_from_arrays(support, vals, np.zeros_like(vals),
                               blocks.n[-1], prov)
 
@@ -324,7 +325,7 @@ def hadamard_lacunary_scheme(blocks: BlockSequence) -> CoefficientScheme:
     """a_{n_k} = g(n_k) at every block endpoint including n_0, zero elsewhere."""
     support = np.asarray(blocks.n, dtype=np.int64)
     vals = blocks.g_values().astype(float)
-    prov = {"name": "hadamard", "blocks": _blocks_provenance(blocks)}
+    prov = {"name": "hadamard", "blocks": blocks_provenance(blocks)}
     return scheme_from_arrays(support, vals, np.zeros_like(vals),
                               blocks.n[-1], prov)
 
@@ -332,3 +333,34 @@ def hadamard_lacunary_scheme(blocks: BlockSequence) -> CoefficientScheme:
 def blocks_from_provenance(d: dict) -> BlockSequence:
     w = weight_from_json(d["weight"])
     return BlockSequence(weight=w, ratio_a=float(d["A"]), n=tuple(int(x) for x in d["n"]))
+
+
+# -- registry -------------------------------------------------------------------
+
+# scheme name -> (constructor name, provenance fields it takes as keyword
+# arguments).  Constructors are looked up by name when called, so a wrapper
+# installed on this module's attribute sees every build.
+SCHEMES = {
+    "loglog": ("loglog_energy_scheme", ("k_max",)),
+    "uniform": ("uniform_block_scheme", ("blocks", "rule", "fill_both")),
+    "saturating": ("saturating_scheme", ("blocks", "nu")),
+    "riesz_lacunary": ("riesz_lacunary_scheme", ("blocks", "nu")),
+    "rudin_shapiro": ("rudin_shapiro_scheme", ("blocks",)),
+    "hadamard": ("hadamard_lacunary_scheme", ("blocks",)),
+}
+
+_DECODE = {"blocks": blocks_from_provenance, "nu": nu_from_json}
+
+
+def scheme_fields(name) -> tuple:
+    """Provenance fields beside "name" that the scheme `name` is built from."""
+    if name not in SCHEMES:
+        fail("CONFIG_INVALID", f"unknown scheme {name!r}; expected one of {', '.join(SCHEMES)}")
+    return SCHEMES[name][1]
+
+
+def scheme_from_provenance(prov: dict) -> CoefficientScheme:
+    """Rebuild a scheme bit-exactly from its provenance dict."""
+    fields = scheme_fields(prov.get("name"))
+    build = globals()[SCHEMES[prov["name"]][0]]
+    return build(**{f: _DECODE.get(f, lambda v: v)(prov[f]) for f in fields if f in prov})

@@ -1,11 +1,7 @@
 import json
 import os
 
-import numpy as np
-import pytest
-
-from growthlab.cli import emit_plotdata, main
-from growthlab.errors import GrowthLabError
+from growthlab.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -72,7 +68,6 @@ def test_growth_run_and_rerun_identical(tmp_path, capsys):
     r2 = json.loads((out2 / "report.json").read_text())
     r1.pop("wall_time"), r2.pop("wall_time")
     assert r1 == r2
-    assert (out1 / "plot_growth_sqrt_log.dat").exists()
     assert (out1 / "quantiles.csv").exists()
 
 
@@ -138,31 +133,6 @@ def test_stderr_is_line_delimited_json(capsys, tmp_path):
         json.loads(line)
 
 
-def test_emit_plotdata_kind_mismatch(tmp_path):
-    from growthlab import NuSequence, coefficient_census, make_weight
-    from growthlab.schemes import scheme_from_arrays
-    z = scheme_from_arrays([], [], [], 8, {"name": "zero"})
-    census = coefficient_census(z, make_weight("power", 1.0), NuSequence("log"), 8)
-    with pytest.raises(GrowthLabError) as ei:
-        emit_plotdata(census, "growth", str(tmp_path))
-    assert ei.value.code == "KIND_MISMATCH"
-    emit_plotdata(census, "census", str(tmp_path))
-    body = (tmp_path / "plot_census.dat").read_text().splitlines()
-    assert body[0].startswith("#")
-    assert len(body) > 1
-
-
-def test_emit_plotdata_empty_report(tmp_path):
-    from growthlab.mclab import EnsembleReport
-    rep = EnsembleReport(config={}, config_hash="x", radii=(), n_of_r=(),
-                         lower_q10=(), lower_med=(), lower_q90=(),
-                         upper_q10=(), upper_med=(), upper_q90=(),
-                         candidate_ratios={"sqrt_log": ()})
-    emit_plotdata(rep, "growth", str(tmp_path))
-    body = (tmp_path / "plot_growth_sqrt_log.dat").read_text().splitlines()
-    assert body == ["# config_hash: x", "# r median_ratio"]
-
-
 def test_run_config_pointer_diagnostic(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"subcommand": "run"}))
@@ -174,13 +144,18 @@ def test_run_config_pointer_diagnostic(tmp_path, capsys):
 
 
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
+    args = ["growth", "--scheme", "loglog", "--k-max", "2", "--trials", "4",
+            "--radii", "0.5,0.9"]
     monkeypatch.setenv("GROWTHLAB_THREADS", "3")
-    out = tmp_path / "g"
-    code, _, _ = run_cli(capsys, "growth", "--scheme", "loglog", "--k-max", "1",
-                         "--trials", "4", "--radii", "0.5", "--out", str(out))
-    assert code == 0
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["config"]["threads"] == 3
+    assert run_cli(capsys, *args, "--out", str(tmp_path / "env3"))[0] == 0
+    monkeypatch.delenv("GROWTHLAB_THREADS")
+    assert run_cli(capsys, *args, "--threads", "1", "--out", str(tmp_path / "t1"))[0] == 0
+    for name in ("quantiles.csv", "candidates.csv"):
+        assert (tmp_path / "env3" / name).read_bytes() == (tmp_path / "t1" / name).read_bytes()
+    r3, r1 = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("env3", "t1"))
+    r3.pop("wall_time"), r1.pop("wall_time")
+    assert r3 == r1
+    assert "threads" not in r3["config"]
 
 
 def test_growth_from_experiment_config_file(tmp_path, capsys):
@@ -202,3 +177,30 @@ def test_check_missing_scheme_flag(tmp_path, capsys):
     diag = json.loads(err.strip().splitlines()[-1])
     assert diag["error"] == "CONFIG_INVALID"
     assert diag["pointer"] == "/scheme"
+
+
+def test_config_flag_only_where_read(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "check", "--config", str(tmp_path / "missing.json"),
+                           "--scheme", "loglog", "--k-max", "2", "--out", str(tmp_path / "c"))
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "CONFIG_INVALID"
+
+
+def test_nan_radius_rejected_before_report(tmp_path, capsys):
+    out = tmp_path / "g"
+    code, _, err = run_cli(capsys, "growth", "--scheme", "loglog", "--k-max", "2",
+                           "--trials", "2", "--radii", "0.5,nan", "--out", str(out))
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "RADIUS_OUT_OF_RANGE"
+    assert not (out / "report.json").exists()
+
+
+def test_failed_run_marks_manifest(tmp_path, capsys):
+    out = tmp_path / "g"
+    code, _, err = run_cli(capsys, "growth", "--scheme", "loglog", "--k-max", "2",
+                           "--trials", "0", "--radii", "0.5", "--out", str(out))
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "DOMAIN"
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["status"] == "failed"
+    assert man["error"] == "DOMAIN"

@@ -74,6 +74,9 @@ def test_radius_out_of_range():
     with pytest.raises(GrowthLabError) as ei:
         evaluate_at(ser, 1.5, 0.0)
     assert ei.value.code == "RADIUS_OUT_OF_RANGE"
+    with pytest.raises(GrowthLabError) as ei:
+        sup_bracket(ser, float("nan"))
+    assert ei.value.code == "RADIUS_OUT_OF_RANGE"
 
 
 @given(degree=st.integers(2, 1000), r=st.floats(0.1, 1.0), trial=st.integers(0, 50))

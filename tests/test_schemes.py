@@ -9,7 +9,9 @@ from growthlab import (G_OVER_N, G_OVER_SQRT_N, G_OVER_SQRT_NLOGN, GrowthLabErro
                        loglog_energy_scheme, make_weight, riesz_lacunary_scheme,
                        rudin_shapiro_scheme, rudin_shapiro_signs, saturating_scheme,
                        scheme_from_csv, uniform_block_scheme)
-from growthlab.mclab import scheme_from_provenance
+from growthlab.mclab import random_scheme, scheme_from_provenance
+from growthlab.randomness import SeedSpec
+from growthlab.schemes import SCHEMES
 
 W1 = make_weight("power", 1.0)
 
@@ -210,20 +212,29 @@ def test_hadamard_values_and_limsup():
 
 # -- serialization and provenance ------------------------------------------------
 
-@pytest.mark.parametrize("build", [
+PROVENANCE_CASES = [
     lambda: loglog_energy_scheme(3),
     lambda: uniform_block_scheme(blocks_pow2(6), G_OVER_SQRT_NLOGN),
     lambda: saturating_scheme(blocks_pow2(6), NuSequence("sqrt")),
     lambda: riesz_lacunary_scheme(block_sequence(W1, 4.0, 2, 4), NuSequence("log")),
     lambda: rudin_shapiro_scheme(blocks_pow2(6)),
     lambda: hadamard_lacunary_scheme(blocks_pow2(6)),
-])
+    lambda: uniform_block_scheme(blocks_pow2(5), G_OVER_N, fill_both=True),
+    lambda: saturating_scheme(blocks_pow2(5), NuSequence("constant", c=2.5)),
+    lambda: random_scheme(SeedSpec(5), 3, 100, density=0.5),
+]
+
+
+@pytest.mark.parametrize("build", PROVENANCE_CASES)
 def test_provenance_regenerates_bit_exactly(build):
+    # the cases cover every name in the scheme registry
+    assert set(SCHEMES) <= {case().provenance["name"] for case in PROVENANCE_CASES}
     s = build()
     s2 = scheme_from_provenance(s.provenance)
     assert np.array_equal(s.support, s2.support)
     assert np.array_equal(s.cos_coeffs, s2.cos_coeffs)
     assert np.array_equal(s.sin_coeffs, s2.sin_coeffs)
+    assert s2.provenance == s.provenance
 
 
 def test_csv_round_trip_lossless():

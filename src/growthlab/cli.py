@@ -230,12 +230,11 @@ def _ensemble(flavor, args, run):
     if args.config:
         cfg = config_from_json(_load_config(args.config))
     else:
-        radii = args.radii if args.radii == "block" else [float(r) for r in args.radii.split(",")]
         threads = (args.threads if args.threads is not None
                    else int(os.environ.get("GROWTHLAB_THREADS", "1")))
         cfg = ExperimentConfig(
             scheme=_scheme_provenance(args), model={"kind": args.model},
-            seed=args.seed, trials=args.trials, radii=radii, oversample=args.oversample,
+            seed=args.seed, trials=args.trials, radii=args.radii, oversample=args.oversample,
             refine=args.refine, candidates=tuple(args.candidates.split(",")),
             flavor=flavor, threads=threads)
     run.start(cfg.to_json(), cfg.seed, config_path=args.config)
@@ -259,11 +258,10 @@ def _block_scheme(args, what):
 
 def _probe_sz(args, run):
     prov, scheme, blocks = _block_scheme(args, "probe-sz")
-    n_list = [int(x) for x in args.n_list.split(",")]
     run.start({"scheme": prov, "model": args.model, "trials": args.trials,
-               "n_list": n_list, "seed": args.seed}, args.seed)
+               "n_list": args.n_list, "seed": args.seed}, args.seed)
     rep = salem_zygmund_probe(scheme, blocks, make_model(args.model), SeedSpec(args.seed),
-                              args.trials, n_list)
+                              args.trials, args.n_list)
     write_csv(run.path("sz.csv"), SZ_CSV_HEADER,
               [(r.n_index, r.n, r.big_r, r.t4_ratio, r.q05, r.q50, r.q95) for r in rep.rows],
               comments=run.notes)
@@ -271,13 +269,11 @@ def _probe_sz(args, run):
 
 
 def _probe_riesz(args, run):
-    terms = [int(x) for x in args.n_terms.split(",")]
-    offsets = [int(x) for x in args.offsets.split(",")]
-    run.start({"n_terms": terms, "offsets": offsets, "oversample": args.oversample,
+    run.start({"n_terms": args.n_terms, "offsets": args.offsets, "oversample": args.oversample,
                "signed": args.signed}, args.seed)
     rows = []
-    for nt in terms:
-        rep = riesz_probe(nt, offsets=offsets, theta_oversample=args.oversample,
+    for nt in args.n_terms:
+        rep = riesz_probe(nt, offsets=args.offsets, theta_oversample=args.oversample,
                           sign_patterns=args.signed)
         rows.extend((nt, r.offset, "".join("+" if s > 0 else "-" for s in r.pattern), r.ratio)
                     for r in rep.rows)
@@ -286,14 +282,13 @@ def _probe_riesz(args, run):
 
 
 def _cap(args, run):
-    degrees = [int(x) for x in args.degrees.split(",")]
-    run.start({"degrees": degrees, "alpha": args.alpha, "combos": args.combos,
+    run.start({"degrees": args.degrees, "alpha": args.alpha, "combos": args.combos,
                "seed": args.seed}, args.seed)
-    basis = build_basis(max(degrees))
+    basis = build_basis(max(args.degrees))
     model = make_model("rademacher")
     seed = SeedSpec(args.seed)
     rows = []
-    for n in degrees:
+    for n in args.degrees:
         cov = default_covering(n)
         fracs = []
         for t in range(args.combos):
@@ -334,6 +329,24 @@ def _run_config(args, run) -> int:
 
 # -- the subcommand table ---------------------------------------------------------
 
+def _comma_list(convert):
+    """argparse type for comma-separated values; a bad entry fails as CONFIG_INVALID."""
+    def parse(text):
+        try:
+            return [convert(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}") from None
+    return parse
+
+
+_INTS, _FLOATS = _comma_list(int), _comma_list(float)
+
+
+def _radii(text):
+    return text if text == "block" else _FLOATS(text)
+
+
 _SEED = [("--seed", dict(type=int, default=20260808))]
 
 _SCHEME_FLAGS = _SEED + [
@@ -352,7 +365,8 @@ def _ensemble_flags(model):
         ("--config", dict(default=None, help="ExperimentConfig JSON used instead of the flags")),
         ("--model", dict(default=model)),
         ("--trials", dict(type=int, default=200)),
-        ("--radii", dict(default="block", help="'block' or comma-separated list")),
+        ("--radii", dict(type=_radii, default="block",
+                         help="'block' or comma-separated list")),
         ("--oversample", dict(type=float, default=16.0)),
         ("--refine", dict(action="store_true")),
         ("--candidates", dict(default="sqrt_log,sqrt_log_loglog")),
@@ -387,17 +401,17 @@ SUBCOMMANDS = {
     "probe-sz": (_SCHEME_FLAGS + [
         ("--model", dict(default="rademacher")),
         ("--trials", dict(type=int, default=500)),
-        ("--n-list", dict(default="8,10")),
+        ("--n-list", dict(type=_INTS, default="8,10")),
     ], _probe_sz),
     "probe-riesz": (_SEED + [
-        ("--n-terms", dict(default="2,3,4,5,6")),
-        ("--offsets", dict(default="0")),
+        ("--n-terms", dict(type=_INTS, default="2,3,4,5,6")),
+        ("--offsets", dict(type=_INTS, default="0")),
         ("--oversample", dict(type=float, default=64.0)),
         ("--signed", dict(action="store_true",
                           help="scan +- sign patterns for the nontrivial constant")),
     ], _probe_riesz),
     "cap": (_SEED + [
-        ("--degrees", dict(default="4,8,16,32")),
+        ("--degrees", dict(type=_INTS, default="4,8,16,32")),
         ("--alpha", dict(type=float, default=0.5)),
         ("--combos", dict(type=int, default=50)),
     ], _cap),

@@ -42,6 +42,11 @@ G_OVER_SQRT_NLOGN = "g_over_sqrt_nlogn"
 G_OVER_SQRT_N = "g_over_sqrt_n"
 MAGNITUDE_RULES = (G_OVER_N, G_OVER_SQRT_NLOGN, G_OVER_SQRT_N)
 
+# Degree span n_K - n_0 allowed for the block-filling schemes (uniform,
+# saturating, riesz_lacunary, rudin_shapiro): 64x the largest in use (2^16),
+# well below what makes a build or its dense circle grid exhaust memory.
+MAX_SCHEME_SPAN = 2**22
+
 
 def clamped_log(x) -> np.ndarray:
     """max(1, ln x); keeps block formulas finite at n_k in {1, 2}."""
@@ -167,6 +172,14 @@ def blocks_provenance(blocks: BlockSequence) -> dict:
             "n": list(blocks.n)}
 
 
+def _check_span(blocks: BlockSequence, name: str):
+    """Fail with DEGREE_BUDGET before a scheme over n_0 < j <= n_K is built."""
+    span = blocks.n[-1] - blocks.n[0]
+    if span > MAX_SCHEME_SPAN:
+        fail("DEGREE_BUDGET", f"{name} scheme would span {span} degrees "
+             f"(n_0 = {blocks.n[0]}, n_K = {blocks.n[-1]}); the limit is {MAX_SCHEME_SPAN}")
+
+
 def _block_segments(blocks: BlockSequence):
     """Yield (k, n_prev, n_k) for the 1-based blocks k = 1..k_max."""
     for k in range(1, len(blocks.n)):
@@ -188,6 +201,7 @@ def uniform_block_scheme(blocks: BlockSequence, rule: str,
         fail("CONFIG_INVALID", f"unknown magnitude rule {rule!r}")
     if blocks.k_max < 1:
         fail("EMPTY_BLOCKS", "need at least one block beyond n0")
+    _check_span(blocks, "uniform")
     support, vals = [], []
     gs = blocks.g_values()
     for k, lo, hi in _block_segments(blocks):
@@ -247,6 +261,7 @@ def riesz_lacunary_scheme(blocks: BlockSequence, nu: NuSequence) -> CoefficientS
         if hi < 4 * lo:
             fail("RATIO_TOO_SMALL",
                  f"riesz lacunary scheme needs n_k >= 4 n_(k-1); block {k} has {hi} < 4*{lo}")
+    _check_span(blocks, "riesz_lacunary")
     support, vals = [], []
     gs = blocks.g_values()
     for k, lo, hi in _block_segments(blocks):
@@ -270,6 +285,7 @@ def saturating_scheme(blocks: BlockSequence, nu: NuSequence) -> CoefficientSchem
     increasing to infinity it saturates the blockwise square-sum criterion
     by exactly the factor nu_k.
     """
+    _check_span(blocks, "saturating")
     base = uniform_block_scheme(blocks, G_OVER_SQRT_NLOGN)
     ks = np.searchsorted(np.asarray(blocks.n), base.support, side="left")
     scale = nu.at(ks - 1)
@@ -306,6 +322,7 @@ def rudin_shapiro_scheme(blocks: BlockSequence) -> CoefficientScheme:
         if hi < 2 * lo:
             fail("RATIO_TOO_SMALL",
                  f"rudin-shapiro scheme needs n_k >= 2 n_(k-1); block {k} has {hi} < 2*{lo}")
+    _check_span(blocks, "rudin_shapiro")
     support, vals = [], []
     gs = blocks.g_values()
     for k, lo, hi in _block_segments(blocks):

@@ -1,11 +1,19 @@
 """Spherical-harmonic series on the unit ball of R^3.
 
 Basis: for each degree m the 2m + 1 real solid harmonics (one zonal plus
-cos/sin pairs for azimuthal orders mu = 1..m), generated by the associated
-Legendre upward recurrence applied to Cartesian quantities, so each element
-is a polynomial in x and evaluation at the origin never divides by zero.
-Each element is rescaled by a certified upper bound of its sphere sup, which
-guarantees sup <= 1; a refined lower bound certifies sup > 1 - 1e-3.
+cos/sin pairs for azimuthal orders mu = 1..m), Re and Im of s^mu F_m^mu with
+s = x + iy.  The real polynomial F_m^mu = r^(m-mu) P_m^(mu)(z/r) / (2mu-1)!!
+follows from F^(m+1) = 0, F^m = 1 down in mu by Legendre's equation
+differentiated mu times and made homogeneous of degree m (rho^2 = x^2 + y^2):
+
+    F^mu = [2(mu+1)(2mu+1) z F^(mu+1) - (2mu+1)(2mu+3) rho^2 F^(mu+2)]
+           / ((m-mu)(m+mu+1)).
+
+A degree-m combination with weights w_mu = c_cos - i c_sin is the real part
+of the Horner sum acc <- acc s + w_mu F^mu over mu = m..0: O(m) array passes
+per degree, all polynomial in x, so the origin is exact.  Each element is
+rescaled by a certified upper bound of its sphere sup, which guarantees
+sup <= 1; a refined lower bound certifies sup > 1 - 1e-3.
 
 For a single element |Y| factors through a profile p(theta) times
 |cos(mu phi)| or |sin(mu phi)|, so the sphere sup equals the max of the
@@ -68,28 +76,6 @@ def _legendre_profiles(mu: int, m_max: int, ct: np.ndarray, st: np.ndarray):
     yield mu + 1, cur
     for m in range(mu + 2, m_max + 1):
         nxt = ((2 * m - 1) * ct * cur - (m - 1 + mu) * prev) / (m - mu)
-        prev, cur = cur, nxt
-        yield m, cur
-
-
-def _solid_values(mu: int, m_max: int, pts: np.ndarray):
-    """Solid-harmonic complex values Z_m^mu at Cartesian points, m = mu..m_max.
-
-    Z_m^mu(x) = r^m q_m(theta) e^{i mu phi}; generated by the same upward
-    recurrence with t -> x3, st^mu e^{i mu phi} -> (x1 + i x2)^mu and
-    r^2 factors inserted, so the result is a polynomial in x (exact at 0).
-    """
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    s = x + 1j * y
-    r2 = x * x + y * y + z * z
-    prev = s ** mu if mu > 0 else np.ones_like(z, dtype=complex)
-    yield mu, prev
-    if m_max == mu:
-        return
-    cur = (2 * mu + 1) * z * prev
-    yield mu + 1, cur
-    for m in range(mu + 2, m_max + 1):
-        nxt = ((2 * m - 1) * z * cur - (m - 1 + mu) * r2 * prev) / (m - mu)
         prev, cur = cur, nxt
         yield m, cur
 
@@ -179,21 +165,34 @@ class SphereSeries:
     def evaluate(self, pts) -> np.ndarray:
         """Values at Cartesian points with |x| <= 1, vectorized over points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        by_mu = {}
+        weights = {}                 # m -> w_mu = scale (c_cos - i c_sin), mu = 0..m
         for m, l, coeff in self.entries:
             mu, kind = element_index(m, l)
+            w = weights.setdefault(m, np.zeros(m + 1, dtype=complex))
             c = coeff * self.basis.scales[(m, mu)]
-            by_mu.setdefault(mu, []).append((m, kind, c))
+            w[mu] += -1j * c if kind == SIN else c
+        x, y, z = pts[:, 0], pts[:, 1], np.ascontiguousarray(pts[:, 2])
+        s, rho2 = x + 1j * y, x * x + y * y
         out = np.zeros(len(pts))
-        for mu, items in by_mu.items():
-            m_top = max(m for m, _, _ in items)
-            wanted = {}
-            for m, kind, c in items:
-                wanted.setdefault(m, []).append((kind, c))
-            for m, z in _solid_values(mu, m_top, pts):
-                for kind, c in wanted.get(m, ()):
-                    # zonal values are real; cos/sin pick the azimuthal parts
-                    out += c * (z.imag if kind == SIN else z.real)
+        for m, w in weights.items():
+            top = max(np.flatnonzero(w), default=-1)     # Horner starts here
+            if top < 0:
+                continue
+            f, f_up = np.ones_like(z), np.zeros_like(z)     # F^mu, F^(mu+1) at mu = m
+            acc, tmp = np.zeros_like(s), np.empty_like(z)
+            for mu in range(m, -1, -1):
+                if mu < m:           # F^mu in place: half the time of the plain expression
+                    d = (m - mu) * (m + mu + 1)
+                    np.multiply(z, f, out=tmp)
+                    tmp *= 2 * (mu + 1) * (2 * mu + 1) / d
+                    f_up *= rho2
+                    f_up *= (2 * mu + 1) * (2 * mu + 3) / d
+                    tmp -= f_up
+                    f, f_up, tmp = tmp, f, f_up
+                if mu <= top:
+                    acc *= s
+                    acc += w[mu] * f
+            out += acc.real
         return out
 
     def evaluate_one(self, x) -> float:

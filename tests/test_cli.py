@@ -1,6 +1,9 @@
 import json
 import os
 
+import pytest
+
+from growthlab import schemes
 from growthlab.cli import main
 
 
@@ -204,3 +207,32 @@ def test_failed_run_marks_manifest(tmp_path, capsys):
     man = json.loads((out / "manifest.json").read_text())
     assert man["status"] == "failed"
     assert man["error"] == "DOMAIN"
+
+
+def _diagnostic(capsys, *argv):
+    code, _, err = run_cli(capsys, *argv)
+    return code, json.loads(err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--radii", ["growth", "--scheme", "loglog", "--k-max", "2", "--radii", "0.5,abc"]),
+    ("--n-list", ["probe-sz", "--scheme", "saturating", "--n-list", "a"]),
+    ("--n-terms", ["probe-riesz", "--n-terms", "2,3.5"]),
+    ("--offsets", ["probe-riesz", "--offsets", "0,"]),
+    ("--degrees", ["cap", "--degrees", "2,x"]),
+])
+def test_bad_comma_list_rejected(tmp_path, capsys, flag, argv):
+    out = tmp_path / "o"
+    code, diag = _diagnostic(capsys, *argv, "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert flag in diag["detail"]
+    assert not out.exists()
+
+
+def test_scheme_span_budget_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(schemes, "MAX_SCHEME_SPAN", 1000)   # k-max 10 spans 1023
+    code, diag = _diagnostic(capsys, "scheme", "--scheme", "rudin_shapiro",
+                             "--weight", "power:1", "--k-max", "10",
+                             "--out", str(tmp_path / "s"))
+    assert (code, diag["error"]) == (2, "DEGREE_BUDGET")
+    assert not (tmp_path / "s").exists()

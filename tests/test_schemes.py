@@ -9,6 +9,7 @@ from growthlab import (G_OVER_N, G_OVER_SQRT_N, G_OVER_SQRT_NLOGN, GrowthLabErro
                        loglog_energy_scheme, make_weight, riesz_lacunary_scheme,
                        rudin_shapiro_scheme, rudin_shapiro_signs, saturating_scheme,
                        scheme_from_csv, uniform_block_scheme)
+from growthlab import schemes
 from growthlab.mclab import random_scheme, scheme_from_provenance
 from growthlab.randomness import SeedSpec
 from growthlab.schemes import SCHEMES
@@ -268,3 +269,31 @@ def test_riesz_degenerate_blocks_empty_support():
     trivial = BlockSequence(weight=W1, ratio_a=4.0, n=(2,))
     s = riesz_lacunary_scheme(trivial, NuSequence("constant"))
     assert s.size == 0
+
+
+# -- size budget ------------------------------------------------------------------
+
+SPAN_BUDGETED = {
+    "uniform": lambda b: uniform_block_scheme(b, G_OVER_N),
+    "saturating": lambda b: saturating_scheme(b, NuSequence("log")),
+    "riesz_lacunary": lambda b: riesz_lacunary_scheme(b, NuSequence("constant")),
+    "rudin_shapiro": rudin_shapiro_scheme,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_BUDGETED))
+def test_span_budget_checked_before_building(name, monkeypatch):
+    # the limit is lowered so that both sides of the boundary stay small
+    b = block_sequence(W1, 4.0, 1, 5)          # n = 1, 4, ..., 1024: span 1023
+    monkeypatch.setattr(schemes, "MAX_SCHEME_SPAN", 1023)
+    assert SPAN_BUDGETED[name](b).max_degree == 1024
+    monkeypatch.setattr(schemes, "MAX_SCHEME_SPAN", 1022)
+    with pytest.raises(GrowthLabError) as ei:
+        SPAN_BUDGETED[name](b)
+    assert ei.value.code == "DEGREE_BUDGET"
+    assert name in str(ei.value)
+
+
+def test_hadamard_is_not_span_budgeted(monkeypatch):
+    monkeypatch.setattr(schemes, "MAX_SCHEME_SPAN", 1)
+    assert hadamard_lacunary_scheme(blocks_pow2(10)).size == 11

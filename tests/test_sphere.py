@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from growthlab import (GrowthLabError, SphereSeries, build_basis, cap_fraction,
                        default_covering, evaluate_ball, fibonacci_covering,
                        laplacian_stencil, make_model, random_degree_combination,
                        sup_bracket_sphere)
+from growthlab.sphere import COS, ZONAL, SphericalBasis, element_index
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +179,74 @@ def test_cap_report_row(basis):
     n, a, f, k, c = rep.row()
     assert (n, a, k) == (4, 0.5, rep.grid_K)
     assert c == pytest.approx(f * 16)
+
+
+# -- evaluation against an independent reference --------------------------------------
+
+def reference_element(m, l, scale, pts):
+    """scale/(2mu-1)!! r^(m-mu) P_m^(mu)(z/r) rho^mu trig(mu phi), from numpy's Legendre series.
+
+    Returns the values and a pointwise bound on their own rounding error: the
+    Legendre coefficients of P_m^(mu) are nonnegative and sum to P_m^(mu)(1),
+    so the series loses about eps P_m^(mu)(1) absolutely, which exceeds 1e-12
+    of the element's sup for middle mu once m passes about 25.
+    """
+    mu, kind = element_index(m, l)
+    x, y, z = pts.T
+    r, rho, phi = np.sqrt(x * x + y * y + z * z), np.hypot(x, y), np.arctan2(y, x)
+    d_mu = legendre.legder(np.eye(m + 1)[m], mu)          # coefficients of P_m^(mu)
+    c = scale / float(math.prod(range(1, 2 * mu, 2)))
+    outer = c * r ** (m - mu) * rho ** mu
+    trig = 1.0 if kind == ZONAL else (np.cos if kind == COS else np.sin)(mu * phi)
+    return outer * legendre.legval(z / r, d_mu) * trig, np.finfo(float).eps * d_mu.sum() * outer
+
+
+def assert_matches_reference(series, m, l, scale, pts):
+    ref, rounding = reference_element(m, l, scale, pts)
+    err = np.abs(series.evaluate(pts) - ref)
+    assert np.all(err <= 1e-12 * np.abs(ref).max() + rounding), (m, l)
+
+
+def interior_points(rng, k, r_max=0.9):
+    x = rng.standard_normal((k, 3))
+    return x * (r_max * rng.uniform(0.0, 1.0, (k, 1)) ** (1 / 3)
+                / np.linalg.norm(x, axis=1, keepdims=True))
+
+
+def test_elements_match_legendre_reference():
+    basis = build_basis(32)
+    rng = np.random.default_rng(29)
+    for m in range(0, 33):
+        pts = np.vstack([default_covering(m).points, interior_points(rng, 512)])
+        for l in range(0, 2 * m + 1):
+            assert_matches_reference(element(basis, m, l), m, l, basis.scale(m, l), pts)
+
+
+def test_mixed_degrees_sum_their_elements(basis):
+    entries = ((0, 0, 0.5), (3, 4, -1.25), (7, 0, 0.75), (7, 13, 2.0), (3, 4, 0.5),
+               (10, 20, -0.3), (10, 1, 1.1))
+    pts = np.vstack([fibonacci_covering(500).points,
+                     interior_points(np.random.default_rng(5), 200)])
+    total = SphereSeries(basis, entries).evaluate(pts)
+    parts = sum(SphereSeries(basis, (e,)).evaluate(pts) for e in entries)
+    assert np.abs(total - parts).max() <= 1e-13
+
+
+def test_origin_is_exact(basis):
+    origin = np.zeros((1, 3))
+    assert SphereSeries(basis, ((0, 0, 2.5),)).evaluate(origin)[0] == 2.5 * basis.scale(0, 0)
+    for m in range(1, basis.max_degree + 1):
+        for l in range(0, 2 * m + 1):
+            assert element(basis, m, l).evaluate(origin)[0] == 0.0
+
+
+def test_degree_128_spot_check():
+    # zonal and mu = 1, 2 run the downward recurrence over all 128 steps; the
+    # reference's own rounding rules out middle mu at this degree.  Unit scales
+    # skip the costly degree-128 normalization.
+    m = 128
+    basis = SphericalBasis(max_degree=m, scales={(m, mu): 1.0 for mu in range(m + 1)},
+                           norm_lower={}, profile_grid=0)
+    pts = fibonacci_covering(3000).points
+    for l in (0, 1, 2, 3, 4, 251, 252, 253, 254, 255, 256):
+        assert_matches_reference(element(basis, m, l), m, l, 1.0, pts)

@@ -64,8 +64,8 @@ def liminf_profile(scheme: CoefficientScheme, blocks: BlockSequence, weight: Wei
     hi = blocks.n[-1]
     if hi < lo:
         fail("BLOCKS_TOO_SHORT", "no indices beyond n0 to profile")
-    j = np.arange(lo, hi + 1, dtype=np.int64)
     mags = scheme.dense_magnitudes(hi)[lo:]
+    j = np.arange(lo, hi + 1, dtype=np.int64)
     edges = np.asarray(blocks.n, dtype=np.int64)
     nk = edges[np.searchsorted(edges, j, side="left")].astype(float)
     if bloch_w is None:
@@ -113,8 +113,8 @@ def coefficient_census(scheme: CoefficientScheme, weight: Weight, p: NuSequence,
     """Fractions N(n)/n of indices meeting the threshold, at dyadic n."""
     if n_max < 1:
         fail("EMPTY_RANGE", f"need n_max >= 1, got {n_max}")
-    j = np.arange(1, n_max + 1, dtype=np.int64)
     mags = scheme.dense_magnitudes(n_max)[1:]
+    j = np.arange(1, n_max + 1, dtype=np.int64)
     pj = p.at(j.astype(float))
     if np.any(np.diff(pj) < 0) or np.any(pj <= 0):
         fail("CONFIG_INVALID", "census thresholds p_j must be positive and non-decreasing")

@@ -129,6 +129,15 @@ def _dispatch(argv) -> int:
     for flag, spec in flags:
         p.add_argument(flag, **spec)
     args = p.parse_args(argv[1:])
+    if getattr(args, "config", None):
+        # --config replaces every flag but --out: reparse with marker defaults
+        unset = object()
+        p.set_defaults(**dict.fromkeys(vars(args), unset))
+        given = [k for k, v in vars(p.parse_args(argv[1:])).items()
+                 if v is not unset and k not in ("config", "out")]
+        if given:
+            raise _CliError("CONFIG_INVALID", "--config replaces the other flags; also given: "
+                            + ", ".join("--" + k.replace("_", "-") for k in given))
     run = _Run(cmd, args.out or os.path.join("growthlab_out", cmd))
     try:
         code = body(args, run)

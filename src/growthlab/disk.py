@@ -5,18 +5,22 @@ A real harmonic series is
     u(r e^{i theta}) = sum_j r^j (a_j0 xi_j0 cos(j theta) + a_j1 xi_j1 sin(j theta)),
 
 an analytic-flavor series is u(z) = sum_m a_m xi_m z^m with complex signs.
-On a fixed circle both reduce to complex trigonometric polynomials with
-coefficients c_j = (a_j0 xi_j0 - i a_j1 xi_j1) r^j, which is what the FFT
-path and the Bernstein sup certificates work with.
+On a fixed circle both reduce to trigonometric polynomials in the
+coefficients c_j = (a_j0 xi_j0 - i a_j1 xi_j1) r^j: u = Re sum c_j e^{ij theta}
+for the real flavor, and the modulus |sum c_j e^{ij theta}| for the analytic
+one.  One FFT helper evaluates either on M equispaced angles, the real part
+from its half spectrum.
 
-Sup brackets: evaluating on M equispaced angles and applying Bernstein's
-inequality ||P'|| <= n ||P|| to the degree-n polynomial gives
+Sup brackets bound sup|u| for the real flavor and sup|f| for the analytic
+flavor.  A real trigonometric polynomial T of degree n satisfies
+T(t) >= ||T|| cos(n (t - t*)) near a maximiser t* (Bernstein-Szego), and
+rotating the phase carries this to |f|, so on M > 2n angles
 
-    sup <= grid_max / (1 - pi n / M)          (M > pi n),
+    grid_max <= sup <= grid_max / cos(pi n / M).
 
-while any evaluated point is a lower bound.  Long series are truncated
-where the exact l1 tail at the radius drops below a relative tolerance;
-the tail bound widens both sides of the bracket, keeping it sound.
+Long series are truncated where the exact l1 tail at the radius drops below
+a relative tolerance; the tail bound widens both sides of the bracket,
+keeping it sound.
 """
 
 from __future__ import annotations
@@ -106,22 +110,39 @@ def evaluate_at(series: RandomizedSeries, r: float, theta):
     return vals[0] if np.isscalar(theta) or np.asarray(theta).ndim == 0 else vals
 
 
-def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
-    """Values at the M angles theta_t = 2 pi t / M via one inverse FFT.
+def _coeffs_at(series: RandomizedSeries, r: float) -> np.ndarray:
+    """c_j r^j, the coefficients of the series on the circle of radius r."""
+    return series.signed_complex_coeffs() * np.power(float(r), series.scheme.support.astype(float))
 
-    Coefficient j lands in bin j mod M (aliasing rule for M <= degree);
-    on these angles e^{ij theta_t} = e^{i (j mod M) theta_t}, so aliased
-    evaluation is exact.
+
+def _circle_values(support: np.ndarray, coeffs: np.ndarray, M: int, real: bool) -> np.ndarray:
+    """Re sum_j c_j e^{ijt} (real) or sum_j c_j e^{ijt} at the M angles t = 2 pi k / M.
+
+    Coefficient j lands in bin j mod M; on these angles e^{ijt} = e^{i (j mod M) t},
+    so aliased evaluation (M <= 2 degree) is exact.  The real part comes from the
+    half spectrum: a bin k > M/2 folds to M - k with the conjugate coefficient,
+    bins 0 and M/2 carry weight 1 (only their real parts count) and the others 1/2.
     """
+    k = support % M
+    if not real:
+        buf = np.zeros(M, dtype=complex)
+        np.add.at(buf, k, coeffs)
+        return np.fft.ifft(buf) * M
+    fold = k > M // 2
+    c = np.where(fold, np.conj(coeffs), coeffs) * np.where((k == 0) | (2 * k == M), 1.0, 0.5)
+    half = np.zeros(M // 2 + 1, dtype=complex)
+    np.add.at(half, np.where(fold, M - k, k), c)
+    return np.fft.irfft(half, n=M) * M
+
+
+def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
+    """Values at the M angles theta_t = 2 pi t / M via one inverse FFT: real
+    for the real flavor, complex for the analytic one."""
     _check_radius(series, r)
     if M < 1:
         fail("DOMAIN", f"M must be >= 1, got {M}")
-    j = series.scheme.support
-    c = series.signed_complex_coeffs() * np.power(float(r), j.astype(float))
-    buf = np.zeros(M, dtype=complex)
-    np.add.at(buf, j % M, c)
-    vals = np.fft.ifft(buf) * M
-    return vals if series.flavor == ANALYTIC else vals.real
+    return _circle_values(series.scheme.support, _coeffs_at(series, r), M,
+                          series.flavor == REAL_HARMONIC)
 
 
 @dataclass(frozen=True)
@@ -165,9 +186,17 @@ def _golden_max(f, lo: float, hi: float, iters: int = 48) -> float:
 FLOAT_GUARD = 1e-12  # absorbs FFT/summation roundoff of a few ulps
 
 
-def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float,
+def secant_upper(gmax: float, n: int, M: int) -> float:
+    """Bernstein-Szego: a degree-n trigonometric polynomial (or the modulus of
+    one with frequencies 0..n) whose max over M > 2n equispaced angles is gmax
+    has sup <= gmax / cos(pi n / M)."""
+    return gmax / math.cos(math.pi * n / M)
+
+
+def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float, real: bool,
                      refine_fn=None, tail_rtol: float = 1e-12) -> SupBracket:
-    """Certified bracket of sup_t |sum_j coeffs_j e^{ijt}|.
+    """Certified bracket of sup_t |Re sum_j coeffs_j e^{ijt}| (real) or
+    sup_t |sum_j coeffs_j e^{ijt}|.
 
     Truncates the coefficient tail once its exact l1 mass drops below
     tail_rtol of the total; the discarded mass widens both bracket sides,
@@ -183,13 +212,9 @@ def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float,
     keep = int(np.searchsorted(-suffix, -tau))  # first idx with suffix <= tau
     keep = max(keep, 1)
     tail = float(suffix[keep]) if keep < len(support) else 0.0
-    sup_t = support[:keep]
-    c_t = coeffs[:keep]
-    n_eff = int(sup_t[-1])
+    n_eff = int(support[keep - 1])
     M = _next_pow2(oversample * max(n_eff, 1) * math.pi)
-    buf = np.zeros(M, dtype=complex)
-    np.add.at(buf, sup_t % M, c_t)
-    vals = np.abs(np.fft.ifft(buf) * M)
+    vals = np.abs(_circle_values(support[:keep], coeffs[:keep], M, real))
     gmax = float(vals.max())
     lower = max(gmax - tail, 0.0)
     if refine_fn is not None:
@@ -199,28 +224,29 @@ def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float,
             th = 2.0 * math.pi * float(t) / M
             lower = max(lower, _golden_max(refine_fn, th - h, th + h))
     lower *= 1.0 - FLOAT_GUARD
-    upper = (gmax / (1.0 - math.pi * n_eff / M) + tail) * (1.0 + FLOAT_GUARD)
+    upper = (secant_upper(gmax, n_eff, M) + tail) * (1.0 + FLOAT_GUARD)
     return SupBracket(lower=lower, upper=upper, grid_size=M, degree=n_eff)
 
 
 def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
                 refine: bool = True, tail_rtol: float = 1e-12) -> SupBracket:
-    """Certified bracket of sup over the circle of radius r.
+    """Certified bracket of sup|u| (real flavor) or sup|f| (analytic flavor)
+    over the circle of radius r.
 
     The grid has M = next power of two above oversample * pi * degree
-    points, so pi n / M <= 1/oversample.  With refine on, golden-section
-    sweeps around the top three grid angles sharpen the lower bound by
-    direct (untruncated) evaluation.
+    points, so pi n / M <= 1/oversample and the secant bound keeps
+    upper / lower <= 1 / cos(1/oversample) up to the tail and roundoff
+    guards.  With refine on, golden-section sweeps around the top three grid
+    angles sharpen the lower bound by direct (untruncated) evaluation.
     """
     _check_radius(series, r)
     if oversample < 4:
         fail("DOMAIN", f"oversample must be >= 4, got {oversample}")
-    j = series.scheme.support
-    c = series.signed_complex_coeffs() * np.power(float(r), j.astype(float))
     refine_fn = None
     if refine:
         refine_fn = lambda th: float(np.abs(evaluate_at(series, r, th)))
-    return _bracket_modulus(j, c, oversample, refine_fn, tail_rtol)
+    return _bracket_modulus(series.scheme.support, _coeffs_at(series, r), oversample,
+                            series.flavor == REAL_HARMONIC, refine_fn, tail_rtol)
 
 
 def partial_sum(series: RandomizedSeries, n: int) -> RandomizedSeries:
@@ -278,54 +304,15 @@ def gradient_sup_bracket(series: RandomizedSeries, r: float, oversample: float =
     _check_radius(series, r)
     j = series.scheme.support
     pos = j >= 1
-    jj = j[pos]
-    c = series.signed_complex_coeffs()[pos] * jj.astype(float)
-    dsup = jj - 1
-    cd = c * np.power(float(r), dsup.astype(float))
+    jf = j[pos].astype(float)
+    c = series.signed_complex_coeffs()[pos] * jf        # f' = sum c_j z^(j-1)
+    cd = c * np.power(float(r), jf - 1.0)
 
     def refine_fn(th):
         z = r * complex(math.cos(th), math.sin(th))
-        val = np.sum(jj.astype(float) * series.signed_complex_coeffs()[pos]
-                     * z ** (jj.astype(float) - 1.0))
-        return abs(val)
+        return abs(np.sum(c * z ** (jf - 1.0)))
 
-    return _bracket_modulus(dsup, cd, oversample, refine_fn if refine else None)
-
-
-@dataclass(frozen=True)
-class GrowthProfile:
-    radii: tuple
-    brackets: tuple          # SupBracket per radius
-
-    def rows(self, weight=None):
-        from .weights import eval_v
-        out = []
-        for r, b in zip(self.radii, self.brackets):
-            n_of_r = 1.0 / (1.0 - r) if r < 1.0 else math.inf
-            g = eval_v(weight, r) if weight is not None else float("nan")
-            out.append((r, n_of_r, b.lower, b.upper, g,
-                        b.lower / g if weight is not None else float("nan"),
-                        b.upper / g if weight is not None else float("nan")))
-        return out
-
-    def to_csv(self, weight=None) -> str:
-        from .reporting import format_csv
-        return format_csv(
-            ["r", "n_of_r", "lower", "upper", "g_of_r", "ratio_lower", "ratio_upper"],
-            self.rows(weight))
-
-
-def growth_profile(series: RandomizedSeries, radii, oversample: float = 16.0,
-                   refine: bool = True) -> GrowthProfile:
-    """One certified sup bracket per radius; no monotonicity is implied for
-    truncated series, so none is asserted."""
-    radii = tuple(float(r) for r in radii)
-    for r in radii:
-        if not (0.0 <= r < 1.0) and r != 1.0:
-            fail("RADIUS_OUT_OF_RANGE", f"radii must lie in [0, 1], got {r}")
-    brs = tuple(sup_bracket(series, r, oversample=oversample, refine=refine)
-                for r in radii)
-    return GrowthProfile(radii=radii, brackets=brs)
+    return _bracket_modulus(j[pos] - 1, cd, oversample, False, refine_fn if refine else None)
 
 
 def block_radii(block_ns):

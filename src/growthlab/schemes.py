@@ -107,8 +107,11 @@ class CoefficientScheme:
         return np.hypot(self.cos_coeffs, self.sin_coeffs)
 
     def dense_magnitudes(self, n_max: Optional[int] = None) -> np.ndarray:
-        """|a_j| for j = 0..n_max as a dense vector."""
+        """|a_j| for j = 0..n_max as a dense vector, at most MAX_SCHEME_SPAN long."""
         n = self.max_degree if n_max is None else int(n_max)
+        if n > MAX_SCHEME_SPAN:
+            fail("DEGREE_BUDGET", f"dense magnitudes up to degree {n} exceed the limit "
+                 f"{MAX_SCHEME_SPAN}")
         out = np.zeros(n + 1)
         mask = self.support <= n
         out[self.support[mask]] = self.magnitudes()[mask]

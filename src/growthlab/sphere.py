@@ -13,16 +13,20 @@ A degree-m combination with weights w_mu = c_cos - i c_sin is the real part
 of the Horner sum acc <- acc s + w_mu F^mu over mu = m..0: O(m) array passes
 per degree, all polynomial in x, so the origin is exact.  Each element is
 rescaled by a certified upper bound of its sphere sup, which guarantees
-sup <= 1; a refined lower bound certifies sup > 1 - 1e-3.
+sup <= 1, and its normalized sup is certified above cos(1/64) > 0.9998.
 
 For a single element |Y| factors through a profile p(theta) times
 |cos(mu phi)| or |sin(mu phi)|, so the sphere sup equals the max of the
-degree-m trigonometric polynomial p over a great circle; that reduction is
-what makes the tight normalization brackets affordable.
+degree-m trigonometric polynomial p over a great circle.  On M > 2m
+equispaced angles the Bernstein-Szego secant bound (the disk module's
+secant_upper) gives grid_max <= sup <= grid_max / cos(pi m / M), so one
+profile grid certifies both sides without refinement.
 
 General combinations are bracketed on a Fibonacci lattice covering with
-certified covering radius delta <= 2.5/sqrt(K): the tangential Bernstein
-inequality ||grad P|| <= n ||P|| turns a covering max into
+covering radius delta = 2.5/sqrt(K) (not yet certified: sampled
+nearest-point distances reach about 2.72/sqrt(K) near the poles); the
+tangential Bernstein inequality ||grad P|| <= n ||P|| turns a covering max
+into
 
     sup <= grid_max / (1 - n delta)        (n delta < 1).
 
@@ -38,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import SupBracket, _golden_max, _next_pow2
+from .disk import SupBracket, _next_pow2, secant_upper
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, sample_vector
 
@@ -47,7 +51,7 @@ COS = "cos"
 SIN = "sin"
 
 MAX_BASIS_DEGREE = 128
-NORM_EPS = 1e-3
+PROFILE_OVERSAMPLE = 64.0     # profile grid M >= 64 pi N: norm_lower >= cos(1/64)
 
 
 def element_index(m: int, l: int):
@@ -99,56 +103,36 @@ class SphericalBasis:
         return self.norm_lower[(m, mu)], 1.0
 
 
-def build_basis(N: int, profile_oversample: float = 2048.0) -> SphericalBasis:
+def build_basis(N: int) -> SphericalBasis:
     """Normalize all elements of degree <= N via great-circle profiles.
 
     The profile of element (m, mu) is a degree-m trigonometric polynomial,
-    so a grid of M >> pi m points plus Bernstein gives an upper bound within
-    a factor 1/(1 - pi m / M) of the grid max, and golden refinement makes
-    the lower bound essentially exact.
+    so on M > 2m angles the secant bound sup <= grid_max / cos(pi m / M)
+    certifies the scale, and the grid max itself is the lower bound: with
+    M >= PROFILE_OVERSAMPLE pi N every norm_lower is at least
+    cos(1 / PROFILE_OVERSAMPLE) up to roundoff guards.
     """
     if N < 0:
         fail("DOMAIN", f"N must be >= 0, got {N}")
     if N > MAX_BASIS_DEGREE:
         fail("DEGREE_BUDGET", f"basis degree capped at {MAX_BASIS_DEGREE}, got {N}")
-    M = _next_pow2(profile_oversample * max(N, 1) * math.pi)
-    # profiles are even around theta = 0 and pi, so half the grid suffices
+    M = _next_pow2(PROFILE_OVERSAMPLE * max(N, 1) * math.pi)
+    # |profiles| are even around theta = 0 and pi, so half the grid suffices
     theta = np.linspace(0.0, math.pi, M // 2 + 1)
     ct, st = np.cos(theta), np.sin(theta)
     scales, norm_lower = {}, {}
     for mu in range(0, N + 1):
         for m, q in _legendre_profiles(mu, N, ct, st):
-            a = np.abs(q)
-            i = int(np.argmax(a))
-            gmax = float(a[i])
-            if m == 0:
-                scales[(m, mu)] = 1.0 / gmax
-                norm_lower[(m, mu)] = 1.0
+            gmax = float(np.abs(q).max())
+            if m == 0:               # the constant profile 1, exact
+                scales[(m, mu)], norm_lower[(m, mu)] = 1.0 / gmax, 1.0
                 continue
-            h = math.pi / (M // 2)
-
-            def p_abs(t, mu=mu, m=m):
-                return abs(_profile_point(mu, m, t))
-
-            lower = max(gmax, _golden_max(p_abs, theta[i] - h, theta[i] + h))
             # 1e-12 guards absorb grid roundoff so sup <= 1 stays certified
-            upper = gmax / (1.0 - math.pi * m / M) * (1.0 + 1e-12)
+            upper = secant_upper(gmax, m, M) * (1.0 + 1e-12)
             scales[(m, mu)] = 1.0 / upper
-            norm_lower[(m, mu)] = lower / upper * (1.0 - 1e-12)
+            norm_lower[(m, mu)] = gmax / upper * (1.0 - 1e-12)
     return SphericalBasis(max_degree=N, scales=scales, norm_lower=norm_lower,
                           profile_grid=M)
-
-
-def _profile_point(mu: int, m: int, theta: float) -> float:
-    """Scalar profile value via the same recurrence, plain floats."""
-    ct, st = math.cos(theta), math.sin(theta)
-    prev = st ** mu if mu > 0 else 1.0
-    if m == mu:
-        return prev
-    cur = (2 * mu + 1) * ct * prev
-    for mm in range(mu + 2, m + 1):
-        prev, cur = cur, ((2 * mm - 1) * ct * cur - (mm - 1 + mu) * prev) / (mm - mu)
-    return cur
 
 
 @dataclass(frozen=True, eq=False)

@@ -174,6 +174,20 @@ def test_growth_from_experiment_config_file(tmp_path, capsys):
     assert rep["config"]["trials"] == 6
 
 
+@pytest.mark.parametrize("subcommand", ["growth", "analytic"])
+@pytest.mark.parametrize("extra", [["--trials", "3"], ["--refine"], ["--seed", "20260808"]])
+def test_config_with_other_flags_rejected(tmp_path, capsys, subcommand, extra):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"scheme": {"name": "loglog", "k_max": 2},
+                                "model": {"kind": "rademacher"}, "seed": 5, "trials": 2,
+                                "radii": [0.5]}))
+    out = tmp_path / "g"
+    code, diag = _diagnostic(capsys, subcommand, "--config", str(path), *extra, "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert extra[0] in diag["detail"]
+    assert not out.exists()
+
+
 def test_check_missing_scheme_flag(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--kind", "l2_cum", "--out", str(tmp_path / "x"))
     assert code == 2
@@ -227,6 +241,14 @@ def test_bad_comma_list_rejected(tmp_path, capsys, flag, argv):
     assert (code, diag["error"]) == (2, "CONFIG_INVALID")
     assert flag in diag["detail"]
     assert not out.exists()
+
+
+def test_dense_budget_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(schemes, "MAX_SCHEME_SPAN", 1000)   # hadamard k-max 10 has degree 1024
+    for sub in ("check", "census"):
+        code, diag = _diagnostic(capsys, sub, "--scheme", "hadamard", "--weight", "power:1",
+                                 "--k-max", "10", "--out", str(tmp_path / sub))
+        assert (code, diag["error"]) == (2, "DEGREE_BUDGET")
 
 
 def test_scheme_span_budget_exit_2(tmp_path, capsys, monkeypatch):

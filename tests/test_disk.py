@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from growthlab import (ANALYTIC, GrowthLabError, SeedSpec, block_sequence,
-                       cesaro_mean, evaluate_at, evaluate_circle, gradient_at,
-                       gradient_sup_bracket, growth_profile, make_model,
-                       make_weight, partial_sum, randomize, rudin_shapiro_signs,
-                       sup_bracket, unit_series)
+from growthlab import (ANALYTIC, REAL_HARMONIC, GrowthLabError, SeedSpec, cesaro_mean,
+                       evaluate_at, evaluate_circle, gradient_at, gradient_sup_bracket,
+                       make_model, partial_sum, randomize, riesz_probe,
+                       rudin_shapiro_signs, sup_bracket, unit_series)
 from growthlab.mclab import random_scheme
 from growthlab.schemes import scheme_from_arrays
 
@@ -94,12 +93,18 @@ def test_fft_matches_direct(degree, r, trial):
 
 def test_fft_aliasing_rule_documented():
     # coefficient j lands in bin j mod M; degree above M still evaluates exactly
-    sch = scheme_from_arrays([3, 700], [1.0, 2.0], [0.0, 0.5], 700, {"name": "t"})
-    ser = unit_series(sch)
-    M = 64
-    circ = evaluate_circle(ser, 0.999, M)
-    th = 2 * np.pi * np.arange(M) / M
-    assert np.allclose(circ, evaluate_at(ser, 0.999, th), atol=1e-12)
+    two = ([3, 700], [1.0, 2.0], [0.0, 0.5])
+    cases = [(two, 64),
+             (two, 63),                      # odd M: no Nyquist bin, 700 mod 63 = 7
+             (([0, 3, 32, 96, 700], [1.0, 2.0, -0.7, 0.4, 2.0], [0.3, 0.0, 1.1, -0.2, 0.5]),
+              64)]                           # 32 and 96 land on the Nyquist bin
+    for (support, cos, sin), M in cases:
+        sch = scheme_from_arrays(support, cos, sin, 700, {"name": "t"})
+        th = 2 * np.pi * np.arange(M) / M
+        for flavor in (REAL_HARMONIC, ANALYTIC):
+            ser = unit_series(sch, flavor)
+            circ = evaluate_circle(ser, 0.999, M)
+            assert np.allclose(circ, evaluate_at(ser, 0.999, th), atol=1e-12), (support, M, flavor)
 
 
 # -- sup brackets ------------------------------------------------------------------
@@ -113,9 +118,10 @@ def test_bracket_cosine_closed_form():
 
 
 def test_bracket_constant_exact():
-    b = sup_bracket(unit_series(mono(0, cos=-2.5)), 0.9)
-    assert b.lower == pytest.approx(2.5, rel=1e-9)
-    assert b.upper == pytest.approx(2.5, rel=1e-9)
+    for r in (0.9, 0.0):
+        b = sup_bracket(unit_series(mono(0, cos=-2.5)), r)
+        assert b.lower == pytest.approx(2.5, rel=1e-9)
+        assert b.upper == pytest.approx(2.5, rel=1e-9)
 
 
 def test_bracket_zero_series():
@@ -173,8 +179,84 @@ def test_bracket_tail_truncation_sound():
     loose = sup_bracket(ser, 0.9, refine=False, tail_rtol=1e-9)
     assert loose.lower <= tight.upper
     assert tight.lower <= loose.upper
-    assert loose.lower == pytest.approx(tight.lower, rel=1e-6)
     assert loose.degree <= tight.degree
+    # unrefined lower bounds are grid maxima on different grids; refined ones
+    # are not, so they must agree up to the discarded tail
+    tight = sup_bracket(ser, 0.9, refine=True, tail_rtol=0.0)
+    loose = sup_bracket(ser, 0.9, refine=True, tail_rtol=1e-9)
+    assert loose.lower == pytest.approx(tight.lower, rel=1e-6)
+
+
+def dense_sup(support, coeffs, real=True, D=2**20):
+    """Independent bracket [grid_max, grid_max / cos(pi n / D)] of sup|Re f| or
+    sup|f|, f = sum c_j e^{ijt}: one complex FFT of the full spectrum on D > 2n
+    angles, no folding, truncation or refinement."""
+    buf = np.zeros(D, dtype=complex)
+    buf[np.asarray(support)] = coeffs
+    vals = np.fft.ifft(buf) * D
+    top = float(np.abs(vals.real if real else vals).max())
+    return top, top / math.cos(math.pi * max(support) / D)
+
+
+def assert_contains(b, ref):
+    """Sound brackets meet the reference interval: lower <= sup <= upper."""
+    lo, hi = ref
+    assert b.lower <= hi * (1 + 1e-12) and lo <= b.upper * (1 + 1e-12), (b, ref)
+
+
+def coeffs_at(ser, r):
+    j = ser.scheme.support
+    return j, ser.signed_complex_coeffs() * np.power(float(r), j.astype(float))
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_real_bracket_cos_plus_sin2(refine):
+    # u = cos t + sin 2t: sup|u| = 1.7602, while the completion's sup|f| = 2
+    ser = unit_series(scheme_from_arrays([1, 2], [1.0, 0.0], [0.0, 1.0], 2, {"name": "t"}))
+    b = sup_bracket(ser, 1.0, refine=refine)
+    assert_contains(b, dense_sup(*coeffs_at(ser, 1.0)))
+    assert b.upper < 1.77
+
+
+@pytest.mark.parametrize("tail_rtol", [0.0, 1e-12])
+def test_real_bracket_degree_5000(tail_rtol):
+    sch = random_scheme(SEED, 5, 5000)
+    ser = randomize(sch, make_model("rademacher"), SEED, 5)
+    ref = dense_sup(*coeffs_at(ser, 0.9))
+    for refine in (False, True):
+        assert_contains(sup_bracket(ser, 0.9, refine=refine, tail_rtol=tail_rtol), ref)
+
+
+def test_signed_riesz_rows_below_sup_u():
+    freqs = 4 ** np.arange(1, 4)
+    rep = riesz_probe(3, sign_patterns=True)
+    for row in rep.rows:
+        lo, hi = dense_sup(freqs, np.asarray(row.pattern, dtype=float))
+        assert row.ratio * 3 <= hi
+        assert row.ratio * 3 >= lo * math.cos(1.0 / 64.0)
+    assert rep.c_emp < 0.91
+
+
+@given(coeffs=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=40),
+       r=st.floats(0.0, 1.0), oversample=st.floats(4.0, 64.0),
+       flavor=st.sampled_from([REAL_HARMONIC, ANALYTIC]))
+@settings(max_examples=60, deadline=None)
+def test_bracket_contains_sup_property(coeffs, r, oversample, flavor):
+    a = np.array(coeffs)
+    n = len(a) - 1
+    ser = unit_series(scheme_from_arrays(np.arange(n + 1), a[:, 0], a[:, 1], n, {"name": "h"}),
+                      flavor)
+    j, c = coeffs_at(ser, r)
+    ref = dense_sup(j, c, real=flavor == REAL_HARMONIC, D=2**14)
+    # sup >= 1e-3 l1 keeps the 1e-12 l1 truncation allowance below 1e-9 of the sup;
+    # near the subnormal range no relative roundoff guard holds
+    assume(ref[0] > 1e-3 * np.abs(c).sum() > 1e-250)
+    tight = sup_bracket(ser, r, oversample=oversample, refine=True)
+    loose = sup_bracket(ser, r, oversample=oversample, refine=False)
+    assert_contains(tight, ref)
+    assert_contains(loose, ref)
+    # secant certificate: width set by the grid promise pi n / M <= 1/oversample
+    assert loose.upper / loose.lower <= (1 + 1e-8) / math.cos(1.0 / oversample)
 
 
 def test_analytic_modulus_bracket():
@@ -267,28 +349,3 @@ def test_gradient_sup_bracket_unit_mode():
         b = gradient_sup_bracket(unit_series(mono(1)), r)
         assert b.lower <= 1.0 <= b.upper
         assert b.lower == pytest.approx(1.0, rel=1e-9)
-
-
-# -- growth profile --------------------------------------------------------------------
-
-def test_growth_profile_constant():
-    prof = growth_profile(unit_series(mono(0, cos=2.0)), [0.0, 0.5, 0.9])
-    assert all(b.lower == pytest.approx(2.0, rel=1e-9) for b in prof.brackets)
-
-
-def test_growth_profile_single_mode():
-    prof = growth_profile(unit_series(mono(7)), [0.3, 0.6, 0.9])
-    for r, b in zip(prof.radii, prof.brackets):
-        assert b.lower == pytest.approx(r**7, rel=1e-6)
-
-
-def test_growth_profile_at_origin():
-    prof = growth_profile(unit_series(mono(0, cos=1.5)), [0.0])
-    assert prof.brackets[0].lower == pytest.approx(1.5, rel=1e-9)
-
-
-def test_growth_profile_csv_columns():
-    w = make_weight("power", 1.0)
-    prof = growth_profile(unit_series(mono(1)), [0.5])
-    csv = prof.to_csv(w)
-    assert csv.splitlines()[0] == "r,n_of_r,lower,upper,g_of_r,ratio_lower,ratio_upper"

@@ -297,3 +297,14 @@ def test_span_budget_checked_before_building(name, monkeypatch):
 def test_hadamard_is_not_span_budgeted(monkeypatch):
     monkeypatch.setattr(schemes, "MAX_SCHEME_SPAN", 1)
     assert hadamard_lacunary_scheme(blocks_pow2(10)).size == 11
+
+
+def test_dense_magnitudes_budget_checked_before_allocating(monkeypatch):
+    sch = hadamard_lacunary_scheme(blocks_pow2(10))          # degree 1024
+    monkeypatch.setattr(schemes, "MAX_SCHEME_SPAN", 1024)
+    assert len(sch.dense_magnitudes()) == 1025
+    monkeypatch.setattr(schemes, "MAX_SCHEME_SPAN", 1023)
+    with pytest.raises(GrowthLabError) as ei:
+        sch.dense_magnitudes()
+    assert ei.value.code == "DEGREE_BUDGET"
+    assert len(sch.dense_magnitudes(1023)) == 1024

@@ -24,7 +24,7 @@ from .schemes import (CoefficientScheme, NuSequence, uniform_block_scheme,
 from .disk import (RandomizedSeries, SupBracket, randomize, unit_series,
                    evaluate_at, evaluate_circle, sup_bracket, partial_sum,
                    cesaro_mean, gradient_at, gradient_sup_bracket,
-                   block_radii, REAL_HARMONIC, ANALYTIC)
+                   REAL_HARMONIC, ANALYTIC)
 from .sphere import (SphericalBasis, SphereSeries, build_basis, evaluate_ball,
                      fibonacci_covering, default_covering, sup_bracket_sphere,
                      cap_fraction, random_degree_combination, laplacian_stencil)

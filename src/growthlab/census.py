@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .criteria import _dyadic_checkpoints
 from .errors import fail
 from .schemes import CoefficientScheme, NuSequence
 from .weights import BlockSequence, Weight, eval_g
@@ -74,15 +75,8 @@ def liminf_profile(scheme: CoefficientScheme, blocks: BlockSequence, weight: Wei
         # j * w(1 - 1/j) = j / g_w(j) for the reciprocal growth weight
         vals = mags * j.astype(float) * np.sqrt(nk) / eval_g(bloch_w, j.astype(float))
     running = np.minimum.accumulate(vals)
-    cps = []
-    m = 1
-    while m <= hi:
-        if m >= lo:
-            cps.append(LiminfRow(j=int(m), value=float(vals[m - lo]),
-                                 running_min=float(running[m - lo])))
-        m *= 2
-    if not cps or cps[-1].j != hi:
-        cps.append(LiminfRow(j=int(hi), value=float(vals[-1]), running_min=float(running[-1])))
+    cps = [LiminfRow(j=int(m), value=float(vals[m - lo]), running_min=float(running[m - lo]))
+           for m in _dyadic_checkpoints(hi) if m >= lo]
     return LiminfReport(rows=tuple(cps), proxy=float(running[-1]), range_lo=lo, range_hi=hi)
 
 
@@ -124,15 +118,7 @@ def coefficient_census(scheme: CoefficientScheme, weight: Weight, p: NuSequence,
     else:
         thresholds = pj * eval_g(bloch_w, jf) / (jf * np.sqrt(jf))
     ok = np.cumsum(mags <= thresholds)
-    rows = []
-    m = 1
-    while m <= n_max:
-        rows.append(CensusRow(n=int(m), count=int(ok[m - 1]),
-                              fraction=float(ok[m - 1] / m),
-                              threshold_at_n=float(thresholds[m - 1])))
-        m *= 2
-    if rows[-1].n != n_max:
-        rows.append(CensusRow(n=int(n_max), count=int(ok[-1]),
-                              fraction=float(ok[-1] / n_max),
-                              threshold_at_n=float(thresholds[-1])))
-    return CensusReport(rows=tuple(rows))
+    return CensusReport(rows=tuple(
+        CensusRow(n=int(m), count=int(ok[m - 1]), fraction=float(ok[m - 1] / m),
+                  threshold_at_n=float(thresholds[m - 1]))
+        for m in _dyadic_checkpoints(n_max)))

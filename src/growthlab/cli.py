@@ -35,7 +35,7 @@ from . import __version__
 from .census import (CENSUS_CSV_HEADER, LIMINF_CSV_HEADER, coefficient_census,
                      liminf_profile)
 from .criteria import RATIO_KINDS, score_blockwise, score_sup_ratio
-from .disk import ANALYTIC, REAL_HARMONIC
+from .disk import ANALYTIC, REAL_HARMONIC, check_oversample
 from .errors import GrowthLabError
 from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, SZ_CSV_HEADER,
                     ExperimentConfig, config_from_json, riesz_probe,
@@ -95,8 +95,8 @@ class _Run:
 
     def start(self, cfg, seed, config_path=None):
         """Create the output directory and write the manifest as running."""
+        digest = config_hash(cfg)         # fails on a non-finite value, before any write
         os.makedirs(self.out, exist_ok=True)
-        digest = config_hash(cfg)
         self.notes = [f"seed: {seed}", f"config_hash: {digest}"]
         self.started = time.monotonic()
         man = {"subcommand": self.name, "config": cfg, "config_path": config_path,
@@ -188,7 +188,9 @@ def _weights(args, run):
                             require_doubling_growth=args.require_doubling)
     audit = doubling_audit(w, args.audit_x_max)
     run.start({"family": args.family, "alpha": args.alpha, "log_base": args.log_base,
-               "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max}, args.seed)
+               "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max,
+               "require_doubling": args.require_doubling, "audit_x_max": args.audit_x_max},
+              args.seed)
     with open(run.path("blocks.csv"), "w") as f:
         for c in run.notes:
             f.write(f"# {c}\n")
@@ -278,6 +280,7 @@ def _probe_sz(args, run):
 
 
 def _probe_riesz(args, run):
+    check_oversample(args.oversample)
     run.start({"n_terms": args.n_terms, "offsets": args.offsets, "oversample": args.oversample,
                "signed": args.signed}, args.seed)
     rows = []

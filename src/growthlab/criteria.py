@@ -86,6 +86,7 @@ class ScoreReport:
 
 
 def _dyadic_checkpoints(n_hi: int):
+    """1, 2, 4, ... up to n_hi, then n_hi itself (n_hi >= 1)."""
     ns = []
     n = 1
     while n <= n_hi:
@@ -230,9 +231,6 @@ class OperatorNormProfile:
     def to_rows(self):
         return [(r.n, r.lower, r.upper, r.g, r.ratio_lower, r.ratio_upper)
                 for r in self.rows]
-
-
-OPERATOR_CSV_HEADER = ["n", "lower", "upper", "g_n", "ratio_lower", "ratio_upper"]
 
 
 def operator_norm_profile(series: RandomizedSeries, weight: Weight,

@@ -8,8 +8,8 @@ an analytic-flavor series is u(z) = sum_m a_m xi_m z^m with complex signs.
 On a fixed circle both reduce to trigonometric polynomials in the
 coefficients c_j = (a_j0 xi_j0 - i a_j1 xi_j1) r^j: u = Re sum c_j e^{ij theta}
 for the real flavor, and the modulus |sum c_j e^{ij theta}| for the analytic
-one.  One FFT helper evaluates either on M equispaced angles, the real part
-from its half spectrum.
+one.  One FFT helper evaluates either on M equispaced angles (the real part
+from its half spectrum), one direct-summation helper at any angles.
 
 Sup brackets bound sup|u| for the real flavor and sup|f| for the analytic
 flavor.  A real trigonometric polynomial T of degree n satisfies
@@ -18,9 +18,12 @@ rotating the phase carries this to |f|, so on M > 2n angles
 
     grid_max <= sup <= grid_max / cos(pi n / M).
 
-Long series are truncated where the exact l1 tail at the radius drops below
-a relative tolerance; the tail bound widens both sides of the bracket,
-keeping it sound.
+M is the power of two above oversample * pi * n, for a finite oversample
+>= 4, and never above MAX_GRID.  Long series are truncated where the exact
+l1 tail at the radius drops below TAIL_RTOL of the total; the tail bound
+widens both sides of the bracket, keeping it sound.  Refinement sharpens
+the lower bound by golden-section search on the bracket's own untruncated
+coefficients, by direct summation.
 """
 
 from __future__ import annotations
@@ -88,31 +91,41 @@ def unit_series(scheme: CoefficientScheme, flavor: str = REAL_HARMONIC) -> Rando
     return RandomizedSeries(scheme, np.ones((s, 2)), flavor)
 
 
-def _check_radius(series: RandomizedSeries, r: float):
+def _check_radius(r: float):
     if not (0.0 <= r <= 1.0):
         fail("RADIUS_OUT_OF_RANGE", f"need 0 <= r <= 1 for finite series, got {r}")
 
 
-def evaluate_at(series: RandomizedSeries, r: float, theta):
-    """Direct summation at radius r and angle(s) theta."""
-    _check_radius(series, r)
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    j = series.scheme.support
-    radial = np.power(float(r), j.astype(float))
-    jt = np.outer(th, j.astype(float))
-    if series.flavor == ANALYTIC:
-        c = series.signed_complex_coeffs() * radial
-        vals = np.exp(1j * jt) @ c
-    else:
-        a = series.scheme.cos_coeffs * series.signs[:, 0] * radial
-        b = series.scheme.sin_coeffs * series.signs[:, 1] * radial
-        vals = np.cos(jt) @ a + np.sin(jt) @ b
-    return vals[0] if np.isscalar(theta) or np.asarray(theta).ndim == 0 else vals
+def check_oversample(oversample: float):
+    """Every bracket grid, and every ensemble config, needs a finite oversample >= 4."""
+    if not (4.0 <= oversample < math.inf):
+        fail("DOMAIN", f"oversample must be finite and >= 4, got {oversample}")
 
 
 def _coeffs_at(series: RandomizedSeries, r: float) -> np.ndarray:
     """c_j r^j, the coefficients of the series on the circle of radius r."""
     return series.signed_complex_coeffs() * np.power(float(r), series.scheme.support.astype(float))
+
+
+def _point_values(support: np.ndarray, coeffs: np.ndarray, theta: np.ndarray,
+                  real: bool) -> np.ndarray:
+    """Re sum_j c_j e^{ij t} (real) or sum_j c_j e^{ij t} at the 1-D angles theta,
+    by direct summation.  The real part is cos(jt) @ Re c - sin(jt) @ Im c on
+    contiguous copies, which keeps the dot products on one BLAS path."""
+    jt = np.outer(theta, support.astype(float))
+    if not real:
+        return np.exp(1j * jt) @ coeffs
+    return (np.cos(jt) @ np.ascontiguousarray(coeffs.real)
+            - np.sin(jt) @ np.ascontiguousarray(coeffs.imag))
+
+
+def evaluate_at(series: RandomizedSeries, r: float, theta):
+    """Direct summation at radius r and angle(s) theta."""
+    _check_radius(r)
+    vals = _point_values(series.scheme.support, _coeffs_at(series, r),
+                         np.atleast_1d(np.asarray(theta, dtype=float)),
+                         series.flavor == REAL_HARMONIC)
+    return vals[0] if np.ndim(theta) == 0 else vals
 
 
 def _circle_values(support: np.ndarray, coeffs: np.ndarray, M: int, real: bool) -> np.ndarray:
@@ -138,7 +151,7 @@ def _circle_values(support: np.ndarray, coeffs: np.ndarray, M: int, real: bool) 
 def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
     """Values at the M angles theta_t = 2 pi t / M via one inverse FFT: real
     for the real flavor, complex for the analytic one."""
-    _check_radius(series, r)
+    _check_radius(r)
     if M < 1:
         fail("DOMAIN", f"M must be >= 1, got {M}")
     return _circle_values(series.scheme.support, _coeffs_at(series, r), M,
@@ -163,27 +176,35 @@ def _next_pow2(x: float) -> int:
     return 1 << max(3, int(math.ceil(math.log2(max(2.0, x)))))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 48) -> float:
-    """Golden-section maximization of f on [lo, hi]."""
+def _modulus_at(support: np.ndarray, coeffs: np.ndarray, real: bool, t: float) -> float:
+    return float(np.abs(_point_values(support, coeffs, np.array([t]), real)[0]))
+
+
+def _golden_max(support: np.ndarray, coeffs: np.ndarray, real: bool,
+                lo: float, hi: float, iters: int = 48) -> float:
+    """Golden-section maximization of the modulus at angle t on [lo, hi]."""
+    at = (support, coeffs, real)
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = _modulus_at(*at, x1), _modulus_at(*at, x2)
     best = max(f1, f2)
     for _ in range(iters):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
+            f2 = _modulus_at(*at, x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
+            f1 = _modulus_at(*at, x1)
         best = max(best, f1, f2)
     return best
 
 
 FLOAT_GUARD = 1e-12  # absorbs FFT/summation roundoff of a few ulps
+TAIL_RTOL = 1e-12    # relative l1 mass a bracket may drop from its coefficient tail
+MAX_GRID = 2**24     # circle grid limit, 4x the largest in use (2^22 at degree 65536)
 
 
 def secant_upper(gmax: float, n: int, M: int) -> float:
@@ -194,86 +215,81 @@ def secant_upper(gmax: float, n: int, M: int) -> float:
 
 
 def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float, real: bool,
-                     refine_fn=None, tail_rtol: float = 1e-12) -> SupBracket:
+                     refine: bool) -> SupBracket:
     """Certified bracket of sup_t |Re sum_j coeffs_j e^{ijt}| (real) or
     sup_t |sum_j coeffs_j e^{ijt}|.
 
     Truncates the coefficient tail once its exact l1 mass drops below
-    tail_rtol of the total; the discarded mass widens both bracket sides,
-    as does a relative FLOAT_GUARD covering grid-value roundoff.
+    TAIL_RTOL of the total; the discarded mass widens both bracket sides,
+    as does a relative FLOAT_GUARD covering grid-value roundoff.  Refinement
+    runs on the untruncated coefficients.
     """
+    check_oversample(oversample)
     mags = np.abs(coeffs)
     l1 = float(mags.sum())
     if l1 == 0.0 or len(support) == 0:
         return SupBracket(0.0, 0.0, 1, 0)
-    # minimal prefix keeping all but tail_rtol of the l1 mass
+    # minimal prefix keeping all but TAIL_RTOL of the l1 mass
     suffix = np.cumsum(mags[::-1])[::-1]
-    tau = tail_rtol * l1
-    keep = int(np.searchsorted(-suffix, -tau))  # first idx with suffix <= tau
-    keep = max(keep, 1)
+    keep = max(int(np.searchsorted(-suffix, -TAIL_RTOL * l1)), 1)   # first suffix <= that
     tail = float(suffix[keep]) if keep < len(support) else 0.0
     n_eff = int(support[keep - 1])
-    M = _next_pow2(oversample * max(n_eff, 1) * math.pi)
+    M = _next_pow2(min(oversample * max(n_eff, 1) * math.pi, 2.0 * MAX_GRID))
+    if M > MAX_GRID:
+        fail("BUDGET_EXCEEDED", f"oversample {oversample:g} at degree {n_eff} needs a "
+             f"circle grid above MAX_GRID = {MAX_GRID} points")
     vals = np.abs(_circle_values(support[:keep], coeffs[:keep], M, real))
     gmax = float(vals.max())
     lower = max(gmax - tail, 0.0)
-    if refine_fn is not None:
+    if refine:
         h = 2.0 * math.pi / M
-        top = np.argpartition(vals, -3)[-3:]
-        for t in top:
+        for t in np.argpartition(vals, -3)[-3:]:
             th = 2.0 * math.pi * float(t) / M
-            lower = max(lower, _golden_max(refine_fn, th - h, th + h))
+            lower = max(lower, _golden_max(support, coeffs, real, th - h, th + h))
     lower *= 1.0 - FLOAT_GUARD
     upper = (secant_upper(gmax, n_eff, M) + tail) * (1.0 + FLOAT_GUARD)
     return SupBracket(lower=lower, upper=upper, grid_size=M, degree=n_eff)
 
 
 def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
-                refine: bool = True, tail_rtol: float = 1e-12) -> SupBracket:
+                refine: bool = True) -> SupBracket:
     """Certified bracket of sup|u| (real flavor) or sup|f| (analytic flavor)
     over the circle of radius r.
 
     The grid has M = next power of two above oversample * pi * degree
-    points, so pi n / M <= 1/oversample and the secant bound keeps
-    upper / lower <= 1 / cos(1/oversample) up to the tail and roundoff
-    guards.  With refine on, golden-section sweeps around the top three grid
-    angles sharpen the lower bound by direct (untruncated) evaluation.
+    points (a finite oversample >= 4, M <= MAX_GRID), so pi n / M <=
+    1/oversample and the secant bound keeps upper / lower <= 1 /
+    cos(1/oversample) up to the TAIL_RTOL and roundoff guards.  With refine
+    on, golden-section sweeps around the top three grid angles sharpen the
+    lower bound by direct summation of the same coefficients c_j r^j,
+    untruncated.
     """
-    _check_radius(series, r)
-    if oversample < 4:
-        fail("DOMAIN", f"oversample must be >= 4, got {oversample}")
-    refine_fn = None
-    if refine:
-        refine_fn = lambda th: float(np.abs(evaluate_at(series, r, th)))
+    _check_radius(r)
     return _bracket_modulus(series.scheme.support, _coeffs_at(series, r), oversample,
-                            series.flavor == REAL_HARMONIC, refine_fn, tail_rtol)
+                            series.flavor == REAL_HARMONIC, refine)
 
 
-def partial_sum(series: RandomizedSeries, n: int) -> RandomizedSeries:
-    """s_n: keep degrees j <= n - 1."""
-    if n < 1:
-        fail("DOMAIN", f"n must be >= 1, got {n}")
-    keep = series.scheme.support < n
-    sch = series.scheme
-    out = scheme_from_arrays(
-        sch.support[keep], sch.cos_coeffs[keep], sch.sin_coeffs[keep],
-        min(sch.max_degree, n - 1),
-        {"name": "partial_sum", "n": n, "base": dict(sch.provenance)})
-    return RandomizedSeries(out, series.signs[keep], series.flavor)
-
-
-def cesaro_mean(series: RandomizedSeries, n: int) -> RandomizedSeries:
-    """sigma_n: coefficient j scaled by (1 - j/n) for j < n, dropped beyond."""
+def _truncate(series: RandomizedSeries, n: int, name: str, cesaro: bool) -> RandomizedSeries:
+    """Keep degrees j <= n - 1, scaled by 1 - j/n when cesaro is set."""
     if n < 1:
         fail("DOMAIN", f"n must be >= 1, got {n}")
     sch = series.scheme
     keep = sch.support < n
-    w = 1.0 - sch.support[keep].astype(float) / float(n)
+    w = 1.0 - sch.support[keep] / float(n) if cesaro else 1.0
     out = scheme_from_arrays(
         sch.support[keep], sch.cos_coeffs[keep] * w, sch.sin_coeffs[keep] * w,
-        min(sch.max_degree, n - 1),
-        {"name": "cesaro_mean", "n": n, "base": dict(sch.provenance)})
+        min(sch.max_degree, n - 1), {"name": name, "n": n, "base": dict(sch.provenance)})
     return RandomizedSeries(out, series.signs[keep], series.flavor)
+
+
+def partial_sum(series: RandomizedSeries, n: int) -> RandomizedSeries:
+    """s_n: keep degrees j <= n - 1."""
+    return _truncate(series, n, "partial_sum", cesaro=False)
+
+
+def cesaro_mean(series: RandomizedSeries, n: int) -> RandomizedSeries:
+    """sigma_n: coefficient j scaled by (1 - j/n) for j < n, dropped beyond."""
+    return _truncate(series, n, "cesaro_mean", cesaro=True)
 
 
 def gradient_at(series: RandomizedSeries, x) -> np.ndarray:
@@ -298,23 +314,13 @@ def gradient_at(series: RandomizedSeries, x) -> np.ndarray:
 
 def gradient_sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
                          refine: bool = True) -> SupBracket:
-    """Certified bracket of sup over the circle of |grad u| = |f'|."""
+    """Certified bracket of sup over the circle of |grad u| = |f'|, with
+    f' = sum j c_j z^(j-1) bracketed like an analytic series."""
     if series.flavor != REAL_HARMONIC:
         fail("FLAVOR_MISMATCH", "gradient brackets apply to real harmonic series")
-    _check_radius(series, r)
+    _check_radius(r)
     j = series.scheme.support
     pos = j >= 1
     jf = j[pos].astype(float)
-    c = series.signed_complex_coeffs()[pos] * jf        # f' = sum c_j z^(j-1)
-    cd = c * np.power(float(r), jf - 1.0)
-
-    def refine_fn(th):
-        z = r * complex(math.cos(th), math.sin(th))
-        return abs(np.sum(c * z ** (jf - 1.0)))
-
-    return _bracket_modulus(j[pos] - 1, cd, oversample, False, refine_fn if refine else None)
-
-
-def block_radii(block_ns):
-    """The canonical radii r = 1 - 1/n_k along a block sequence."""
-    return [1.0 - 1.0 / n for n in block_ns if n >= 2]
+    cd = series.signed_complex_coeffs()[pos] * jf * np.power(float(r), jf - 1.0)
+    return _bracket_modulus(j[pos] - 1, cd, oversample, False, refine)

@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .disk import REAL_HARMONIC, cesaro_mean, randomize, sup_bracket, unit_series
+from .disk import (REAL_HARMONIC, cesaro_mean, check_oversample, randomize, sup_bracket,
+                   unit_series)
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, make_model, model_from_json
 from .reporting import canonical_json, config_hash
@@ -99,6 +100,8 @@ class ExperimentConfig:
 
     `threads` only sets how many trials run at once; it is left out of the
     JSON form, the hash and equality because it cannot change an output byte.
+    Building one checks oversample and explicit radii (finite, 0 <= r < 1),
+    so a bad value fails before anything is written.
     """
 
     scheme: dict
@@ -112,6 +115,12 @@ class ExperimentConfig:
     flavor: str = REAL_HARMONIC
     max_evals: float = 1e11
     threads: int = field(default=1, compare=False)
+
+    def __post_init__(self):
+        check_oversample(self.oversample)
+        if self.radii != "block" and not all(0.0 <= float(r) < 1.0 for r in self.radii):
+            fail("RADIUS_OUT_OF_RANGE",
+                 f"ensemble radii need a finite 0 <= r < 1, got {list(self.radii)}")
 
     def to_json(self) -> dict:
         return {"scheme": self.scheme, "model": self.model, "seed": self.seed,
@@ -186,18 +195,14 @@ def _resolve_radii(cfg: ExperimentConfig):
         else:
             fail("CONFIG_INVALID", "radii rule 'block' needs a block-based scheme")
         return [1.0 - 1.0 / n for n in ns if n >= 2]
-    radii = [float(r) for r in cfg.radii]
-    for r in radii:
-        if not (0.0 <= r <= 1.0):
-            fail("RADIUS_OUT_OF_RANGE", f"need 0 <= r <= 1 for finite series, got {r}")
-    return radii
+    return [float(r) for r in cfg.radii]
 
 
 def _estimate_evals(cfg, scheme, radii) -> float:
     total = 0.0
     deg = scheme.max_degree
     for r in radii:
-        reach = deg if r >= 1.0 else min(deg, 60.0 / max(1e-12, 1.0 - r))
+        reach = min(deg, 60.0 / (1.0 - r))
         total += cfg.oversample * math.pi * max(reach, 1.0) * math.log2(max(reach, 2.0))
     return total * cfg.trials
 
@@ -238,7 +243,7 @@ def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
     uppers = np.array([r[1] for r in results])
     q10, med, q90 = (np.quantile(lowers, q, axis=0) for q in (0.10, 0.50, 0.90))
     uq10, upmed, uq90 = (np.quantile(uppers, q, axis=0) for q in (0.10, 0.50, 0.90))
-    n_of_r = [1.0 / (1.0 - r) if r < 1.0 else math.inf for r in radii]
+    n_of_r = [1.0 / (1.0 - r) for r in radii]
     ratios = {}
     for name in config.candidates:
         fn = resolve_candidate(name)
@@ -265,7 +270,6 @@ class SzRow:
     q05: float
     q50: float
     q95: float
-    frac_below: dict      # candidate constant -> fraction of trials below it
 
 
 @dataclass(frozen=True)
@@ -285,8 +289,7 @@ SZ_CSV_HEADER = ["n_index", "n", "big_r", "t4_ratio", "q05", "q50", "q95"]
 
 def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
                         seed_spec: SeedSpec, trials: int, n_list: Sequence[int],
-                        oversample: float = 16.0,
-                        c_grid: Sequence[float] = (0.25, 0.5, 0.75, 1.0)) -> SzReport:
+                        oversample: float = 16.0) -> SzReport:
     """Distribution of the normalized top-block max.
 
     For block position N the probe forms h_N with coefficients
@@ -313,7 +316,7 @@ def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
             fail("EMPTY_BLOCKS",
                  f"block {N} carries no Cesaro-weighted mass (support only at j = n_N?)")
         t4 = float(np.sum(b ** 4))
-        t4_ratio = t4 * hi / big_r**2 if big_r > 0 else math.inf
+        t4_ratio = t4 * hi / big_r**2
         hsch = scheme_from_arrays(js, b, np.zeros_like(b), int(hi),
                                   {"name": "sz_block", "N": int(N)})
         denom = math.sqrt(big_r * float(clamped_log(hi)))
@@ -322,10 +325,9 @@ def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
             series = randomize(hsch, model, seed_spec, t, lane=int(N))
             maxima[t] = sup_bracket(series, 1.0, oversample=oversample, refine=False).lower
         normed = maxima / denom
-        frac = {c: float(np.mean(normed < c)) for c in c_grid}
         q05, q50, q95 = (float(np.quantile(normed, q)) for q in (0.05, 0.50, 0.95))
         rows.append(SzRow(n_index=int(N), n=int(hi), big_r=big_r, t4_ratio=t4_ratio,
-                          q05=q05, q50=q50, q95=q95, frac_below=frac))
+                          q05=q05, q50=q50, q95=q95))
     return SzReport(rows=tuple(rows), trials=trials)
 
 
@@ -394,12 +396,15 @@ class DominationReport:
     worst_margin: float    # min over cases of upper(u) - lower(sigma_n u)
 
 
+DOMINATION_RTOL = 1e-9
+
+
 def cesaro_domination_check(trials: int, seed_spec: SeedSpec,
                             degree: int = 200, radii: Sequence[float] = (0.5, 0.9),
                             n_list: Sequence[int] = (10, 100),
-                            oversample: float = 16.0,
-                            rel_slack: float = 1e-9) -> DominationReport:
-    """No Cesaro mean may exceed the certified sup of the function."""
+                            oversample: float = 16.0) -> DominationReport:
+    """No Cesaro mean may exceed the certified sup of the function by more
+    than DOMINATION_RTOL of max(1, sup)."""
     cases = 0
     violations = 0
     worst = math.inf
@@ -415,7 +420,7 @@ def cesaro_domination_check(trials: int, seed_spec: SeedSpec,
                 margin = full.upper - ces.lower
                 worst = min(worst, margin)
                 cases += 1
-                if margin < -rel_slack * max(1.0, full.upper):
+                if margin < -DOMINATION_RTOL * max(1.0, full.upper):
                     violations += 1
     return DominationReport(cases=cases, violations=violations, worst_margin=worst)
 

@@ -115,11 +115,6 @@ class MgfAudit:
     worst_ratio: float
     n_samples: int
 
-    def worst_excess_in_se(self) -> float:
-        """Max over lambda of (ratio - 1)/SE; subnormal models stay small."""
-        vals = [(r.ratio - 1.0) / r.std_error if r.std_error > 0 else 0.0 for r in self.rows]
-        return max(vals)
-
 
 def mgf_audit(model: RandomModel, lam_grid, n_samples: int,
               seed_spec: SeedSpec, trial: int = 0) -> MgfAudit:

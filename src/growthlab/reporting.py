@@ -2,7 +2,8 @@
 
 Canonical JSON (sorted keys, compact separators, shortest-roundtrip floats)
 makes report bytes reproducible, so configs can be hashed and re-runs can be
-compared byte for byte.
+compared byte for byte.  JSON output is strict: a NaN or infinity fails with
+NON_FINITE before any byte is written.
 """
 
 from __future__ import annotations
@@ -12,9 +13,18 @@ import json
 import os
 from typing import Iterable, Sequence
 
+from .errors import fail
+
+
+def _dumps(obj, **kwargs) -> str:
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as e:
+        fail("NON_FINITE", f"JSON output holds a NaN or infinity ({e})")
+
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -26,10 +36,10 @@ def config_hash(obj) -> str:
 
 
 def write_json(path, obj, indent=2):
+    text = _dumps(obj, indent=indent)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=indent)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def format_csv(header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:

@@ -218,9 +218,12 @@ def fibonacci_covering(K: int) -> Covering:
     return Covering(points=pts, radius=2.5 / math.sqrt(K))
 
 
-def default_covering(degree: int, min_points: int = 4096) -> Covering:
-    """K = max(min_points, 64 n^2) makes n * delta <= 0.3125."""
-    K = max(min_points, int(math.ceil(64.0 * max(degree, 1) ** 2)))
+MIN_COVERING_POINTS = 4096
+
+
+def default_covering(degree: int) -> Covering:
+    """K = max(MIN_COVERING_POINTS, 64 n^2) makes n * delta <= 0.3125."""
+    K = max(MIN_COVERING_POINTS, int(math.ceil(64.0 * max(degree, 1) ** 2)))
     return fibonacci_covering(K)
 
 

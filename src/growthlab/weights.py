@@ -16,7 +16,6 @@ n0 = 1 gives n_k = 2^k); log-power weights give doubly exponential ones.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -71,10 +70,10 @@ def make_weight(family: str, alpha: float, log_base: float = math.e) -> Weight:
     """
     if family not in (POWER, LOGPOWER):
         fail("CONFIG_INVALID", f"unknown weight family {family!r}")
-    if not (alpha > 0):
-        fail("NON_POSITIVE_EXPONENT", f"alpha must be > 0, got {alpha}")
-    if not (log_base > 1):
-        fail("CONFIG_INVALID", f"log base must exceed 1, got {log_base}")
+    if not (0 < alpha < math.inf):
+        fail("NON_POSITIVE_EXPONENT", f"alpha must be finite and > 0, got {alpha}")
+    if not (1 < log_base < math.inf):
+        fail("CONFIG_INVALID", f"log base must be finite and exceed 1, got {log_base}")
     return Weight(family=family, alpha=float(alpha), log_base=float(log_base))
 
 
@@ -151,8 +150,8 @@ class DoublingAudit:
 
 def doubling_audit(weight: Weight, x_max: float, grid_size: int = 2048) -> DoublingAudit:
     """Measure max g(2x)/g(x) over a log-spaced grid on [domain_min, x_max/2]."""
-    if x_max < 2:
-        fail("DOMAIN", f"x_max must be >= 2, got {x_max}")
+    if not (2.0 <= x_max < math.inf):
+        fail("DOMAIN", f"x_max must be finite and >= 2, got {x_max}")
     lo = max(1.0, weight.domain_min)
     hi = max(lo, x_max / 2.0)
     if grid_size <= 1 or hi == lo:
@@ -183,12 +182,6 @@ class BlockSequence:
 
     def g_values(self) -> np.ndarray:
         return _g(self.weight, np.asarray(self.n, dtype=float))
-
-    def block_of(self, j: int) -> int:
-        """Block index k with n_{k-1} < j <= n_k (1-based blocks)."""
-        if j <= self.n[0] or j > self.n[-1]:
-            fail("BLOCKS_TOO_SHORT", f"index {j} outside covered range ({self.n[0]}, {self.n[-1]}]")
-        return bisect.bisect_left(self.n, j)
 
     def to_csv(self) -> str:
         from .reporting import format_csv

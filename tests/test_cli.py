@@ -258,3 +258,76 @@ def test_scheme_span_budget_exit_2(tmp_path, capsys, monkeypatch):
                              "--out", str(tmp_path / "s"))
     assert (code, diag["error"]) == (2, "DEGREE_BUDGET")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["growth", "--radii", "0.5,1.0"], "RADIUS_OUT_OF_RANGE"),
+    (["growth", "--radii", "0.5,inf"], "RADIUS_OUT_OF_RANGE"),
+    (["growth", "--oversample", "nan"], "DOMAIN"),
+    (["analytic", "--oversample", "inf"], "DOMAIN"),
+    (["growth", "--oversample", "3"], "DOMAIN"),
+])
+def test_ensemble_config_checked_before_manifest(tmp_path, capsys, argv, code):
+    out = tmp_path / "g"
+    code_, diag = _diagnostic(capsys, *argv, "--scheme", "loglog", "--k-max", "2",
+                              "--trials", "2", "--out", str(out))
+    assert (code_, diag["error"]) == (2, code)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("oversample", ["nan", "inf", "2"])
+def test_probe_riesz_oversample_checked(tmp_path, capsys, oversample):
+    out = tmp_path / "r"
+    code, diag = _diagnostic(capsys, "probe-riesz", "--signed", "--n-terms", "4",
+                             "--oversample", oversample, "--out", str(out))
+    assert (code, diag["error"]) == (2, "DOMAIN")
+    assert not out.exists()
+
+
+def test_probe_riesz_grid_limit_exit_2(tmp_path, capsys, monkeypatch):
+    from growthlab import disk
+    monkeypatch.setattr(disk, "MAX_GRID", 1024)   # degree 16: 16 pi 16 -> M = 1024
+    code, _, _ = run_cli(capsys, "probe-riesz", "--n-terms", "2", "--oversample", "16",
+                         "--out", str(tmp_path / "ok"))
+    assert code == 0
+    code, diag = _diagnostic(capsys, "probe-riesz", "--n-terms", "2", "--oversample", "32",
+                             "--out", str(tmp_path / "big"))
+    assert (code, diag["error"]) == (2, "BUDGET_EXCEEDED")
+    man = json.loads((tmp_path / "big" / "manifest.json").read_text())
+    assert (man["status"], man["error"]) == ("failed", "BUDGET_EXCEEDED")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--audit-x-max", "inf"], "DOMAIN"),
+    (["--audit-x-max", "nan"], "DOMAIN"),
+    (["--alpha", "inf"], "NON_POSITIVE_EXPONENT"),
+])
+def test_weights_non_finite_rejected(tmp_path, capsys, argv, code):
+    out = tmp_path / "w"
+    code_, diag = _diagnostic(capsys, "weights", *argv, "--out", str(out))
+    assert (code_, diag["error"]) == (2, code)
+    assert not out.exists()
+
+
+def test_non_finite_flag_never_reaches_a_manifest(tmp_path, capsys):
+    # cap checks alpha only after its manifest is due; strict JSON refuses it first
+    out = tmp_path / "c"
+    code, diag = _diagnostic(capsys, "cap", "--degrees", "2", "--combos", "1",
+                             "--alpha", "nan", "--out", str(out))
+    assert (code, diag["error"]) == (2, "NON_FINITE")
+    assert not out.exists()
+
+
+def test_weights_manifest_records_audit_flags(tmp_path, capsys):
+    base = ["weights", "--family", "logpower", "--k-max", "3"]
+    mans = {}
+    for name, extra in [("a", ["--audit-x-max", "10"]), ("b", ["--audit-x-max", "1e9"]),
+                        ("c", ["--audit-x-max", "10", "--require-doubling"])]:
+        code, _, _ = run_cli(capsys, *base, *extra, "--out", str(tmp_path / name))
+        assert code == 0
+        mans[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+    assert mans["a"]["config"]["audit_x_max"] == 10.0
+    assert mans["c"]["config"]["require_doubling"] is True
+    assert len({m["config_hash"] for m in mans.values()}) == 3
+    d_hat = {n: json.loads((tmp_path / n / "audit.json").read_text())["d_hat"] for n in "ab"}
+    assert d_hat["a"] != d_hat["b"]

@@ -8,6 +8,7 @@ from growthlab import (ANALYTIC, REAL_HARMONIC, GrowthLabError, SeedSpec, cesaro
                        evaluate_at, evaluate_circle, gradient_at, gradient_sup_bracket,
                        make_model, partial_sum, randomize, riesz_probe,
                        rudin_shapiro_signs, sup_bracket, unit_series)
+from growthlab import disk
 from growthlab.mclab import random_scheme
 from growthlab.schemes import scheme_from_arrays
 
@@ -172,18 +173,23 @@ def test_bracket_soundness_single_modes():
         assert b.lower == pytest.approx(truth, rel=1e-6)
 
 
-def test_bracket_tail_truncation_sound():
+def test_bracket_tail_truncation_sound(monkeypatch):
     sch = random_scheme(SEED, 5, 5000)
     ser = randomize(sch, make_model("rademacher"), SEED, 5)
-    tight = sup_bracket(ser, 0.9, refine=False, tail_rtol=0.0)
-    loose = sup_bracket(ser, 0.9, refine=False, tail_rtol=1e-9)
+
+    def bracket(tail_rtol, refine):
+        monkeypatch.setattr(disk, "TAIL_RTOL", tail_rtol)
+        return sup_bracket(ser, 0.9, refine=refine)
+
+    tight = bracket(0.0, refine=False)
+    loose = bracket(1e-9, refine=False)
     assert loose.lower <= tight.upper
     assert tight.lower <= loose.upper
     assert loose.degree <= tight.degree
     # unrefined lower bounds are grid maxima on different grids; refined ones
     # are not, so they must agree up to the discarded tail
-    tight = sup_bracket(ser, 0.9, refine=True, tail_rtol=0.0)
-    loose = sup_bracket(ser, 0.9, refine=True, tail_rtol=1e-9)
+    tight = bracket(0.0, refine=True)
+    loose = bracket(1e-9, refine=True)
     assert loose.lower == pytest.approx(tight.lower, rel=1e-6)
 
 
@@ -219,12 +225,13 @@ def test_real_bracket_cos_plus_sin2(refine):
 
 
 @pytest.mark.parametrize("tail_rtol", [0.0, 1e-12])
-def test_real_bracket_degree_5000(tail_rtol):
+def test_real_bracket_degree_5000(tail_rtol, monkeypatch):
+    monkeypatch.setattr(disk, "TAIL_RTOL", tail_rtol)
     sch = random_scheme(SEED, 5, 5000)
     ser = randomize(sch, make_model("rademacher"), SEED, 5)
     ref = dense_sup(*coeffs_at(ser, 0.9))
     for refine in (False, True):
-        assert_contains(sup_bracket(ser, 0.9, refine=refine, tail_rtol=tail_rtol), ref)
+        assert_contains(sup_bracket(ser, 0.9, refine=refine), ref)
 
 
 def test_signed_riesz_rows_below_sup_u():
@@ -257,6 +264,33 @@ def test_bracket_contains_sup_property(coeffs, r, oversample, flavor):
     assert_contains(loose, ref)
     # secant certificate: width set by the grid promise pi n / M <= 1/oversample
     assert loose.upper / loose.lower <= (1 + 1e-8) / math.cos(1.0 / oversample)
+
+
+@pytest.mark.parametrize("oversample", [float("nan"), float("inf"), -float("inf"), 3.99])
+def test_oversample_must_be_finite_and_at_least_4(oversample):
+    ser = unit_series(scheme_from_arrays([0, 16], [1.0, 1.0], [0.0, 0.5], 16, {"name": "t"}))
+    for bracket in (sup_bracket, gradient_sup_bracket):
+        with pytest.raises(GrowthLabError) as ei:
+            bracket(ser, 0.9, oversample=oversample)
+        assert ei.value.code == "DOMAIN", bracket
+    zero = unit_series(scheme_from_arrays([], [], [], 0, {"name": "zero"}))
+    with pytest.raises(GrowthLabError):
+        sup_bracket(zero, 0.5, oversample=oversample)
+
+
+def test_grid_limit_checked_before_allocating(monkeypatch):
+    ser = unit_series(mono(16))
+    monkeypatch.setattr(disk, "MAX_GRID", 1024)
+    # 16 pi * 16 = 804 -> M = 1024 passes; 32 pi * 16 = 1608 -> M = 2048 does not
+    assert sup_bracket(ser, 1.0, oversample=16.0).grid_size == 1024
+    for bracket, oversample in ((sup_bracket, 32.0), (gradient_sup_bracket, 64.0)):
+        with pytest.raises(GrowthLabError) as ei:
+            bracket(ser, 1.0, oversample=oversample)
+        assert ei.value.code == "BUDGET_EXCEEDED"
+    monkeypatch.undo()
+    with pytest.raises(GrowthLabError) as ei:     # the product overflows to inf
+        sup_bracket(ser, 1.0, oversample=1e308)
+    assert ei.value.code == "BUDGET_EXCEEDED"
 
 
 def test_analytic_modulus_bracket():

@@ -61,6 +61,24 @@ def test_ensemble_block_radii_rule():
     assert rep.radii == (0.5, 0.75, 1.0 - 1.0 / 16.0)
 
 
+@pytest.mark.parametrize("kw, code", [
+    (dict(radii=[0.5, 1.0]), "RADIUS_OUT_OF_RANGE"),
+    (dict(radii=[float("inf")]), "RADIUS_OUT_OF_RANGE"),
+    (dict(radii=[float("nan")]), "RADIUS_OUT_OF_RANGE"),
+    (dict(radii=[-0.1]), "RADIUS_OUT_OF_RANGE"),
+    (dict(oversample=float("nan")), "DOMAIN"),
+    (dict(oversample=float("inf")), "DOMAIN"),
+    (dict(oversample=2.0), "DOMAIN"),
+])
+def test_config_checked_when_built(kw, code):
+    with pytest.raises(GrowthLabError) as ei:
+        small_config(**kw)
+    assert ei.value.code == code
+    with pytest.raises(GrowthLabError) as ei:
+        config_from_json(dict(small_config().to_json(), **kw))
+    assert ei.value.code == code
+
+
 def test_config_json_round_trip():
     cfg = small_config(candidates=("sqrt_log",), oversample=8.0)
     cfg2 = config_from_json(json.loads(json.dumps(cfg.to_json())))

@@ -79,6 +79,23 @@ def test_doubling_audit_single_point():
     assert aud.worst_x == 1.0
 
 
+@pytest.mark.parametrize("x_max", [float("nan"), float("inf"), 1.5])
+def test_doubling_audit_needs_finite_x_max(x_max):
+    with pytest.raises(GrowthLabError) as ei:
+        doubling_audit(make_weight("power", 1.0), x_max)
+    assert ei.value.code == "DOMAIN"
+
+
+def test_weight_parameters_finite():
+    for alpha in (float("inf"), float("nan")):
+        with pytest.raises(GrowthLabError) as ei:
+            make_weight("power", alpha)
+        assert ei.value.code == "NON_POSITIVE_EXPONENT"
+    with pytest.raises(GrowthLabError) as ei:
+        make_weight("logpower", 1.0, float("inf"))
+    assert ei.value.code == "CONFIG_INVALID"
+
+
 def test_doubling_audit_logpower_worst_near_min():
     aud = doubling_audit(make_weight("logpower", 1.0), 1e6, grid_size=4096)
     assert aud.d_hat <= 2.0

@@ -9,7 +9,10 @@ On a fixed circle both reduce to trigonometric polynomials in the
 coefficients c_j = (a_j0 xi_j0 - i a_j1 xi_j1) r^j: u = Re sum c_j e^{ij theta}
 for the real flavor, and the modulus |sum c_j e^{ij theta}| for the analytic
 one.  One FFT helper evaluates either on M equispaced angles (the real part
-from its half spectrum), one direct-summation helper at any angles.
+from its half spectrum), one direct-summation helper at any angles.  The FFT
+helper never transforms the zero padding of a fine grid: it splits the M
+angles into P = M / L interleaved rows, L the smallest M / 2^a above 2n (or
+M itself), and runs one L-point transform per row on twisted coefficients.
 
 Sup brackets bound sup|u| for the real flavor and sup|f| for the analytic
 flavor.  A real trigonometric polynomial T of degree n satisfies
@@ -128,34 +131,65 @@ def evaluate_at(series: RandomizedSeries, r: float, theta):
     return vals[0] if np.ndim(theta) == 0 else vals
 
 
-def _circle_values(support: np.ndarray, coeffs: np.ndarray, M: int, real: bool) -> np.ndarray:
-    """Re sum_j c_j e^{ijt} (real) or sum_j c_j e^{ijt} at the M angles t = 2 pi k / M.
+def _twists(m: np.ndarray, P: int, M: int) -> np.ndarray:
+    """e^{2 pi i m p / M} for rows p < P, from the exact integer phase m p.
 
-    Coefficient j lands in bin j mod M; on these angles e^{ijt} = e^{i (j mod M) t},
-    so aliased evaluation (M <= 2 degree) is exact.  The real part comes from the
-    half spectrum: a bin k > M/2 folds to M - k with the conjugate coefficient,
-    bins 0 and M/2 carry weight 1 (only their real parts count) and the others 1/2.
+    Callers keep m p below M / 2, so the phase is exact in int64 and in floats,
+    and each entry carries the roundoff of one cos or sin however large P is.
     """
-    k = support % M
-    if not real:
-        buf = np.zeros(M, dtype=complex)
-        np.add.at(buf, k, coeffs)
-        return np.fft.ifft(buf) * M
-    fold = k > M // 2
-    c = np.where(fold, np.conj(coeffs), coeffs) * np.where((k == 0) | (2 * k == M), 1.0, 0.5)
-    half = np.zeros(M // 2 + 1, dtype=complex)
-    np.add.at(half, np.where(fold, M - k, k), c)
-    return np.fft.irfft(half, n=M) * M
+    phase = np.outer(np.arange(P), m) * (2.0 * math.pi / M)
+    tw = np.empty(phase.shape, dtype=complex)
+    tw.real = np.cos(phase)
+    tw.imag = np.sin(phase)
+    return tw
+
+
+def _circle_values(support: np.ndarray, coeffs: np.ndarray, M: int, real: bool) -> np.ndarray:
+    """Re sum_j c_j e^{ijt} (real) or sum_j c_j e^{ijt} at the M angles t = 2 pi k / M,
+    as a (P, L) array whose entry [p, q] is the value at k = qP + p.
+
+    L is the smallest M / 2^a with L > 2n (n the largest j) and L >= 8, else M
+    (M odd, M <= 4n or M < 16); P = M / L.  As e^{ijt} = e^{2 pi i j p / M}
+    e^{2 pi i j q / L}, row p is one L-point inverse transform of the coefficients
+    twisted by e^{2 pi i j p / M}, so the zero padding of a fine grid is never
+    transformed.  Coefficient j lands in bin j mod L, exact on these angles even
+    when M <= 2n.  The real part comes from the half spectrum: a bin m > L/2 folds
+    to L - m with the conjugate coefficient, bins 0 and L/2 carry weight 1 (only
+    their real parts count) and the others 1/2; these weights and the scale L go
+    on the coefficients.  With P > 1, L > 2n gives every frequency j <= n its own
+    bin below L/2: nothing aliases or folds and the Nyquist bin stays empty, so
+    the twist, a function of j and not of j mod L, is one factor per bin.
+    """
+    n = int(support.max(initial=0))
+    L = M
+    while L % 2 == 0 and L > 4 * n and L >= 16:
+        L //= 2
+    P = M // L
+    m = support % L
+    c = coeffs * L
+    if real:
+        fold = m > L // 2
+        c = np.where(fold, np.conj(c), c) * np.where((m == 0) | (2 * m == L), 1.0, 0.5)
+        m = np.where(fold, L - m, m)
+    spec = np.zeros((1, L // 2 + 1 if real else L), dtype=complex)
+    np.add.at(spec[0], m, c)
+    if P > 1:
+        tw = _twists(m, P, M)
+        tw *= spec[0, m]
+        spec = np.zeros((P, spec.shape[1]), dtype=complex)
+        spec[:, m] = tw      # repeated j write equal values
+        del tw               # not held through the transform
+    return np.fft.irfft(spec, n=L) if real else np.fft.ifft(spec)
 
 
 def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
-    """Values at the M angles theta_t = 2 pi t / M via one inverse FFT: real
-    for the real flavor, complex for the analytic one."""
+    """Values at the M angles theta_t = 2 pi t / M, in t order: real for the real
+    flavor, complex for the analytic one."""
     _check_radius(r)
     if M < 1:
         fail("DOMAIN", f"M must be >= 1, got {M}")
     return _circle_values(series.scheme.support, _coeffs_at(series, r), M,
-                          series.flavor == REAL_HARMONIC)
+                          series.flavor == REAL_HARMONIC).T.ravel()
 
 
 @dataclass(frozen=True)
@@ -238,13 +272,21 @@ def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float,
     if M > MAX_GRID:
         fail("BUDGET_EXCEEDED", f"oversample {oversample:g} at degree {n_eff} needs a "
              f"circle grid above MAX_GRID = {MAX_GRID} points")
-    vals = np.abs(_circle_values(support[:keep], coeffs[:keep], M, real))
-    gmax = float(vals.max())
+    vals = _circle_values(support[:keep], coeffs[:keep], M, real)
+    if real:
+        row_max = np.maximum(vals.max(axis=1), -vals.min(axis=1))
+    else:
+        vals = np.abs(vals)
+        row_max = vals.max(axis=1)
+    gmax = float(row_max.max())
     lower = max(gmax - tail, 0.0)
     if refine:
+        # the three largest grid values lie in the three rows of largest max
         h = 2.0 * math.pi / M
-        for t in np.argpartition(vals, -3)[-3:]:
-            th = 2.0 * math.pi * float(t) / M
+        rows = np.argsort(row_max)[-3:]
+        for f in np.argpartition(np.abs(vals[rows]), -3, axis=None)[-3:]:
+            i, q = divmod(int(f), vals.shape[1])
+            th = 2.0 * math.pi * (q * len(row_max) + int(rows[i])) / M
             lower = max(lower, _golden_max(support, coeffs, real, th - h, th + h))
     lower *= 1.0 - FLOAT_GUARD
     upper = (secant_upper(gmax, n_eff, M) + tail) * (1.0 + FLOAT_GUARD)

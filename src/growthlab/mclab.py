@@ -24,6 +24,7 @@ Probes:
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,8 +101,8 @@ class ExperimentConfig:
 
     `threads` only sets how many trials run at once; it is left out of the
     JSON form, the hash and equality because it cannot change an output byte.
-    Building one checks oversample and explicit radii (finite, 0 <= r < 1),
-    so a bad value fails before anything is written.
+    Building one checks oversample and radii ("block", or a list or tuple of
+    finite numbers 0 <= r < 1), so a bad value fails before anything is written.
     """
 
     scheme: dict
@@ -118,7 +119,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_oversample(self.oversample)
-        if self.radii != "block" and not all(0.0 <= float(r) < 1.0 for r in self.radii):
+        if isinstance(self.radii, str) and self.radii == "block":
+            return
+        if not (isinstance(self.radii, (list, tuple)) and all(
+                isinstance(r, numbers.Real) and not isinstance(r, bool) for r in self.radii)):
+            fail("CONFIG_INVALID", f'radii must be "block" or a list of numbers, '
+                 f'got {self.radii!r}')
+        if not all(0.0 <= float(r) < 1.0 for r in self.radii):
             fail("RADIUS_OUT_OF_RANGE",
                  f"ensemble radii need a finite 0 <= r < 1, got {list(self.radii)}")
 

@@ -2,14 +2,15 @@
 
 Canonical JSON (sorted keys, compact separators, shortest-roundtrip floats)
 makes report bytes reproducible, so configs can be hashed and re-runs can be
-compared byte for byte.  JSON output is strict: a NaN or infinity fails with
-NON_FINITE before any byte is written.
+compared byte for byte.  JSON and CSV output are strict: a NaN or infinity
+fails with NON_FINITE before the file is opened.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from typing import Iterable, Sequence
 
@@ -35,11 +36,16 @@ def config_hash(obj) -> str:
     return sha256_hex(canonical_json(obj).encode("utf-8"))
 
 
-def write_json(path, obj, indent=2):
-    text = _dumps(obj, indent=indent)
+def write_text(path, text: str):
+    """Write text to path, creating its directory; callers format first, so
+    a failed check leaves no file behind."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as f:
-        f.write(text + "\n")
+        f.write(text)
+
+
+def write_json(path, obj, indent=2):
+    write_text(path, _dumps(obj, indent=indent) + "\n")
 
 
 def format_csv(header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:
@@ -51,12 +57,12 @@ def format_csv(header: Sequence[str], rows: Iterable[Sequence], comments: Sequen
 
 
 def write_csv(path, header, rows, comments=()):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as f:
-        f.write(format_csv(header, rows, comments))
+    write_text(path, format_csv(header, rows, comments))
 
 
 def _cell(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        if not math.isfinite(v):
+            fail("NON_FINITE", f"CSV output holds a NaN or infinity ({v!r})")
+        return repr(float(v))      # numpy 2 scalars repr as np.float64(...)
     return str(v)

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import fail
-from .reporting import canonical_json
+from .reporting import canonical_json, format_csv, write_text
 from .weights import BlockSequence, weight_from_json, weight_to_json
 
 G_OVER_N = "g_over_n"
@@ -118,7 +118,6 @@ class CoefficientScheme:
         return out
 
     def to_csv(self) -> str:
-        from .reporting import format_csv
         rows = zip(self.support.tolist(), self.cos_coeffs.tolist(), self.sin_coeffs.tolist())
         return format_csv(
             ["j", "a_j0", "a_j1"], rows,
@@ -126,10 +125,7 @@ class CoefficientScheme:
                       f"max_degree: {self.max_degree}"])
 
     def write_csv(self, path):
-        import os
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.to_csv())
+        write_text(path, self.to_csv())
 
 
 def scheme_from_arrays(support, cos_coeffs, sin_coeffs, max_degree, provenance) -> CoefficientScheme:

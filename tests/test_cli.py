@@ -275,6 +275,18 @@ def test_ensemble_config_checked_before_manifest(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radii", [0.5, "0.5", "0", {"r": 0.5}])
+def test_config_file_radii_checked_before_manifest(tmp_path, capsys, radii):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"scheme": {"name": "loglog", "k_max": 2},
+                                "model": {"kind": "rademacher"}, "seed": 5, "trials": 2,
+                                "radii": radii}))
+    out = tmp_path / "g"
+    code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("oversample", ["nan", "inf", "2"])
 def test_probe_riesz_oversample_checked(tmp_path, capsys, oversample):
     out = tmp_path / "r"

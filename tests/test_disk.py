@@ -9,6 +9,7 @@ from growthlab import (ANALYTIC, REAL_HARMONIC, GrowthLabError, SeedSpec, cesaro
                        make_model, partial_sum, randomize, riesz_probe,
                        rudin_shapiro_signs, sup_bracket, unit_series)
 from growthlab import disk
+from growthlab.disk import RandomizedSeries
 from growthlab.mclab import random_scheme
 from growthlab.schemes import scheme_from_arrays
 
@@ -106,6 +107,31 @@ def test_fft_aliasing_rule_documented():
             ser = unit_series(sch, flavor)
             circ = evaluate_circle(ser, 0.999, M)
             assert np.allclose(circ, evaluate_at(ser, 0.999, th), atol=1e-12), (support, M, flavor)
+
+
+@pytest.mark.parametrize("degree, M, rows", [
+    (50, 4096, 32),      # L = 128 > 2n: 32 twisted rows
+    (10, 2**18, 8192),   # 8192 rows: twist roundoff must not grow with the row index
+    (50, 1001, 1),       # odd M: one row, no Nyquist bin
+    (50, 1, 1),          # every coefficient aliases onto the single angle
+    (50, 100, 1),        # M <= 2n: aliased and folded
+    (50, 192, 1),        # 2n < M <= 4n: no halving qualifies
+])
+def test_circle_grid_matches_direct_summation(degree, M, rows):
+    rng = np.random.default_rng(degree + M)
+    j = np.arange(degree + 1)
+    c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    th = 2 * np.pi * np.arange(M) / M
+    real_series = RandomizedSeries(scheme_from_arrays(j, c.real, -c.imag, degree, {"name": "t"}),
+                                   np.ones((degree + 1, 2)))
+    ones = scheme_from_arrays(j, np.ones(degree + 1), np.zeros(degree + 1), degree, {"name": "1"})
+    for series in (real_series, RandomizedSeries(ones, c, ANALYTIC)):
+        real = series.flavor == REAL_HARMONIC
+        assert np.allclose(series.signed_complex_coeffs(), c)
+        assert disk._circle_values(j, c, M, real).shape == (rows, M // rows)
+        circ = evaluate_circle(series, 1.0, M)
+        direct = disk._point_values(j, c, th, real)
+        assert np.max(np.abs(circ - direct)) <= 1e-13 * np.abs(c).sum(), (M, real)
 
 
 # -- sup brackets ------------------------------------------------------------------
@@ -242,6 +268,39 @@ def test_signed_riesz_rows_below_sup_u():
         assert row.ratio * 3 <= hi
         assert row.ratio * 3 >= lo * math.cos(1.0 / 64.0)
     assert rep.c_emp < 0.91
+
+
+@pytest.mark.parametrize("flavor", [REAL_HARMONIC, ANALYTIC])
+def test_bracket_fine_grid_contains_dense_sup(flavor):
+    # oversample 8192 at degree 10: M = 2^18 in 8192 rows of 32 angles
+    rng = np.random.default_rng(3)
+    sch = scheme_from_arrays(np.arange(11), rng.normal(size=11), rng.normal(size=11), 10,
+                             {"name": "t"})
+    ser = randomize(sch, make_model("rademacher"), SEED, 0, flavor=flavor)
+    for refine in (False, True):
+        b = sup_bracket(ser, 1.0, oversample=8192.0, refine=refine)
+        assert b.grid_size == 2**18
+        assert_contains(b, dense_sup(*coeffs_at(ser, 1.0), real=flavor == REAL_HARMONIC))
+
+
+@pytest.mark.parametrize("flavor", [REAL_HARMONIC, ANALYTIC])
+def test_refined_seeds_land_on_the_maximiser(flavor):
+    # cos(j (t - t0)) and |1 + e^{ij (t - t0)}| peak halfway between grid angles;
+    # refinement only reaches 1e-12 of the peak when its seeds map back to their angles
+    j, t0 = 8, 2 * math.pi * 10.5 / 512
+    if flavor == REAL_HARMONIC:
+        ser = unit_series(mono(j, cos=math.cos(j * t0), sin=math.sin(j * t0)))
+        peak = 1.0
+    else:
+        sch = scheme_from_arrays([0, j], [1.0, 1.0], [0.0, 0.0], j, {"name": "t"})
+        ser = RandomizedSeries(sch, np.array([1.0, np.exp(-1j * j * t0)]), ANALYTIC)
+        peak = 2.0
+    coarse = sup_bracket(ser, 1.0, refine=False)
+    b = sup_bracket(ser, 1.0, refine=True)
+    assert b.grid_size == 512        # 16 rows of 32 angles
+    assert coarse.lower < peak * (1 - 1e-4)
+    assert b.lower <= peak <= b.upper
+    assert b.lower == pytest.approx(peak, rel=1e-12)
 
 
 @given(coeffs=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=40),

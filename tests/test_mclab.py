@@ -69,6 +69,12 @@ def test_ensemble_block_radii_rule():
     (dict(oversample=float("nan")), "DOMAIN"),
     (dict(oversample=float("inf")), "DOMAIN"),
     (dict(oversample=2.0), "DOMAIN"),
+    (dict(radii=0.5), "CONFIG_INVALID"),
+    (dict(radii="0.5"), "CONFIG_INVALID"),
+    (dict(radii="0"), "CONFIG_INVALID"),
+    (dict(radii=["0.5"]), "CONFIG_INVALID"),
+    (dict(radii=[True]), "CONFIG_INVALID"),
+    (dict(radii=None), "CONFIG_INVALID"),
 ])
 def test_config_checked_when_built(kw, code):
     with pytest.raises(GrowthLabError) as ei:

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from growthlab import GrowthLabError
-from growthlab.reporting import canonical_json, write_json
+from growthlab.reporting import canonical_json, format_csv, write_csv, write_json
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -23,3 +24,22 @@ def test_write_json_finite_round_trip(tmp_path):
     write_json(path, {"b": [0.1, 2], "a": {"c": None}})
     assert path.read_text() == '{\n  "a": {\n    "c": null\n  },\n  "b": [\n    0.1,\n    2\n  ]\n}\n'
     assert json.loads(path.read_text()) == {"a": {"c": None}, "b": [0.1, 2]}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_csv_output_refuses_non_finite(tmp_path, value):
+    rows = [(1, 0.5), (2, value)]
+    with pytest.raises(GrowthLabError) as ei:
+        format_csv(["n", "x"], rows)
+    assert ei.value.code == "NON_FINITE"
+    path = tmp_path / "out" / "r.csv"
+    with pytest.raises(GrowthLabError) as ei:
+        write_csv(path, ["n", "x"], rows)
+    assert ei.value.code == "NON_FINITE"
+    assert not path.exists()
+
+
+def test_write_csv_finite_bytes(tmp_path):
+    path = tmp_path / "r.csv"
+    write_csv(path, ["n", "x"], [(1, 0.1), (2, np.float64(2.5))], comments=["c"])
+    assert path.read_text() == "# c\nn,x\n1,0.1\n2,2.5\n"

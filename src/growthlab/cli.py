@@ -241,8 +241,14 @@ def _ensemble(flavor, args, run):
     if args.config:
         cfg = config_from_json(_load_config(args.config))
     else:
-        threads = (args.threads if args.threads is not None
-                   else int(os.environ.get("GROWTHLAB_THREADS", "1")))
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("GROWTHLAB_THREADS", "1")
+            try:
+                threads = int(env)
+            except ValueError:
+                raise _CliError("CONFIG_INVALID",
+                                f"GROWTHLAB_THREADS must be an integer, got {env!r}") from None
         cfg = ExperimentConfig(
             scheme=_scheme_provenance(args), model={"kind": args.model},
             seed=args.seed, trials=args.trials, radii=args.radii, oversample=args.oversample,

@@ -9,18 +9,22 @@ differentiated mu times and made homogeneous of degree m (rho^2 = x^2 + y^2):
     F^mu = [2(mu+1)(2mu+1) z F^(mu+1) - (2mu+1)(2mu+3) rho^2 F^(mu+2)]
            / ((m-mu)(m+mu+1)).
 
+_solid_harmonics runs this recurrence and is the only code that computes
+F^mu: evaluation and normalization both take it from there.
+
 A degree-m combination with weights w_mu = c_cos - i c_sin is the real part
 of the Horner sum acc <- acc s + w_mu F^mu over mu = m..0: O(m) array passes
-per degree, all polynomial in x, so the origin is exact.  Each element is
-rescaled by a certified upper bound of its sphere sup, which guarantees
-sup <= 1, and its normalized sup is certified above cos(1/64) > 0.9998.
+per degree, all polynomial in x, so the origin is exact.
 
-For a single element |Y| factors through a profile p(theta) times
-|cos(mu phi)| or |sin(mu phi)|, so the sphere sup equals the max of the
+Normalization: on the unit sphere rho = sin(theta), so |Y| factors into the
+profile p(theta) = sin^mu(theta) F^mu(cos theta, sin^2 theta) times
+|cos(mu phi)| or |sin(mu phi)|, and the sphere sup equals the max of the
 degree-m trigonometric polynomial p over a great circle.  On M > 2m
 equispaced angles the Bernstein-Szego secant bound (the disk module's
 secant_upper) gives grid_max <= sup <= grid_max / cos(pi m / M), so one
-profile grid certifies both sides without refinement.
+profile grid certifies both sides without refinement.  Each element is
+rescaled by that upper bound, which guarantees sup <= 1, and its normalized
+sup is certified above cos(1/64) > 0.9998.
 
 General combinations are bracketed on a Fibonacci lattice covering with
 covering radius delta = 2.5/sqrt(K) (not yet certified: sampled
@@ -42,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import SupBracket, _next_pow2, secant_upper
+from .disk import FLOAT_GUARD, SupBracket, _next_pow2, secant_upper
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, sample_vector
 
@@ -65,23 +69,23 @@ def element_index(m: int, l: int):
     return mu, kind
 
 
-def _legendre_profiles(mu: int, m_max: int, ct: np.ndarray, st: np.ndarray):
-    """Profiles q_m(theta) for m = mu..m_max at cos/sin theta samples.
+def _solid_harmonics(m: int, z: np.ndarray, rho2: np.ndarray):
+    """Yield (mu, F_m^mu) at the points (z, rho2) for mu = m, m-1, ..., 0.
 
-    q_m is the scaled associated Legendre function st^mu * P-tilde_m^mu(ct)
-    with the seed normalized to st^mu (the sup normalization later absorbs
-    all constant factors).  Yields (m, values) pairs.
+    The recurrence runs in place on three buffers, so the yielded array is
+    reused by the next step: use it before advancing the generator.
     """
-    prev = st ** mu if mu > 0 else np.ones_like(ct)
-    yield mu, prev
-    if m_max == mu:
-        return
-    cur = (2 * mu + 1) * ct * prev
-    yield mu + 1, cur
-    for m in range(mu + 2, m_max + 1):
-        nxt = ((2 * m - 1) * ct * cur - (m - 1 + mu) * prev) / (m - mu)
-        prev, cur = cur, nxt
-        yield m, cur
+    f, f_up, tmp = np.ones_like(z), np.zeros_like(z), np.empty_like(z)   # F^m, F^(m+1)
+    yield m, f
+    for mu in range(m - 1, -1, -1):      # in place: half the time of the plain expression
+        d = (m - mu) * (m + mu + 1)
+        np.multiply(z, f, out=tmp)
+        tmp *= 2 * (mu + 1) * (2 * mu + 1) / d
+        f_up *= rho2
+        f_up *= (2 * mu + 1) * (2 * mu + 3) / d
+        tmp -= f_up
+        f, f_up, tmp = tmp, f, f_up
+        yield mu, f
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,12 @@ class SphericalBasis:
 def build_basis(N: int) -> SphericalBasis:
     """Normalize all elements of degree <= N via great-circle profiles.
 
-    The profile of element (m, mu) is a degree-m trigonometric polynomial,
-    so on M > 2m angles the secant bound sup <= grid_max / cos(pi m / M)
-    certifies the scale, and the grid max itself is the lower bound: with
-    M >= PROFILE_OVERSAMPLE pi N every norm_lower is at least
-    cos(1 / PROFILE_OVERSAMPLE) up to roundoff guards.
+    The profile sin^mu(theta) F_m^mu(cos theta, sin^2 theta) of element
+    (m, mu) is a degree-m trigonometric polynomial, so on M > 2m angles the
+    secant bound sup <= grid_max / cos(pi m / M) certifies the scale, and the
+    grid max itself is the lower bound: with M >= PROFILE_OVERSAMPLE pi N
+    every norm_lower is at least cos(1 / PROFILE_OVERSAMPLE) up to roundoff
+    guards.
     """
     if N < 0:
         fail("DOMAIN", f"N must be >= 0, got {N}")
@@ -119,18 +124,18 @@ def build_basis(N: int) -> SphericalBasis:
     M = _next_pow2(PROFILE_OVERSAMPLE * max(N, 1) * math.pi)
     # |profiles| are even around theta = 0 and pi, so half the grid suffices
     theta = np.linspace(0.0, math.pi, M // 2 + 1)
-    ct, st = np.cos(theta), np.sin(theta)
-    scales, norm_lower = {}, {}
-    for mu in range(0, N + 1):
-        for m, q in _legendre_profiles(mu, N, ct, st):
-            gmax = float(np.abs(q).max())
-            if m == 0:               # the constant profile 1, exact
-                scales[(m, mu)], norm_lower[(m, mu)] = 1.0 / gmax, 1.0
-                continue
-            # 1e-12 guards absorb grid roundoff so sup <= 1 stays certified
-            upper = secant_upper(gmax, m, M) * (1.0 + 1e-12)
+    z, st = np.cos(theta), np.sin(theta)
+    rho2, sin_pow = st * st, st ** np.arange(N + 1)[:, None]   # row mu: sin^mu(theta)
+    profile = np.empty_like(z)
+    scales, norm_lower = {(0, 0): 1.0}, {(0, 0): 1.0}   # the constant profile 1, exact
+    for m in range(1, N + 1):
+        for mu, f in _solid_harmonics(m, z, rho2):
+            np.multiply(sin_pow[mu], f, out=profile)
+            gmax = float(np.abs(profile, out=profile).max())
+            # the guards absorb grid roundoff so sup <= 1 stays certified
+            upper = secant_upper(gmax, m, M) * (1.0 + FLOAT_GUARD)
             scales[(m, mu)] = 1.0 / upper
-            norm_lower[(m, mu)] = gmax / upper * (1.0 - 1e-12)
+            norm_lower[(m, mu)] = gmax / upper * (1.0 - FLOAT_GUARD)
     return SphericalBasis(max_degree=N, scales=scales, norm_lower=norm_lower,
                           profile_grid=M)
 
@@ -162,25 +167,13 @@ class SphereSeries:
             top = max(np.flatnonzero(w), default=-1)     # Horner starts here
             if top < 0:
                 continue
-            f, f_up = np.ones_like(z), np.zeros_like(z)     # F^mu, F^(mu+1) at mu = m
-            acc, tmp = np.zeros_like(s), np.empty_like(z)
-            for mu in range(m, -1, -1):
-                if mu < m:           # F^mu in place: half the time of the plain expression
-                    d = (m - mu) * (m + mu + 1)
-                    np.multiply(z, f, out=tmp)
-                    tmp *= 2 * (mu + 1) * (2 * mu + 1) / d
-                    f_up *= rho2
-                    f_up *= (2 * mu + 1) * (2 * mu + 3) / d
-                    tmp -= f_up
-                    f, f_up, tmp = tmp, f, f_up
+            acc = np.zeros_like(s)
+            for mu, f in _solid_harmonics(m, z, rho2):
                 if mu <= top:
                     acc *= s
                     acc += w[mu] * f
             out += acc.real
         return out
-
-    def evaluate_one(self, x) -> float:
-        return float(self.evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def evaluate_ball(series: SphereSeries, x) -> float:
@@ -190,7 +183,7 @@ def evaluate_ball(series: SphereSeries, x) -> float:
         fail("DOMAIN", f"point must be a 3-vector, got shape {x.shape}")
     if float(x @ x) > 1.0 + 1e-12:
         fail("DOMAIN", f"|x| must be <= 1, got {math.sqrt(float(x @ x))}")
-    return series.evaluate_one(x)
+    return float(series.evaluate(x[None, :])[0])
 
 
 # -- coverings ----------------------------------------------------------------
@@ -227,6 +220,14 @@ def default_covering(degree: int) -> Covering:
     return fibonacci_covering(K)
 
 
+def _covering_modulus(series: SphereSeries, covering: Optional[Covering]):
+    """(covering, |P| on its points, their max); None means default_covering(degree)."""
+    if covering is None:
+        covering = default_covering(series.degree)
+    vals = np.abs(series.evaluate(covering.points))
+    return covering, vals, float(vals.max())
+
+
 def sup_bracket_sphere(series: SphereSeries, covering: Optional[Covering] = None) -> SupBracket:
     """Certified sphere sup bracket via the covering and tangential Bernstein.
 
@@ -234,16 +235,13 @@ def sup_bracket_sphere(series: SphereSeries, covering: Optional[Covering] = None
     and |P(y*) - P(y)| <= delta n sup|P|, hence sup <= grid_max/(1 - n delta).
     """
     n = series.degree
-    if covering is None:
-        covering = default_covering(n)
+    covering, _, gmax = _covering_modulus(series, covering)
     nd = n * covering.radius
     if nd >= 1.0:
         fail("COVERING_TOO_COARSE",
              f"degree {n} needs covering radius < {1.0 / max(n, 1):g}, got {covering.radius:g}")
-    vals = np.abs(series.evaluate(covering.points))
-    gmax = float(vals.max())
-    guard = 1e-12  # grid values carry a few ulps of summation roundoff
-    return SupBracket(lower=gmax * (1.0 - guard), upper=gmax / (1.0 - nd) * (1.0 + guard),
+    return SupBracket(lower=gmax * (1.0 - FLOAT_GUARD),
+                      upper=gmax / (1.0 - nd) * (1.0 + FLOAT_GUARD),
                       grid_size=covering.size, degree=n)
 
 
@@ -274,16 +272,10 @@ def cap_fraction(series: SphereSeries, alpha: float,
     """
     if not (0.0 < alpha < 1.0):
         fail("DOMAIN", f"alpha must lie in (0, 1), got {alpha}")
-    n = series.degree
-    if covering is None:
-        covering = default_covering(n)
-    vals = np.abs(series.evaluate(covering.points))
-    gmax = float(vals.max())
-    if gmax == 0.0:
-        frac = 1.0
-    else:
-        frac = float(np.mean(vals >= alpha * gmax))
-    return CapReport(degree=n, alpha=float(alpha), fraction=frac, grid_K=covering.size)
+    covering, vals, gmax = _covering_modulus(series, covering)
+    frac = 1.0 if gmax == 0.0 else float(np.mean(vals >= alpha * gmax))
+    return CapReport(degree=series.degree, alpha=float(alpha), fraction=frac,
+                     grid_K=covering.size)
 
 
 def random_degree_combination(basis: SphericalBasis, m: int, model: RandomModel,

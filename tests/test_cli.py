@@ -151,6 +151,10 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
             "--radii", "0.5,0.9"]
     monkeypatch.setenv("GROWTHLAB_THREADS", "3")
     assert run_cli(capsys, *args, "--out", str(tmp_path / "env3"))[0] == 0
+    monkeypatch.setenv("GROWTHLAB_THREADS", "abc")
+    code, diag = _diagnostic(capsys, *args, "--out", str(tmp_path / "abc"))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert not (tmp_path / "abc").exists()
     monkeypatch.delenv("GROWTHLAB_THREADS")
     assert run_cli(capsys, *args, "--threads", "1", "--out", str(tmp_path / "t1"))[0] == 0
     for name in ("quantiles.csv", "candidates.csv"):
@@ -266,6 +270,8 @@ def test_scheme_span_budget_exit_2(tmp_path, capsys, monkeypatch):
     (["growth", "--oversample", "nan"], "DOMAIN"),
     (["analytic", "--oversample", "inf"], "DOMAIN"),
     (["growth", "--oversample", "3"], "DOMAIN"),
+    (["growth", "--threads", "0"], "CONFIG_INVALID"),
+    (["analytic", "--threads", "-1"], "CONFIG_INVALID"),
 ])
 def test_ensemble_config_checked_before_manifest(tmp_path, capsys, argv, code):
     out = tmp_path / "g"
@@ -275,12 +281,33 @@ def test_ensemble_config_checked_before_manifest(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("radii", [0.5, "0.5", "0", {"r": 0.5}])
+@pytest.mark.parametrize("radii", [0.5, "0.5", "0", {"r": 0.5}, []])
 def test_config_file_radii_checked_before_manifest(tmp_path, capsys, radii):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"scheme": {"name": "loglog", "k_max": 2},
                                 "model": {"kind": "rademacher"}, "seed": 5, "trials": 2,
                                 "radii": radii}))
+    out = tmp_path / "g"
+    code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert not out.exists()
+
+
+_EXP = {"scheme": {"name": "loglog", "k_max": 2}, "model": {"kind": "rademacher"},
+        "seed": 5, "trials": 2, "radii": [0.5]}
+
+
+@pytest.mark.parametrize("cfg", [
+    [_EXP],                                                      # not an object
+    {k: v for k, v in _EXP.items() if k != "scheme"},            # missing key
+    dict(_EXP, oversampel=1000),                                 # unknown key
+    dict(_EXP, seed="x"),
+    dict(_EXP, trials=2.5),
+    dict(_EXP, threads=0),
+])
+def test_malformed_config_file_rejected_before_manifest(tmp_path, capsys, cfg):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "g"
     code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
     assert (code, diag["error"]) == (2, "CONFIG_INVALID")

@@ -75,6 +75,12 @@ def test_ensemble_block_radii_rule():
     (dict(radii=["0.5"]), "CONFIG_INVALID"),
     (dict(radii=[True]), "CONFIG_INVALID"),
     (dict(radii=None), "CONFIG_INVALID"),
+    (dict(radii=[]), "CONFIG_INVALID"),
+    (dict(seed="x"), "CONFIG_INVALID"),
+    (dict(trials=2.5), "CONFIG_INVALID"),
+    (dict(threads=0), "CONFIG_INVALID"),
+    (dict(threads=-1), "CONFIG_INVALID"),
+    (dict(threads="abc"), "CONFIG_INVALID"),
 ])
 def test_config_checked_when_built(kw, code):
     with pytest.raises(GrowthLabError) as ei:

@@ -8,7 +8,7 @@ from growthlab import (GrowthLabError, SphereSeries, build_basis, cap_fraction,
                        default_covering, evaluate_ball, fibonacci_covering,
                        laplacian_stencil, make_model, random_degree_combination,
                        sup_bracket_sphere)
-from growthlab.sphere import COS, ZONAL, SphericalBasis, element_index
+from growthlab.sphere import COS, SIN, ZONAL, element_index
 
 
 @pytest.fixture(scope="module")
@@ -242,11 +242,22 @@ def test_origin_is_exact(basis):
 
 def test_degree_128_spot_check():
     # zonal and mu = 1, 2 run the downward recurrence over all 128 steps; the
-    # reference's own rounding rules out middle mu at this degree.  Unit scales
-    # skip the costly degree-128 normalization.
+    # reference's own rounding rules out middle mu at this degree.  Each spot
+    # element's max over a great circle twice as dense as the profile grid,
+    # through the azimuth where its trig factor is +-1, lies in [norm_lower, 1].
     m = 128
-    basis = SphericalBasis(max_degree=m, scales={(m, mu): 1.0 for mu in range(m + 1)},
-                           norm_lower={}, profile_grid=0)
+    basis = build_basis(m)
     pts = fibonacci_covering(3000).points
+    theta = np.linspace(0.0, 2.0 * math.pi, 2 * basis.profile_grid, endpoint=False)
     for l in (0, 1, 2, 3, 4, 251, 252, 253, 254, 255, 256):
-        assert_matches_reference(element(basis, m, l), m, l, 1.0, pts)
+        mu, kind = element_index(m, l)
+        phi = math.pi / (2 * mu) if kind == SIN else 0.0
+        circle = np.column_stack([np.sin(theta) * math.cos(phi),
+                                  np.sin(theta) * math.sin(phi), np.cos(theta)])
+        scale = basis.scale(m, l)
+        assert_matches_reference(element(basis, m, l), m, l, scale, pts)
+        assert_matches_reference(element(basis, m, l), m, l, scale, circle)
+        ref, rounding = reference_element(m, l, scale, circle)
+        top, tol = float(np.abs(ref).max()), float(rounding.max())
+        lower, upper = basis.normalized_sup_bounds(m, l)
+        assert lower - tol <= top <= upper + tol, (l, top, lower)

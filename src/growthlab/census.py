@@ -48,12 +48,6 @@ class LiminfReport:
     range_lo: int
     range_hi: int
 
-    def to_rows(self):
-        return [(r.j, r.value, r.running_min) for r in self.rows]
-
-
-LIMINF_CSV_HEADER = ["j", "value", "running_min"]
-
 
 def liminf_profile(scheme: CoefficientScheme, blocks: BlockSequence, weight: Weight,
                    bloch_w: Optional[Weight] = None) -> LiminfReport:
@@ -91,9 +85,6 @@ class CensusRow:
 @dataclass(frozen=True)
 class CensusReport:
     rows: tuple
-
-    def fractions(self) -> np.ndarray:
-        return np.array([r.fraction for r in self.rows])
 
     def to_rows(self):
         return [(r.n, r.count, r.fraction, r.threshold_at_n) for r in self.rows]

@@ -32,16 +32,15 @@ import sys
 import time
 
 from . import __version__
-from .census import (CENSUS_CSV_HEADER, LIMINF_CSV_HEADER, coefficient_census,
-                     liminf_profile)
-from .criteria import RATIO_KINDS, score_blockwise, score_sup_ratio
+from .census import CENSUS_CSV_HEADER, LiminfRow, coefficient_census, liminf_profile
+from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_sup_ratio
 from .disk import ANALYTIC, REAL_HARMONIC, check_oversample
 from .errors import GrowthLabError
-from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, SZ_CSV_HEADER,
-                    ExperimentConfig, config_from_json, riesz_probe,
-                    run_growth_ensemble, salem_zygmund_probe, scheme_from_provenance)
+from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzRow,
+                    config_from_json, riesz_probe, run_growth_ensemble,
+                    salem_zygmund_probe, scheme_from_provenance)
 from .randomness import SeedSpec, make_model
-from .reporting import config_hash, write_csv, write_json
+from .reporting import config_hash, write_csv, write_json, write_records
 from .schemes import (SCHEMES, NuSequence, blocks_from_provenance, blocks_provenance,
                       scheme_fields)
 from .sphere import (CAP_CSV_HEADER, build_basis, cap_fraction, default_covering,
@@ -216,8 +215,7 @@ def _check(args, run):
     run.start({"scheme": prov, "kind": args.kind, "weight": args.weight,
                "n_max": args.n_max}, args.seed)
     write_json(run.path("score.json"), rep.to_json())
-    write_csv(run.path("score.csv"), ["n", "ratio"], rep.checkpoint_rows(),
-              comments=run.notes)
+    write_records(run.path("score.csv"), Checkpoint, rep.checkpoints, comments=run.notes)
     print(f"score={rep.score:.6g} witness={rep.witness} trend={rep.trend_ratio:.4g}")
 
 
@@ -232,14 +230,16 @@ def _census(args, run):
     write_csv(run.path("census.csv"), CENSUS_CSV_HEADER, rep.to_rows(), comments=run.notes)
     if "blocks" in prov:
         lim = liminf_profile(scheme, blocks_from_provenance(prov["blocks"]), w)
-        write_csv(run.path("liminf.csv"), LIMINF_CSV_HEADER, lim.to_rows(),
-                  comments=run.notes)
+        write_records(run.path("liminf.csv"), LiminfRow, lim.rows, comments=run.notes)
     print(f"census fraction at n={rep.rows[-1].n}: {rep.rows[-1].fraction:.6g}")
 
 
 def _ensemble(flavor, args, run):
     if args.config:
         cfg = config_from_json(_load_config(args.config))
+        if cfg.flavor != flavor:
+            raise _CliError("CONFIG_INVALID", f"the config's flavor {cfg.flavor!r} is not "
+                            f"{flavor!r}, the flavor of {run.name}", pointer="/flavor")
     else:
         threads = args.threads
         if threads is None:
@@ -279,9 +279,7 @@ def _probe_sz(args, run):
                "n_list": args.n_list, "seed": args.seed}, args.seed)
     rep = salem_zygmund_probe(scheme, blocks, make_model(args.model), SeedSpec(args.seed),
                               args.trials, args.n_list)
-    write_csv(run.path("sz.csv"), SZ_CSV_HEADER,
-              [(r.n_index, r.n, r.big_r, r.t4_ratio, r.q05, r.q50, r.q95) for r in rep.rows],
-              comments=run.notes)
+    write_records(run.path("sz.csv"), SzRow, rep.rows, comments=run.notes)
     print("q05 per N: " + ", ".join(f"{r.n_index}:{r.q05:.4f}" for r in rep.rows))
 
 
@@ -325,10 +323,7 @@ def _bloch(args, run):
     rep = score_blockwise(scheme, blocks, w, m_weighted=True, bloch_w=bw)
     run.start({"scheme": prov, "weight": args.weight, "w_weight": args.w_weight}, args.seed)
     write_json(run.path("bloch_score.json"), rep.to_json())
-    write_csv(run.path("bloch_targets.csv"),
-              ["k", "n_k", "block_l2", "target", "rhs", "ratio"],
-              [(r.k, r.n_k, r.block_l2, r.target, r.rhs, r.ratio) for r in rep.rows],
-              comments=run.notes)
+    write_records(run.path("bloch_targets.csv"), BlockRow, rep.rows, comments=run.notes)
     print(f"bloch blockwise score={rep.score:.6g} witness=k{rep.witness}")
 
 

@@ -26,7 +26,7 @@ as its reciprocal growth weight; the Bloch forms weight S_k by m^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -79,10 +79,7 @@ class ScoreReport:
         return {"criterion": self.criterion, "score": self.score,
                 "witness": self.witness, "range": [self.range_lo, self.range_hi],
                 "trend_ratio": self.trend_ratio,
-                "checkpoints": [{"n": c.n, "ratio": c.ratio} for c in self.checkpoints]}
-
-    def checkpoint_rows(self):
-        return [(c.n, c.ratio) for c in self.checkpoints]
+                "checkpoints": [asdict(c) for c in self.checkpoints]}
 
 
 def _dyadic_checkpoints(n_hi: int):
@@ -149,9 +146,7 @@ class BlockScoreReport:
     def to_json(self) -> dict:
         return {"criterion": self.criterion, "score": self.score,
                 "witness": self.witness, "c1_hat": self.c1_hat,
-                "rows": [{"k": r.k, "n_k": r.n_k, "block_l2": r.block_l2,
-                          "target": r.target, "rhs": r.rhs, "ratio": r.ratio}
-                         for r in self.rows]}
+                "rows": [asdict(r) for r in self.rows]}
 
 
 def _block_sums(scheme: CoefficientScheme, blocks: BlockSequence, m_weighted: bool):
@@ -215,10 +210,6 @@ class OperatorNormRow:
     def ratio_lower(self):
         return self.lower / self.g
 
-    @property
-    def ratio_upper(self):
-        return self.upper / self.g
-
 
 @dataclass(frozen=True)
 class OperatorNormProfile:
@@ -227,10 +218,6 @@ class OperatorNormProfile:
 
     def ratio_lowers(self) -> np.ndarray:
         return np.array([r.ratio_lower for r in self.rows])
-
-    def to_rows(self):
-        return [(r.n, r.lower, r.upper, r.g, r.ratio_lower, r.ratio_upper)
-                for r in self.rows]
 
 
 def operator_norm_profile(series: RandomizedSeries, weight: Weight,

@@ -32,11 +32,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .disk import (REAL_HARMONIC, cesaro_mean, check_oversample, randomize, sup_bracket,
-                   unit_series)
+from .disk import (ANALYTIC, REAL_HARMONIC, cesaro_mean, check_oversample, randomize,
+                   sup_bracket, unit_series)
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, make_model, model_from_json
-from .reporting import canonical_json, config_hash
+from .reporting import canonical_json, config_hash, record_json
 from . import schemes
 from .schemes import CoefficientScheme, clamped_log, scheme_from_arrays
 
@@ -103,12 +103,11 @@ def _is_number(value, kind) -> bool:
 class ExperimentConfig:
     """Fully serializable ensemble description; identical config, identical bytes.
 
-    `threads` only sets how many trials run at once; it is left out of the
-    JSON form, the hash and equality because it cannot change an output byte.
-    Building one checks that seed, trials and threads are integers with
-    threads >= 1, oversample, and radii ("block", or a non-empty list or tuple
-    of finite numbers 0 <= r < 1), so a bad value fails before anything is
-    written.
+    The fields are the config file's keys.  `threads` only sets how many
+    trials run at once; being compare=False it is left out of the JSON form,
+    the hash and equality, since it cannot change an output byte.  Building
+    one is the only place that checks and converts the fields, so a bad
+    value fails before anything is written.
     """
 
     scheme: dict
@@ -124,28 +123,39 @@ class ExperimentConfig:
     threads: int = field(default=1, compare=False)
 
     def __post_init__(self):
+        def need(ok, name, what):
+            if not ok:
+                fail("CONFIG_INVALID", f"{name} must be {what}, got {getattr(self, name)!r}")
+
         for name in ("seed", "trials", "threads"):
-            if not _is_number(getattr(self, name), numbers.Integral):
-                fail("CONFIG_INVALID", f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.threads < 1:
-            fail("CONFIG_INVALID", f"threads must be >= 1, got {self.threads}")
+            need(_is_number(getattr(self, name), numbers.Integral), name, "an integer")
+        need(self.threads >= 1, "threads", ">= 1")
+        for name in ("oversample", "max_evals"):
+            need(_is_number(getattr(self, name), numbers.Real), name, "a number")
+            object.__setattr__(self, name, float(getattr(self, name)))
         check_oversample(self.oversample)
+        need(isinstance(self.refine, bool), "refine", "true or false")
+        need(isinstance(self.candidates, (list, tuple)) and self.candidates
+             and all(isinstance(c, str) for c in self.candidates),
+             "candidates", "a non-empty list of names")
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        for name in self.candidates:
+            resolve_candidate(name)
+        need(self.flavor in (REAL_HARMONIC, ANALYTIC), "flavor",
+             f"{REAL_HARMONIC!r} or {ANALYTIC!r}")
+        need(isinstance(self.scheme, dict), "scheme", "a JSON object")
+        if model_from_json(self.model).is_complex and self.flavor == REAL_HARMONIC:
+            fail("FLAVOR_MISMATCH", "complex steinhaus signs require the analytic flavor")
         if isinstance(self.radii, str) and self.radii == "block":
             return
-        if not (isinstance(self.radii, (list, tuple)) and self.radii
-                and all(_is_number(r, numbers.Real) for r in self.radii)):
-            fail("CONFIG_INVALID", f'radii must be "block" or a non-empty list of numbers, '
-                 f'got {self.radii!r}')
+        need(isinstance(self.radii, (list, tuple)) and self.radii
+             and all(_is_number(r, numbers.Real) for r in self.radii),
+             "radii", '"block" or a non-empty list of numbers')
         if not all(0.0 <= float(r) < 1.0 for r in self.radii):
             fail("RADIUS_OUT_OF_RANGE",
                  f"ensemble radii need a finite 0 <= r < 1, got {list(self.radii)}")
 
-    def to_json(self) -> dict:
-        return {"scheme": self.scheme, "model": self.model, "seed": self.seed,
-                "trials": self.trials, "radii": self.radii,
-                "oversample": self.oversample, "refine": self.refine,
-                "candidates": list(self.candidates), "flavor": self.flavor,
-                "max_evals": self.max_evals}
+    to_json = record_json             # every field but threads, tuples as lists
 
     @property
     def hash(self) -> str:
@@ -161,13 +171,7 @@ def config_from_json(d: dict) -> ExperimentConfig:
     unknown = sorted(set(d) - set(required))
     if missing or unknown:
         fail("CONFIG_INVALID", f"ensemble config keys: missing {missing}, unknown {unknown}")
-    return ExperimentConfig(
-        scheme=d["scheme"], model=d["model"], seed=d["seed"],
-        trials=d["trials"], radii=d.get("radii", "block"),
-        oversample=float(d.get("oversample", 16.0)), refine=bool(d.get("refine", False)),
-        candidates=tuple(d.get("candidates", ("sqrt_log", "sqrt_log_loglog"))),
-        flavor=d.get("flavor", REAL_HARMONIC), max_evals=float(d.get("max_evals", 1e11)),
-        threads=d.get("threads", 1))
+    return ExperimentConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -183,15 +187,9 @@ class EnsembleReport:
     upper_med: tuple
     upper_q90: tuple
     candidate_ratios: dict          # name -> tuple of median lower / candidate(n_of_r)
-    wall_time: float = 0.0          # excluded from canonical bytes
+    wall_time: float = field(default=0.0, compare=False)   # outside the canonical bytes
 
-    def canonical_payload(self) -> dict:
-        return {"config": self.config, "config_hash": self.config_hash,
-                "radii": list(self.radii), "n_of_r": list(self.n_of_r),
-                "lower_q10": list(self.lower_q10), "lower_med": list(self.lower_med),
-                "lower_q90": list(self.lower_q90), "upper_q10": list(self.upper_q10),
-                "upper_med": list(self.upper_med), "upper_q90": list(self.upper_q90),
-                "candidate_ratios": {k: list(v) for k, v in self.candidate_ratios.items()}}
+    canonical_payload = record_json   # every field but wall_time, tuples as lists
 
     def canonical_bytes(self) -> bytes:
         return canonical_json(self.canonical_payload()).encode("utf-8")
@@ -237,8 +235,8 @@ def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
     """Randomize, bracket and aggregate; deterministic given the config."""
     if config.trials < 1:
         fail("DOMAIN", f"need at least one trial, got {config.trials}")
-    radii = _resolve_radii(config)
     scheme = scheme_from_provenance(config.scheme)
+    radii = _resolve_radii(config)
     model = model_from_json(config.model)
     seed = SeedSpec(config.seed)
     cost = _estimate_evals(config, scheme, radii)
@@ -307,9 +305,6 @@ class SzReport:
             if r.n_index == n_index:
                 return r
         raise KeyError(n_index)
-
-
-SZ_CSV_HEADER = ["n_index", "n", "big_r", "t4_ratio", "q05", "q50", "q95"]
 
 
 def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,

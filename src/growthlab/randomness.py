@@ -21,6 +21,7 @@ with bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,11 @@ def make_model(kind: str, sigma: float = 1.0) -> RandomModel:
 
 
 def model_from_json(d: dict) -> RandomModel:
-    return make_model(d["kind"], d.get("sigma", 1.0))
+    sigma = d.get("sigma", 1.0) if isinstance(d, dict) else None
+    if not (isinstance(sigma, numbers.Real) and not isinstance(sigma, bool) and "kind" in d):
+        fail("CONFIG_INVALID", f"a random model is a JSON object with a kind and a numeric "
+             f"sigma, got {d!r}")
+    return make_model(d["kind"], sigma)
 
 
 @dataclass(frozen=True)

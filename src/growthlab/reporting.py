@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import astuple, fields
 from typing import Iterable, Sequence
 
 from .errors import fail
@@ -58,6 +59,22 @@ def format_csv(header: Sequence[str], rows: Iterable[Sequence], comments: Sequen
 
 def write_csv(path, header, rows, comments=()):
     write_text(path, format_csv(header, rows, comments))
+
+
+def write_records(path, record_type, rows, comments=()):
+    """CSV of dataclass rows: the field names are the header, one astuple per row."""
+    write_csv(path, [f.name for f in fields(record_type)], map(astuple, rows), comments)
+
+
+def record_json(record) -> dict:
+    """The compare=True fields of a dataclass, tuples as lists: its JSON form."""
+    return {f.name: _plain(getattr(record, f.name)) for f in fields(record) if f.compare}
+
+
+def _plain(v):
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    return [_plain(x) for x in v] if isinstance(v, (tuple, list)) else v
 
 
 def _cell(v) -> str:

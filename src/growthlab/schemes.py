@@ -366,6 +366,7 @@ SCHEMES = {
 }
 
 _DECODE = {"blocks": blocks_from_provenance, "nu": nu_from_json}
+_OPTIONAL = ("fill_both",)     # provenance fields whose constructor argument has a default
 
 
 def scheme_fields(name) -> tuple:
@@ -378,5 +379,8 @@ def scheme_fields(name) -> tuple:
 def scheme_from_provenance(prov: dict) -> CoefficientScheme:
     """Rebuild a scheme bit-exactly from its provenance dict."""
     fields = scheme_fields(prov.get("name"))
+    missing = [f for f in fields if f not in prov and f not in _OPTIONAL]
+    if missing:
+        fail("CONFIG_INVALID", f"scheme {prov['name']!r} provenance lacks {', '.join(missing)}")
     build = globals()[SCHEMES[prov["name"]][0]]
     return build(**{f: _DECODE.get(f, lambda v: v)(prov[f]) for f in fields if f in prov})

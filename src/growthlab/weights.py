@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GrowthLabError, fail
 
-N_BUDGET = 2**64 - 1  # unsigned 64-bit budget for block indices
+N_BUDGET = 2**53  # block indices stay integers that floats hold exactly
 
 POWER = "power"
 LOGPOWER = "logpower"
@@ -195,8 +195,7 @@ class BlockSequence:
 
 
 def block_sequence(weight: Weight, A: float, n0: int, k_max: int,
-                   require_doubling_growth: bool = False,
-                   n_budget: int = N_BUDGET) -> BlockSequence:
+                   require_doubling_growth: bool = False) -> BlockSequence:
     """Build the ratio-A block sequence exactly.
 
     Each step finds the minimal integer l with g(l) >= A g(n_k): gallop in
@@ -204,8 +203,9 @@ def block_sequence(weight: Weight, A: float, n0: int, k_max: int,
     bracket.  Both bounds of the exactness property hold by construction,
     g(n_{k+1}) >= A g(n_k) and g(n_{k+1} - 1) < A g(n_k).
 
-    Raises OVERFLOW when the next index would exceed the 64-bit budget
-    (log-power weights explode doubly exponentially) and RATIO_TOO_SMALL
+    Raises OVERFLOW when the next index would pass N_BUDGET = 2^53, beyond
+    which g, evaluated in floats, no longer sees every integer (log-power
+    weights explode doubly exponentially), and RATIO_TOO_SMALL
     when require_doubling_growth is set but some n_{k+1} < 2 n_k.
     """
     if not A > 1:
@@ -219,17 +219,17 @@ def block_sequence(weight: Weight, A: float, n0: int, k_max: int,
     for k in range(k_max):
         cur = n[-1]
         target = A * eval_g(weight, cur)
-        if eval_g(weight, float(n_budget)) < target:
+        if eval_g(weight, float(N_BUDGET)) < target:
             raise GrowthLabError(
                 "OVERFLOW",
-                f"no index within the 64-bit budget reaches g >= {target:g} (after k={k})")
+                f"no index up to 2^53 reaches g >= {target:g} (after k={k})")
         # gallop: find hi with g(hi) >= target
         lo, hi = cur, cur + 1
         step = 1
         while eval_g(weight, hi) < target:
             lo = hi
             step *= 2
-            hi = min(cur + step, n_budget)
+            hi = min(cur + step, N_BUDGET)
         # binary search for the minimal qualifying index in (lo, hi]
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -278,7 +278,10 @@ def parse_weight_spec(spec: str) -> Weight:
     if fam in (POWER, LOGPOWER):
         if len(parts) < 2:
             fail("CONFIG_INVALID", f"weight spec {spec!r} needs an exponent")
-        alpha = float(parts[1])
-        base = float(parts[2]) if len(parts) > 2 else math.e
+        try:
+            alpha = float(parts[1])
+            base = float(parts[2]) if len(parts) > 2 else math.e
+        except ValueError:
+            fail("CONFIG_INVALID", f"weight spec {spec!r} needs numbers after the family")
         return make_weight(fam, alpha, base)
     fail("CONFIG_INVALID", f"cannot parse weight spec {spec!r}")

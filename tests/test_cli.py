@@ -304,6 +304,16 @@ _EXP = {"scheme": {"name": "loglog", "k_max": 2}, "model": {"kind": "rademacher"
     dict(_EXP, seed="x"),
     dict(_EXP, trials=2.5),
     dict(_EXP, threads=0),
+    dict(_EXP, oversample="abc"),
+    dict(_EXP, oversample=None),
+    dict(_EXP, max_evals=None),
+    dict(_EXP, refine="false"),
+    dict(_EXP, candidates="sqrt_log"),
+    dict(_EXP, flavor="complex"),
+    dict(_EXP, scheme=5),
+    dict(_EXP, model="rademacher"),
+    dict(_EXP, model={}),
+    dict(_EXP, model={"kind": "gaussian", "sigma": "x"}),
 ])
 def test_malformed_config_file_rejected_before_manifest(tmp_path, capsys, cfg):
     path = tmp_path / "exp.json"
@@ -312,6 +322,65 @@ def test_malformed_config_file_rejected_before_manifest(tmp_path, capsys, cfg):
     code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
     assert (code, diag["error"]) == (2, "CONFIG_INVALID")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, cfg", [
+    ("growth", dict(_EXP, model={"kind": "steinhaus"}, flavor="analytic")),
+    ("analytic", _EXP),                                          # flavor defaults to real
+    ("analytic", dict(_EXP, flavor="real_harmonic")),
+])
+def test_config_flavor_must_match_subcommand(tmp_path, capsys, sub, cfg):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "g"
+    code, diag = _diagnostic(capsys, sub, "--config", str(path), "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert "flavor" in diag["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", [{"name": "loglog"}, {"name": "uniform"}])
+def test_config_scheme_missing_field(tmp_path, capsys, scheme):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(dict(_EXP, scheme=scheme)))
+    out = tmp_path / "g"
+    code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert "lacks" in diag["detail"]
+    man = json.loads((out / "manifest.json").read_text())
+    assert (man["status"], man["error"]) == ("failed", "CONFIG_INVALID")
+
+
+_SAT = ["--scheme", "saturating", "--weight", "power:1", "--nu", "sqrt"]
+
+# subcommand run -> {csv file: header}; renaming a row field must show up here
+_CSV_HEADERS = [
+    (["weights", "--k-max", "4"], {"blocks.csv": "k,n_k,g_nk"}),
+    (["scheme", *_SAT, "--k-max", "4"], {"scheme.csv": "j,a_j0,a_j1"}),
+    (["check", *_SAT, "--k-max", "4"], {"score.csv": "n,ratio"}),
+    (["census", "--scheme", "rudin_shapiro", "--weight", "power:1", "--k-max", "4"],
+     {"census.csv": "n,N_n,fraction,threshold_at_n", "liminf.csv": "j,value,running_min"}),
+    (["growth", "--scheme", "loglog", "--k-max", "2", "--trials", "2"],
+     {"quantiles.csv": "r,n_of_r,lower_q10,lower_med,lower_q90,upper_q10,upper_med,upper_q90",
+      "candidates.csv": "candidate,r,ratio"}),
+    (["probe-sz", *_SAT, "--k-max", "4", "--trials", "4", "--n-list", "4"],
+     {"sz.csv": "n_index,n,big_r,t4_ratio,q05,q50,q95"}),
+    (["probe-riesz", "--n-terms", "2"], {"riesz.csv": "n_terms,offset,pattern,ratio"}),
+    (["cap", "--degrees", "2", "--combos", "1"],
+     {"cap.csv": "degree,alpha,fraction,grid_K,c_implied"}),
+    (["bloch", "--scheme", "hadamard", "--weight", "power:1", "--k-max", "4"],
+     {"bloch_targets.csv": "k,n_k,block_l2,target,rhs,ratio"}),
+]
+
+
+def test_csv_headers_pinned(tmp_path, capsys):
+    for argv, headers in _CSV_HEADERS:
+        out = tmp_path / argv[0]
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0, argv
+        for name, header in headers.items():
+            lines = (out / name).read_text().splitlines()
+            assert next(l for l in lines if not l.startswith("#")) == header, name
 
 
 @pytest.mark.parametrize("oversample", ["nan", "inf", "2"])

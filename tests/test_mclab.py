@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ def test_ensemble_block_radii_rule():
     (dict(threads=0), "CONFIG_INVALID"),
     (dict(threads=-1), "CONFIG_INVALID"),
     (dict(threads="abc"), "CONFIG_INVALID"),
+    (dict(oversample="abc"), "CONFIG_INVALID"),
+    (dict(oversample=None), "CONFIG_INVALID"),
+    (dict(oversample=True), "CONFIG_INVALID"),
+    (dict(max_evals=None), "CONFIG_INVALID"),
+    (dict(max_evals="1e9"), "CONFIG_INVALID"),
+    (dict(refine="false"), "CONFIG_INVALID"),
+    (dict(candidates="sqrt_log"), "CONFIG_INVALID"),
+    (dict(candidates=[]), "CONFIG_INVALID"),
+    (dict(candidates=["nope"]), "CONFIG_INVALID"),
+    (dict(candidates=[5]), "CONFIG_INVALID"),
+    (dict(candidates=["power:x"]), "CONFIG_INVALID"),
+    (dict(flavor="complex"), "CONFIG_INVALID"),
+    (dict(scheme=5), "CONFIG_INVALID"),
+    (dict(model="rademacher"), "CONFIG_INVALID"),
+    (dict(model=5), "CONFIG_INVALID"),
+    (dict(model={}), "CONFIG_INVALID"),
+    (dict(model={"kind": "gaussian", "sigma": "x"}), "CONFIG_INVALID"),
+    (dict(model={"kind": "steinhaus"}), "FLAVOR_MISMATCH"),
 ])
 def test_config_checked_when_built(kw, code):
     with pytest.raises(GrowthLabError) as ei:
@@ -96,6 +115,27 @@ def test_config_json_round_trip():
     cfg2 = config_from_json(json.loads(json.dumps(cfg.to_json())))
     assert cfg2 == cfg
     assert cfg2.hash == cfg.hash
+
+
+def test_config_stores_numbers_as_floats():
+    cfg = config_from_json(dict(small_config().to_json(), oversample=16, max_evals=10**11,
+                                candidates=["sqrt_log", "sqrt_log_loglog"]))
+    assert (cfg.oversample, cfg.max_evals) == (16.0, 1e11)
+    assert isinstance(cfg.oversample, float) and isinstance(cfg.max_evals, float)
+    assert cfg.candidates == ("sqrt_log", "sqrt_log_loglog")
+    assert cfg.hash == small_config().hash
+
+
+def test_config_json_holds_compared_fields():
+    cfg = small_config(threads=3)
+    assert set(cfg.to_json()) == {f.name for f in fields(cfg)} - {"threads"}
+    rep = EnsembleReport(config=cfg.to_json(), config_hash=cfg.hash, radii=(0.5,),
+                         n_of_r=(2.0,), lower_q10=(1.0,), lower_med=(1.0,), lower_q90=(1.0,),
+                         upper_q10=(2.0,), upper_med=(2.0,), upper_q90=(2.0,),
+                         candidate_ratios={"sqrt_log": (1.0,)}, wall_time=3.0)
+    payload = rep.canonical_payload()
+    assert "wall_time" not in payload and payload["candidate_ratios"] == {"sqrt_log": [1.0]}
+    assert rep == EnsembleReport(**dict(vars(rep), wall_time=4.0))
 
 
 def test_analytic_flavor_ensemble():

@@ -238,6 +238,24 @@ def test_provenance_regenerates_bit_exactly(build):
     assert s2.provenance == s.provenance
 
 
+@pytest.mark.parametrize("prov, missing", [
+    ({"name": "loglog"}, "k_max"),
+    ({"name": "uniform"}, "blocks, rule"),
+    ({"name": "saturating", "blocks": {}}, "nu"),
+])
+def test_provenance_missing_fields(prov, missing):
+    with pytest.raises(GrowthLabError) as ei:
+        scheme_from_provenance(prov)
+    assert ei.value.code == "CONFIG_INVALID"
+    assert str(ei.value).endswith(missing)
+
+
+def test_provenance_fill_both_optional():
+    s = uniform_block_scheme(blocks_pow2(4), G_OVER_N)
+    prov = {k: v for k, v in s.provenance.items() if k != "fill_both"}
+    assert np.array_equal(scheme_from_provenance(prov).cos_coeffs, s.cos_coeffs)
+
+
 def test_csv_round_trip_lossless():
     s = saturating_scheme(blocks_pow2(5), NuSequence("sqrt"))
     s2 = scheme_from_csv(s.to_csv())

@@ -131,6 +131,15 @@ def test_block_sequence_overflow():
     assert ei.value.code == "OVERFLOW"
 
 
+def test_block_sequence_exact_up_to_2_53():
+    # 3^33 < 2^53 < 3^34: floats hold every index up to 3^33 exactly
+    w = make_weight("power", 1.0)
+    assert block_sequence(w, 3.0, 1, 33).n == tuple(3**k for k in range(34))
+    with pytest.raises(GrowthLabError) as ei:
+        block_sequence(w, 3.0, 1, 34)
+    assert ei.value.code == "OVERFLOW"
+
+
 @given(alpha=st.floats(0.5, 3.0), a=st.floats(1.2, 4.0),
        n0=st.integers(1, 5), k_max=st.integers(1, 10))
 def test_block_sequence_exact_minimality(alpha, a, n0, k_max):
@@ -186,8 +195,10 @@ def test_weight_json_round_trip():
 def test_parse_weight_spec():
     w = parse_weight_spec("logpower:1:2")
     assert eval_g(w, 65536.0) == pytest.approx(16.0)
-    with pytest.raises(GrowthLabError):
-        parse_weight_spec("nope:1")
+    for spec in ("nope:1", "power:x", "logpower:1:e"):
+        with pytest.raises(GrowthLabError) as ei:
+            parse_weight_spec(spec)
+        assert ei.value.code == "CONFIG_INVALID"
 
 
 def test_blocks_csv():

@@ -13,6 +13,9 @@ from its half spectrum), one direct-summation helper at any angles.  The FFT
 helper never transforms the zero padding of a fine grid: it splits the M
 angles into P = M / L interleaved rows, L the smallest M / 2^a above 2n (or
 M itself), and runs one L-point transform per row on twisted coefficients.
+That layout is a CirclePlan, which brackets at one radius share through a
+PlanSlot.  For real coefficients, rows P - p mirror rows p, so brackets
+transform rows 0..P/2 only, in blocks of about BLOCK_BYTES of spectrum.
 
 Sup brackets bound sup|u| for the real flavor and sup|f| for the analytic
 flavor.  A real trigonometric polynomial T of degree n satisfies
@@ -131,22 +134,22 @@ def evaluate_at(series: RandomizedSeries, r: float, theta):
     return vals[0] if np.ndim(theta) == 0 else vals
 
 
-def _twists(m: np.ndarray, P: int, M: int) -> np.ndarray:
-    """e^{2 pi i m p / M} for rows p < P, from the exact integer phase m p.
+@dataclass(frozen=True, eq=False)
+class CirclePlan:
+    """Everything of a circle evaluation but the coefficients (see circle_plan)."""
 
-    Callers keep m p below M / 2, so the phase is exact in int64 and in floats,
-    and each entry carries the roundoff of one cos or sin however large P is.
-    """
-    phase = np.outer(np.arange(P), m) * (2.0 * math.pi / M)
-    tw = np.empty(phase.shape, dtype=complex)
-    tw.real = np.cos(phase)
-    tw.imag = np.sin(phase)
-    return tw
+    key: tuple              # (number of coefficients, M, real flavor, half)
+    real: bool
+    L: int                  # P = M / L rows of L angles
+    m: np.ndarray           # bin of each coefficient
+    fold: np.ndarray        # coefficients conjugated into bin L - m, or None
+    scale: np.ndarray       # L, times the half-spectrum weight for the real flavor
+    twists: np.ndarray      # e^{2 pi i m p / M}, one row per evaluated row p
 
 
-def _circle_values(support: np.ndarray, coeffs: np.ndarray, M: int, real: bool) -> np.ndarray:
-    """Re sum_j c_j e^{ijt} (real) or sum_j c_j e^{ijt} at the M angles t = 2 pi k / M,
-    as a (P, L) array whose entry [p, q] is the value at k = qP + p.
+def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> CirclePlan:
+    """The layout of Re sum_j c_j e^{ijt} (real) or sum_j c_j e^{ijt} on the M angles
+    t = 2 pi k / M as a (P, L) array whose entry [p, q] is the value at k = qP + p.
 
     L is the smallest M / 2^a with L > 2n (n the largest j) and L >= 8, else M
     (M odd, M <= 4n or M < 16); P = M / L.  As e^{ijt} = e^{2 pi i j p / M}
@@ -158,7 +161,9 @@ def _circle_values(support: np.ndarray, coeffs: np.ndarray, M: int, real: bool) 
     their real parts count) and the others 1/2; these weights and the scale L go
     on the coefficients.  With P > 1, L > 2n gives every frequency j <= n its own
     bin below L/2: nothing aliases or folds and the Nyquist bin stays empty, so
-    the twist, a function of j and not of j mod L, is one factor per bin.
+    the twist, a function of j and not of j mod L, is one factor per bin.  Half
+    evaluates rows 0..P/2, enough for real coefficients: S(-t) = conj S(t), and
+    -k = (L-1-q)P + (P-p) makes row P - p row p reversed, with the same |values|.
     """
     n = int(support.max(initial=0))
     L = M
@@ -166,20 +171,32 @@ def _circle_values(support: np.ndarray, coeffs: np.ndarray, M: int, real: bool) 
         L //= 2
     P = M // L
     m = support % L
-    c = coeffs * L
+    fold, scale = m > L // 2, L
     if real:
-        fold = m > L // 2
-        c = np.where(fold, np.conj(c), c) * np.where((m == 0) | (2 * m == L), 1.0, 0.5)
+        scale = np.where((m == 0) | (2 * m == L), 1.0, 0.5) * L
         m = np.where(fold, L - m, m)
-    spec = np.zeros((1, L // 2 + 1 if real else L), dtype=complex)
-    np.add.at(spec[0], m, c)
-    if P > 1:
-        tw = _twists(m, P, M)
-        tw *= spec[0, m]
-        spec = np.zeros((P, spec.shape[1]), dtype=complex)
-        spec[:, m] = tw      # repeated j write equal values
-        del tw               # not held through the transform
-    return np.fft.irfft(spec, n=L) if real else np.fft.ifft(spec)
+    # m p < M / 2 is an exact integer, so each twist has one cos or sin roundoff for any P
+    phase = np.outer(np.arange(P // 2 + 1 if half else P), m) * (2.0 * math.pi / M)
+    twists = np.empty(phase.shape, dtype=complex)
+    twists.real, twists.imag = np.cos(phase), np.sin(phase)
+    return CirclePlan((len(m), M, real, half), real, L, m,
+                      fold if real and fold.any() else None, scale, twists)
+
+
+def _circle_values(plan: CirclePlan, coeffs: np.ndarray, blocks):
+    """Yield, per row selection in blocks (slice or index array of evaluated rows),
+    the values of those rows: entry [i, q] is the value at k = qP + (row i)."""
+    c = coeffs * plan.scale
+    if plan.fold is not None:
+        c = np.where(plan.fold, np.conj(c), c)
+    spec = np.zeros((1, plan.L // 2 + 1 if plan.real else plan.L), dtype=complex)
+    np.add.at(spec[0], plan.m, c)
+    base = spec[0, plan.m]             # a bin's sum, once per coefficient landing there
+    for rows in blocks:
+        twists = plan.twists[rows]
+        block = np.zeros((len(twists), spec.shape[1]), dtype=complex)
+        block[:, plan.m] = twists * base   # repeated bins write equal values
+        yield np.fft.irfft(block, n=plan.L) if plan.real else np.fft.ifft(block)
 
 
 def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
@@ -188,8 +205,8 @@ def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
     _check_radius(r)
     if M < 1:
         fail("DOMAIN", f"M must be >= 1, got {M}")
-    return _circle_values(series.scheme.support, _coeffs_at(series, r), M,
-                          series.flavor == REAL_HARMONIC).T.ravel()
+    plan = circle_plan(series.scheme.support, M, series.flavor == REAL_HARMONIC)
+    return next(_circle_values(plan, _coeffs_at(series, r), [slice(None)])).T.ravel()
 
 
 @dataclass(frozen=True)
@@ -239,6 +256,7 @@ def _golden_max(support: np.ndarray, coeffs: np.ndarray, real: bool,
 FLOAT_GUARD = 1e-12  # absorbs FFT/summation roundoff of a few ulps
 TAIL_RTOL = 1e-12    # relative l1 mass a bracket may drop from its coefficient tail
 MAX_GRID = 2**24     # circle grid limit, 4x the largest in use (2^22 at degree 65536)
+BLOCK_BYTES = 2**21  # spectrum a bracket hands one transform call
 
 
 def secant_upper(gmax: float, n: int, M: int) -> float:
@@ -249,14 +267,15 @@ def secant_upper(gmax: float, n: int, M: int) -> float:
 
 
 def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float, real: bool,
-                     refine: bool) -> SupBracket:
+                     refine: bool, slot: "PlanSlot") -> SupBracket:
     """Certified bracket of sup_t |Re sum_j coeffs_j e^{ijt}| (real) or
     sup_t |sum_j coeffs_j e^{ijt}|.
 
     Truncates the coefficient tail once its exact l1 mass drops below
     TAIL_RTOL of the total; the discarded mass widens both bracket sides,
-    as does a relative FLOAT_GUARD covering grid-value roundoff.  Refinement
-    runs on the untruncated coefficients.
+    as does a relative FLOAT_GUARD covering grid-value roundoff.  The slot's
+    plan is reused when its key fits, else replaced.  Refinement runs on the
+    untruncated coefficients.
     """
     check_oversample(oversample)
     mags = np.abs(coeffs)
@@ -272,29 +291,41 @@ def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float,
     if M > MAX_GRID:
         fail("BUDGET_EXCEEDED", f"oversample {oversample:g} at degree {n_eff} needs a "
              f"circle grid above MAX_GRID = {MAX_GRID} points")
-    vals = _circle_values(support[:keep], coeffs[:keep], M, real)
-    if real:
-        row_max = np.maximum(vals.max(axis=1), -vals.min(axis=1))
-    else:
-        vals = np.abs(vals)
-        row_max = vals.max(axis=1)
+    kept = coeffs[:keep]
+    key = (keep, M, real, not kept.imag.any())
+    plan = slot.plan             # read once: threads sharing the slot may swap it
+    if plan is None or plan.key != key:
+        plan = slot.plan = circle_plan(support[:keep], *key[1:])
+    step = max(1, BLOCK_BYTES // (16 * (plan.L // 2 + 1 if real else plan.L)))
+    blocks = [slice(i, i + step) for i in range(0, len(plan.twists), step)]
+    row_max = np.concatenate([np.maximum(v.max(1), -v.min(1)) if real else np.abs(v).max(1)
+                              for v in _circle_values(plan, kept, blocks)])
     gmax = float(row_max.max())
     lower = max(gmax - tail, 0.0)
     if refine:
         # the three largest grid values lie in the three rows of largest max
         h = 2.0 * math.pi / M
         rows = np.argsort(row_max)[-3:]
-        for f in np.argpartition(np.abs(vals[rows]), -3, axis=None)[-3:]:
+        vals = np.abs(next(_circle_values(plan, kept, [rows])))
+        for f in np.argpartition(vals, -3, axis=None)[-3:]:
             i, q = divmod(int(f), vals.shape[1])
-            th = 2.0 * math.pi * (q * len(row_max) + int(rows[i])) / M
+            th = 2.0 * math.pi * (q * (M // plan.L) + int(rows[i])) / M
             lower = max(lower, _golden_max(support, coeffs, real, th - h, th + h))
     lower *= 1.0 - FLOAT_GUARD
     upper = (secant_upper(gmax, n_eff, M) + tail) * (1.0 + FLOAT_GUARD)
     return SupBracket(lower=lower, upper=upper, grid_size=M, degree=n_eff)
 
 
+class PlanSlot:
+    """r^j on one support at radius r, and the plan of the last bracket sharing it."""
+
+    def __init__(self, support: np.ndarray, r: float):
+        self.radial = np.power(float(r), support.astype(float))
+        self.plan = None
+
+
 def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
-                refine: bool = True) -> SupBracket:
+                refine: bool = True, *, slot: PlanSlot = None) -> SupBracket:
     """Certified bracket of sup|u| (real flavor) or sup|f| (analytic flavor)
     over the circle of radius r.
 
@@ -304,11 +335,12 @@ def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
     cos(1/oversample) up to the TAIL_RTOL and roundoff guards.  With refine
     on, golden-section sweeps around the top three grid angles sharpen the
     lower bound by direct summation of the same coefficients c_j r^j,
-    untruncated.
+    untruncated.  Brackets at one r of series on one support may share a slot.
     """
     _check_radius(r)
-    return _bracket_modulus(series.scheme.support, _coeffs_at(series, r), oversample,
-                            series.flavor == REAL_HARMONIC, refine)
+    slot = PlanSlot(series.scheme.support, r) if slot is None else slot
+    return _bracket_modulus(series.scheme.support, series.signed_complex_coeffs() * slot.radial,
+                            oversample, series.flavor == REAL_HARMONIC, refine, slot)
 
 
 def _truncate(series: RandomizedSeries, n: int, name: str, cesaro: bool) -> RandomizedSeries:
@@ -363,6 +395,6 @@ def gradient_sup_bracket(series: RandomizedSeries, r: float, oversample: float =
     _check_radius(r)
     j = series.scheme.support
     pos = j >= 1
-    jf = j[pos].astype(float)
-    cd = series.signed_complex_coeffs()[pos] * jf * np.power(float(r), jf - 1.0)
-    return _bracket_modulus(j[pos] - 1, cd, oversample, False, refine)
+    slot = PlanSlot(j[pos] - 1, r)
+    cd = series.signed_complex_coeffs()[pos] * j[pos].astype(float) * slot.radial
+    return _bracket_modulus(j[pos] - 1, cd, oversample, False, refine, slot)

@@ -32,9 +32,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .disk import (ANALYTIC, REAL_HARMONIC, cesaro_mean, check_oversample, randomize,
-                   sup_bracket, unit_series)
-from .errors import fail
+from .disk import (ANALYTIC, REAL_HARMONIC, PlanSlot, cesaro_mean, check_oversample,
+                   randomize, sup_bracket, unit_series)
+from .errors import GrowthLabError, fail
 from .randomness import RandomModel, SeedSpec, make_model, model_from_json
 from .reporting import canonical_json, config_hash, record_json
 from . import schemes
@@ -73,11 +73,18 @@ def resolve_candidate(name: str) -> Callable:
 # -- scheme regeneration from provenance ---------------------------------------
 
 def scheme_from_provenance(prov: dict) -> CoefficientScheme:
-    """Rebuild a scheme bit-exactly from its provenance dict, random ones included."""
-    if prov.get("name") == "random":
-        return random_scheme(SeedSpec(prov["seed"]), prov["trial"], prov["degree"],
-                             prov.get("density", 1.0), prov.get("both", True))
-    return schemes.scheme_from_provenance(prov)
+    """Rebuild a scheme bit-exactly from its provenance dict, random ones included;
+    a field of the wrong type or shape is CONFIG_INVALID."""
+    try:
+        if prov.get("name") == "random":
+            return random_scheme(SeedSpec(prov["seed"]), prov["trial"], prov["degree"],
+                                 prov.get("density", 1.0), prov.get("both", True))
+        return schemes.scheme_from_provenance(prov)
+    except GrowthLabError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        fail("CONFIG_INVALID", f"scheme {prov.get('name')!r} provenance is malformed "
+             f"({type(e).__name__}: {e})")
 
 
 def random_scheme(seed_spec: SeedSpec, trial: int, degree: int,
@@ -144,6 +151,7 @@ class ExperimentConfig:
         need(self.flavor in (REAL_HARMONIC, ANALYTIC), "flavor",
              f"{REAL_HARMONIC!r} or {ANALYTIC!r}")
         need(isinstance(self.scheme, dict), "scheme", "a JSON object")
+        scheme_from_provenance(self.scheme)
         if model_from_json(self.model).is_complex and self.flavor == REAL_HARMONIC:
             fail("FLAVOR_MISMATCH", "complex steinhaus signs require the analytic flavor")
         if isinstance(self.radii, str) and self.radii == "block":
@@ -244,15 +252,13 @@ def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
         fail("BUDGET_EXCEEDED",
              f"estimated {cost:.3g} evaluations exceed the budget {config.max_evals:.3g}")
     t0 = time.monotonic()
+    slots = [PlanSlot(scheme.support, r) for r in radii]   # trials share r^j and plans
 
     def one_trial(t: int):
         series = randomize(scheme, model, seed, t, flavor=config.flavor)
-        lowers, uppers = [], []
-        for r in radii:
-            b = sup_bracket(series, r, oversample=config.oversample, refine=config.refine)
-            lowers.append(b.lower)
-            uppers.append(b.upper)
-        return lowers, uppers
+        bs = [sup_bracket(series, r, oversample=config.oversample, refine=config.refine,
+                          slot=slot) for r, slot in zip(radii, slots)]
+        return [b.lower for b in bs], [b.upper for b in bs]
 
     # results come back in trial order either way; with one thread the trials
     # run on the calling thread, since a worker thread allocates from a malloc
@@ -341,9 +347,11 @@ def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
                                   {"name": "sz_block", "N": int(N)})
         denom = math.sqrt(big_r * float(clamped_log(hi)))
         maxima = np.empty(trials)
+        slot = PlanSlot(hsch.support, 1.0)
         for t in range(trials):
             series = randomize(hsch, model, seed_spec, t, lane=int(N))
-            maxima[t] = sup_bracket(series, 1.0, oversample=oversample, refine=False).lower
+            maxima[t] = sup_bracket(series, 1.0, oversample=oversample, refine=False,
+                                    slot=slot).lower
         normed = maxima / denom
         q05, q50, q95 = (float(np.quantile(normed, q)) for q in (0.05, 0.50, 0.95))
         rows.append(SzRow(n_index=int(N), n=int(hi), big_r=big_r, t4_ratio=t4_ratio,

@@ -347,8 +347,23 @@ def test_config_scheme_missing_field(tmp_path, capsys, scheme):
     code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
     assert (code, diag["error"]) == (2, "CONFIG_INVALID")
     assert "lacks" in diag["detail"]
-    man = json.loads((out / "manifest.json").read_text())
-    assert (man["status"], man["error"]) == ("failed", "CONFIG_INVALID")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", [
+    {"name": "loglog", "k_max": "x"},
+    {"name": "loglog", "k_max": 2.5},
+    {"name": "random"},
+    {"name": "saturating", "blocks": {}, "nu": "sqrt"},
+])
+def test_config_scheme_malformed_rejected_before_manifest(tmp_path, capsys, scheme):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(dict(_EXP, scheme=scheme)))
+    out = tmp_path / "g"
+    code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert "malformed" in diag["detail"]
+    assert not out.exists()
 
 
 _SAT = ["--scheme", "saturating", "--weight", "power:1", "--nu", "sqrt"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -128,10 +129,76 @@ def test_circle_grid_matches_direct_summation(degree, M, rows):
     for series in (real_series, RandomizedSeries(ones, c, ANALYTIC)):
         real = series.flavor == REAL_HARMONIC
         assert np.allclose(series.signed_complex_coeffs(), c)
-        assert disk._circle_values(j, c, M, real).shape == (rows, M // rows)
+        assert next(disk._circle_values(disk.circle_plan(j, M, real), c, [slice(None)])).shape \
+            == (rows, M // rows)
         circ = evaluate_circle(series, 1.0, M)
         direct = disk._point_values(j, c, th, real)
         assert np.max(np.abs(circ - direct)) <= 1e-13 * np.abs(c).sum(), (M, real)
+
+
+def _grid_max(plan, c):
+    vals = np.concatenate(list(disk._circle_values(plan, c, [slice(i, i + 1)
+                                                              for i in range(len(plan.twists))])))
+    return float(np.abs(vals).max())
+
+
+@pytest.mark.parametrize("degree, M, P", [
+    (50, 192, 1),        # one row: nothing to mirror
+    (50, 256, 2),        # rows 0 and 1 are both kept
+    (50, 2048, 16),      # rows 0..8 of 16
+    (10, 2**18, 8192),   # rows 0..4096 of 8192
+])
+def test_half_rows_hold_the_grid_max(degree, M, P):
+    # real coefficients: S(-t) = conj S(t), so rows 0..P/2 reach the max of all P rows
+    rng = np.random.default_rng(degree + M)
+    j = np.arange(degree + 1)
+    c = rng.normal(size=degree + 1).astype(complex)
+    for real in (True, False):
+        half, full = disk.circle_plan(j, M, real, half=True), disk.circle_plan(j, M, real)
+        assert (M // half.L, len(half.twists), len(full.twists)) == (P, P // 2 + 1, P)
+        assert _grid_max(half, c) == pytest.approx(_grid_max(full, c), rel=1e-15, abs=0)
+
+
+def _full_grid_lower(vals):
+    return float(np.abs(vals).max()) * (1.0 - disk.FLOAT_GUARD)
+
+
+@pytest.mark.parametrize("oversample, P", [(4.0, 4), (64.0, 64)])
+def test_half_row_brackets_match_the_full_grid(oversample, P, monkeypatch):
+    # cosine-only scheme, real signs: every c_j is real and brackets take half the rows;
+    # one-row transform blocks, so a block lost at either end shows in some trial
+    monkeypatch.setattr(disk, "BLOCK_BYTES", 1)
+    rng = np.random.default_rng(int(oversample))
+    n, r = 40, 0.97
+    sch = scheme_from_arrays(np.arange(1, n + 1), rng.normal(size=n), np.zeros(n), n,
+                             {"name": "t"})
+    for flavor, trial in itertools.product((REAL_HARMONIC, ANALYTIC), range(6)):
+        ser = randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
+        slot = disk.PlanSlot(sch.support, r)
+        b = sup_bracket(ser, r, oversample=oversample, refine=False, slot=slot)
+        assert (b.grid_size // slot.plan.L, len(slot.plan.twists)) == (P, P // 2 + 1)
+        assert b.lower == pytest.approx(_full_grid_lower(evaluate_circle(ser, r, b.grid_size)),
+                                        rel=1e-15, abs=0)
+        assert b == sup_bracket(ser, r, oversample=oversample, refine=False)
+    # |grad u| = |f'|, f' = sum j c_j z^(j-1): the analytic series of j c_j r^(j-1)
+    ser = randomize(sch, make_model("rademacher"), SEED, 1)
+    b = gradient_sup_bracket(ser, r, oversample=oversample, refine=False)
+    c = ser.signed_complex_coeffs() * np.arange(1, n + 1)
+    deriv = RandomizedSeries(scheme_from_arrays(np.arange(n), np.ones(n), np.zeros(n), n - 1,
+                                                {"name": "d"}), c, ANALYTIC)
+    assert b.lower == pytest.approx(_full_grid_lower(evaluate_circle(deriv, r, b.grid_size)),
+                                    rel=1e-15, abs=0)
+
+
+def test_imaginary_coefficients_use_every_row():
+    # sine-only: c_j = -i a_j1 xi_j1 is imaginary, so the realness test fails and no row is dropped
+    sch = scheme_from_arrays(np.arange(1, 41), np.zeros(40), np.linspace(1.0, 2.0, 40), 40,
+                             {"name": "t"})
+    ser = randomize(sch, make_model("rademacher"), SEED, 2)
+    slot = disk.PlanSlot(sch.support, 0.9)
+    b = sup_bracket(ser, 0.9, oversample=16.0, refine=False, slot=slot)
+    assert len(slot.plan.twists) == b.grid_size // slot.plan.L > 2
+    assert b == sup_bracket(ser, 0.9, oversample=16.0, refine=False)
 
 
 # -- sup brackets ------------------------------------------------------------------
@@ -301,6 +368,20 @@ def test_refined_seeds_land_on_the_maximiser(flavor):
     assert coarse.lower < peak * (1 - 1e-4)
     assert b.lower <= peak <= b.upper
     assert b.lower == pytest.approx(peak, rel=1e-12)
+
+
+@pytest.mark.parametrize("flavor", [REAL_HARMONIC, ANALYTIC])
+def test_refined_seeds_map_back_on_half_rows(flavor):
+    # real coefficients: the seeds come from rows 0..P/2 of P and must map back to
+    # their angles for refinement to climb from the coarse grid max to the sup
+    rng = np.random.default_rng(11)
+    sch = scheme_from_arrays(np.arange(31), rng.normal(size=31), np.zeros(31), 30,
+                             {"name": "t"})
+    for trial in range(4):
+        ser = randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
+        lo, hi = dense_sup(*coeffs_at(ser, 1.0), real=flavor == REAL_HARMONIC)
+        assert sup_bracket(ser, 1.0, refine=False).lower < lo * (1 - 1e-7)
+        assert lo * (1 - 2e-12) <= sup_bracket(ser, 1.0, refine=True).lower <= hi
 
 
 @given(coeffs=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=40),

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ from growthlab import (GrowthLabError, NuSequence, SeedSpec, block_sequence,
                        cesaro_domination_check, fit_growth, make_model, make_weight,
                        random_scheme, riesz_probe, run_growth_ensemble,
                        salem_zygmund_probe, saturating_scheme, scheme_from_provenance)
+from growthlab import disk, mclab
 from growthlab.mclab import EnsembleReport, ExperimentConfig, config_from_json
 
 W1 = make_weight("power", 1.0)
@@ -136,6 +138,29 @@ def test_config_json_holds_compared_fields():
     payload = rep.canonical_payload()
     assert "wall_time" not in payload and payload["candidate_ratios"] == {"sqrt_log": [1.0]}
     assert rep == EnsembleReport(**dict(vars(rep), wall_time=4.0))
+
+
+def test_ensemble_plans_one_per_radius(monkeypatch):
+    # gaussian magnitudes move the tail cut, so the kept prefix differs between trials
+    cfg = small_config(scheme={"name": "loglog", "k_max": 3}, model={"kind": "gaussian"},
+                       radii=[0.5, 0.8, 0.95], trials=12)
+    live, layouts = weakref.WeakSet(), set()
+    build = disk.circle_plan
+
+    def counted(support, M, real, half=False):
+        assert len(live) <= len(cfg.radii)      # the plans the slots hold, nothing older
+        plan = build(support, M, real, half)
+        live.add(plan)
+        layouts.add(plan.key)
+        return plan
+
+    monkeypatch.setattr(disk, "circle_plan", counted)
+    shared = run_growth_ensemble(cfg)
+    assert len(live) == 0                       # no plan outlives the call
+    assert len(layouts) > len(cfg.radii)        # some trial replaced its radius' plan
+    monkeypatch.setattr(mclab, "sup_bracket", lambda ser, r, oversample, refine, slot:
+                        disk.sup_bracket(ser, r, oversample=oversample, refine=refine))
+    assert run_growth_ensemble(cfg).canonical_bytes() == shared.canonical_bytes()
 
 
 def test_analytic_flavor_ensemble():

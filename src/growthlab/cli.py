@@ -223,7 +223,7 @@ def _census(args, run):
     prov = _scheme_provenance(args)
     scheme = scheme_from_provenance(prov)
     w = parse_weight_spec(args.weight)
-    n_max = args.n_max or scheme.max_degree
+    n_max = scheme.max_degree if args.n_max is None else args.n_max
     rep = coefficient_census(scheme, w, NuSequence(args.p), n_max)
     run.start({"scheme": prov, "weight": args.weight, "p": args.p, "n_max": n_max},
               args.seed)
@@ -298,6 +298,9 @@ def _probe_riesz(args, run):
 
 
 def _cap(args, run):
+    if args.combos < 1:
+        raise _CliError("DOMAIN", f"--combos must be >= 1, got {args.combos}",
+                        pointer="/combos")
     run.start({"degrees": args.degrees, "alpha": args.alpha, "combos": args.combos,
                "seed": args.seed}, args.seed)
     basis = build_basis(max(args.degrees))

@@ -28,8 +28,8 @@ M is the power of two above oversample * pi * n, for a finite oversample
 >= 4, and never above MAX_GRID.  Long series are truncated where the exact
 l1 tail at the radius drops below TAIL_RTOL of the total; the tail bound
 widens both sides of the bracket, keeping it sound.  Refinement sharpens
-the lower bound by golden-section search on the bracket's own untruncated
-coefficients, by direct summation.
+the lower bound by a Newton ascent from the three best grid angles at once,
+summing the bracket's own untruncated coefficients and their derivatives.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ from .schemes import CoefficientScheme, scheme_from_arrays
 
 REAL_HARMONIC = "real_harmonic"
 ANALYTIC = "analytic"
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True, eq=False)
 class RandomizedSeries:
@@ -116,8 +113,8 @@ def _coeffs_at(series: RandomizedSeries, r: float) -> np.ndarray:
 def _point_values(support: np.ndarray, coeffs: np.ndarray, theta: np.ndarray,
                   real: bool) -> np.ndarray:
     """Re sum_j c_j e^{ij t} (real) or sum_j c_j e^{ij t} at the 1-D angles theta,
-    by direct summation.  The real part is cos(jt) @ Re c - sin(jt) @ Im c on
-    contiguous copies, which keeps the dot products on one BLAS path."""
+    by direct summation, for c = coeffs or each of its columns.  The real part is
+    cos(jt) @ Re c - sin(jt) @ Im c on contiguous copies (one BLAS path)."""
     jt = np.outer(theta, support.astype(float))
     if not real:
         return np.exp(1j * jt) @ coeffs
@@ -227,36 +224,11 @@ def _next_pow2(x: float) -> int:
     return 1 << max(3, int(math.ceil(math.log2(max(2.0, x)))))
 
 
-def _modulus_at(support: np.ndarray, coeffs: np.ndarray, real: bool, t: float) -> float:
-    return float(np.abs(_point_values(support, coeffs, np.array([t]), real)[0]))
-
-
-def _golden_max(support: np.ndarray, coeffs: np.ndarray, real: bool,
-                lo: float, hi: float, iters: int = 48) -> float:
-    """Golden-section maximization of the modulus at angle t on [lo, hi]."""
-    at = (support, coeffs, real)
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = _modulus_at(*at, x1), _modulus_at(*at, x2)
-    best = max(f1, f2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = _modulus_at(*at, x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = _modulus_at(*at, x1)
-        best = max(best, f1, f2)
-    return best
-
-
 FLOAT_GUARD = 1e-12  # absorbs FFT/summation roundoff of a few ulps
 TAIL_RTOL = 1e-12    # relative l1 mass a bracket may drop from its coefficient tail
 MAX_GRID = 2**24     # circle grid limit, 4x the largest in use (2^22 at degree 65536)
 BLOCK_BYTES = 2**21  # spectrum a bracket hands one transform call
+NEWTON_STEPS = 8     # direct-summation calls of one refinement
 
 
 def secant_upper(gmax: float, n: int, M: int) -> float:
@@ -264,6 +236,33 @@ def secant_upper(gmax: float, n: int, M: int) -> float:
     one with frequencies 0..n) whose max over M > 2n equispaced angles is gmax
     has sup <= gmax / cos(pi n / M)."""
     return gmax / math.cos(math.pi * n / M)
+
+
+def _newton_max(support: np.ndarray, coeffs: np.ndarray, real: bool,
+                seeds: np.ndarray, h: float) -> float:
+    """Largest |value| met by a safeguarded Newton ascent of |Re S| (real) or |S|^2
+    from every seed angle at once, each kept within h of its seed.
+
+    One direct summation of the columns [c, i j c, -j^2 c] gives S, S' and S''
+    at all iterates.  The ascent ends when every step is roundoff; the result
+    is sound however far Newton got."""
+    jf = support.astype(float)
+    cols = np.stack([coeffs, 1j * jf * coeffs, -jf * jf * coeffs], axis=1)
+    lo, hi = seeds - h, seeds + h
+    t, best = seeds, 0.0
+    for _ in range(NEWTON_STEPS):
+        s, d1, d2 = _point_values(support, cols, t, real).T
+        best = max(best, float(np.abs(s).max()))
+        if real:   # ascend sign(u) u
+            g1, g2 = np.sign(s) * d1, np.sign(s) * d2
+        else:      # ascend |S|^2
+            g1, g2 = 2.0 * (s.conj() * d1).real, 2.0 * (abs(d1) ** 2 + (s.conj() * d2).real)
+        up = g2 < 0.0    # a seed with curvature of the wrong sign stays put
+        nxt = np.clip(t - np.where(up, g1, 0.0) / np.where(up, g2, -1.0), lo, hi)
+        if np.all(np.abs(nxt - t) <= 4.0 * np.spacing(np.abs(t) + 1.0)):
+            break
+        t = nxt
+    return best
 
 
 def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float, real: bool,
@@ -304,13 +303,11 @@ def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float,
     lower = max(gmax - tail, 0.0)
     if refine:
         # the three largest grid values lie in the three rows of largest max
-        h = 2.0 * math.pi / M
         rows = np.argsort(row_max)[-3:]
         vals = np.abs(next(_circle_values(plan, kept, [rows])))
-        for f in np.argpartition(vals, -3, axis=None)[-3:]:
-            i, q = divmod(int(f), vals.shape[1])
-            th = 2.0 * math.pi * (q * (M // plan.L) + int(rows[i])) / M
-            lower = max(lower, _golden_max(support, coeffs, real, th - h, th + h))
+        i, q = np.divmod(np.argpartition(vals, -3, axis=None)[-3:], vals.shape[1])
+        seeds = 2.0 * math.pi * (q * (M // plan.L) + rows[i]) / M
+        lower = max(lower, _newton_max(support, coeffs, real, seeds, 2.0 * math.pi / M))
     lower *= 1.0 - FLOAT_GUARD
     upper = (secant_upper(gmax, n_eff, M) + tail) * (1.0 + FLOAT_GUARD)
     return SupBracket(lower=lower, upper=upper, grid_size=M, degree=n_eff)
@@ -333,9 +330,11 @@ def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
     points (a finite oversample >= 4, M <= MAX_GRID), so pi n / M <=
     1/oversample and the secant bound keeps upper / lower <= 1 /
     cos(1/oversample) up to the TAIL_RTOL and roundoff guards.  With refine
-    on, golden-section sweeps around the top three grid angles sharpen the
-    lower bound by direct summation of the same coefficients c_j r^j,
-    untruncated.  Brackets at one r of series on one support may share a slot.
+    on, a safeguarded Newton ascent from the top three grid angles, each kept
+    within one grid step of its seed, sharpens the lower bound: at most
+    NEWTON_STEPS direct summations of the same coefficients c_j r^j,
+    untruncated, for all three.  Brackets at one r of series on one support
+    may share a slot.
     """
     _check_radius(r)
     slot = PlanSlot(series.scheme.support, r) if slot is None else slot

@@ -404,12 +404,14 @@ def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
         patterns = [(1,) * n_terms]
     rows = []
     for off in offsets:
+        slot = PlanSlot(freqs + int(off), 1.0)     # every sign pattern shares the plan
         for pat in patterns:
             vals = c * np.asarray(pat, dtype=float)
             sch = scheme_from_arrays(freqs + int(off), vals, np.zeros_like(vals),
                                      int(freqs[-1] + off),
                                      {"name": "riesz_comb", "offset": int(off)})
-            b = sup_bracket(unit_series(sch), 1.0, oversample=theta_oversample, refine=True)
+            b = sup_bracket(unit_series(sch), 1.0, oversample=theta_oversample, refine=True,
+                            slot=slot)
             rows.append(RieszRow(offset=int(off), pattern=pat, ratio=b.lower / total))
     c_emp = min(r.ratio for r in rows)
     return RieszReport(n_terms=n_terms, rows=tuple(rows), c_emp=c_emp)
@@ -437,14 +439,17 @@ def cesaro_domination_check(trials: int, seed_spec: SeedSpec,
     violations = 0
     worst = math.inf
     model = make_model("rademacher")
+    support = np.arange(degree + 1)     # every trial's, as random_scheme runs at density 1
+    slots = [(PlanSlot(support, r), [PlanSlot(support[support < n], r) for n in n_list])
+             for r in radii]
     for t in range(trials):
         scheme = random_scheme(seed_spec, t, degree)
         series = randomize(scheme, model, seed_spec, t)
-        for r in radii:
-            full = sup_bracket(series, r, oversample=oversample, refine=False)
-            for n in n_list:
+        for r, (full_slot, ces_slots) in zip(radii, slots):
+            full = sup_bracket(series, r, oversample=oversample, refine=False, slot=full_slot)
+            for n, ces_slot in zip(n_list, ces_slots):
                 ces = sup_bracket(cesaro_mean(series, n), r,
-                                  oversample=oversample, refine=True)
+                                  oversample=oversample, refine=True, slot=ces_slot)
                 margin = full.upper - ces.lower
                 worst = min(worst, margin)
                 cases += 1

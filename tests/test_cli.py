@@ -454,3 +454,22 @@ def test_weights_manifest_records_audit_flags(tmp_path, capsys):
     assert len({m["config_hash"] for m in mans.values()}) == 3
     d_hat = {n: json.loads((tmp_path / n / "audit.json").read_text())["d_hat"] for n in "ab"}
     assert d_hat["a"] != d_hat["b"]
+
+
+@pytest.mark.parametrize("combos", ["0", "-2"])
+def test_cap_without_combos_rejected_before_manifest(tmp_path, capsys, combos):
+    out = tmp_path / "cap"
+    code, diag = _diagnostic(capsys, "cap", "--degrees", "4", "--combos", combos,
+                             "--out", str(out))
+    assert (code, diag["error"], diag["pointer"]) == (2, "DOMAIN", "/combos")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["census", "check"])
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_empty_n_max_is_empty_range(tmp_path, capsys, sub, n_max):
+    out = tmp_path / sub
+    code, diag = _diagnostic(capsys, sub, "--scheme", "loglog", "--k-max", "2",
+                             "--n-max", n_max, "--out", str(out))
+    assert (code, diag["error"]) == (2, "EMPTY_RANGE")
+    assert not out.exists()

@@ -384,6 +384,114 @@ def test_refined_seeds_map_back_on_half_rows(flavor):
         assert lo * (1 - 2e-12) <= sup_bracket(ser, 1.0, refine=True).lower <= hi
 
 
+def zoomed_max(f, lo, hi, first=2**14, k=257, rounds=6):
+    """Independent max of the vectorized f on [lo, hi]: dense direct sampling, then
+    rounds of k samples between the neighbours of the best one; no derivatives."""
+    th = np.linspace(lo, hi, first)
+    for _ in range(rounds):
+        v = f(th)
+        i = int(np.argmax(v))
+        th = np.linspace(th[max(i - 1, 0)], th[min(i + 1, len(th) - 1)], k)
+    return float(v.max())
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(5)
+    sch = scheme_from_arrays(np.arange(61), rng.normal(size=61), rng.normal(size=61), 60,
+                             {"name": "t"})
+    real = randomize(sch, make_model("rademacher"), SEED, 1)
+    analytic = randomize(sch, make_model("steinhaus"), SEED, 1, flavor=ANALYTIC)
+
+    def grad(ser, r):
+        return lambda th: np.array([np.hypot(*gradient_at(ser, (r * math.cos(t), r * math.sin(t))))
+                                    for t in th])
+
+    # cos(7 (t - t0)) with t0 on the grid of 512 angles: the seeds t0 +- 2 pi / 512
+    # sit one grid step off the maximiser, on the edge of their windows
+    t0 = 2 * math.pi * 5 / 512
+    edge = unit_series(mono(7, cos=math.cos(7 * t0), sin=math.sin(7 * t0)))
+    for r in (0.9, 1.0):
+        yield f"real r={r}", real, r, lambda th, r=r: np.abs(evaluate_at(real, r, th)), sup_bracket
+        yield (f"analytic r={r}", analytic, r, lambda th, r=r: np.abs(evaluate_at(analytic, r, th)),
+               sup_bracket)
+    yield "gradient r=0.9", real, 0.9, grad(real, 0.9), gradient_sup_bracket
+    yield "window edge", edge, 1.0, lambda th: np.abs(evaluate_at(edge, 1.0, th)), sup_bracket
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_refined_lower_matches_dense_oracle(case):
+    _, ser, r, f, bracket = case
+    oracle = zoomed_max(f, 0.0, 2.0 * math.pi)
+    b = bracket(ser, r, oversample=16.0, refine=True)
+    assert b.lower <= oracle <= b.upper
+    assert b.lower == pytest.approx(oracle * (1.0 - disk.FLOAT_GUARD), rel=1e-12)
+
+
+def test_newton_stops_on_the_window_edge():
+    # one seed whose window [t0 + h/2, t0 + 5h/2] excludes the maximiser t0 of
+    # cos(7 (t - t0)): the ascent is clipped and returns the window's own max
+    t0, h = 0.4, 2 * math.pi / 512
+    j, c = np.array([7]), np.array([np.exp(-7j * t0)])
+    best = disk._newton_max(j, c, True, np.array([t0 + 1.5 * h]), h)
+    assert best == pytest.approx(math.cos(7 * 0.5 * h), rel=1e-14)
+
+
+def test_newton_keeps_the_best_value_it_met():
+    # |1 + e^{it}|^2 from t = 1.2 with a wide window: Newton overshoots into the
+    # convex region and stops at a worse angle; the seed's value is still returned
+    j, c = np.array([0, 1]), np.array([1.0, 1.0], dtype=complex)
+    best = disk._newton_max(j, c, False, np.array([1.2]), 10.0)
+    assert best == pytest.approx(2 * math.cos(0.6), rel=1e-14)
+
+
+def _counted_point_values(monkeypatch):
+    calls, direct = [], disk._point_values
+    monkeypatch.setattr(disk, "_point_values", lambda *a: calls.append(1) or direct(*a))
+    return calls
+
+
+def test_refinement_closed_forms(monkeypatch):
+    calls = _counted_point_values(monkeypatch)
+    # a constant has zero curvature, so the ascent stops after one summation
+    for ser, value in [(unit_series(mono(0, cos=-2.5)), 2.5),
+                       (RandomizedSeries(mono(0), np.array([3.0 - 4.0j]), ANALYTIC), 5.0)]:
+        calls.clear()
+        assert sup_bracket(ser, 1.0, refine=True).lower == value * (1.0 - disk.FLOAT_GUARD)
+        assert len(calls) == 1
+    # cos(n (t - t0)) off the grid: Newton has to climb to 1
+    for n, t0 in [(1, 0.0), (3, 0.3), (40, 1.234), (500, 2.5)]:
+        ser = unit_series(mono(n, cos=math.cos(n * t0), sin=math.sin(n * t0)))
+        b = sup_bracket(ser, 1.0, refine=True)
+        assert abs(b.lower / (1.0 - disk.FLOAT_GUARD) - 1.0) <= 1e-12
+        assert b.upper == sup_bracket(ser, 1.0, refine=False).upper
+
+
+def _bracket_kinds(sch, trial):
+    """(series, bracket) for both flavors and the gradient, with Rademacher signs."""
+    real, analytic = (randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
+                      for flavor in (REAL_HARMONIC, ANALYTIC))
+    return [(real, sup_bracket), (analytic, sup_bracket), (real, gradient_sup_bracket)]
+
+
+def test_refined_lower_never_below_unrefined():
+    for degree, r, trial in itertools.product((3, 40, 300), (0.5, 0.95, 1.0), range(3)):
+        for ser, bracket in _bracket_kinds(random_scheme(SEED, trial, degree, both=trial != 1),
+                                           trial):
+            fine, coarse = (bracket(ser, r, refine=refine) for refine in (True, False))
+            assert fine.lower >= coarse.lower
+            assert fine.upper == coarse.upper
+
+
+def test_refinement_sums_at_most_newton_steps_times(monkeypatch):
+    calls = _counted_point_values(monkeypatch)
+    for ser, bracket in _bracket_kinds(random_scheme(SEED, 2, 4096), 2):
+        calls.clear()
+        bracket(ser, 0.99, refine=False)
+        assert calls == []
+        bracket(ser, 0.99, refine=True)
+        assert 1 <= len(calls) <= disk.NEWTON_STEPS == 8
+
+
 @given(coeffs=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=40),
        r=st.floats(0.0, 1.0), oversample=st.floats(4.0, 64.0),
        flavor=st.sampled_from([REAL_HARMONIC, ANALYTIC]))

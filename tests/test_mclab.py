@@ -140,27 +140,53 @@ def test_config_json_holds_compared_fields():
     assert rep == EnsembleReport(**dict(vars(rep), wall_time=4.0))
 
 
+def _counted_plans(monkeypatch, slots):
+    """The plans alive and the keys of every plan built; never more alive than slots."""
+    live, keys = weakref.WeakSet(), []
+    build = disk.circle_plan
+
+    def counted(support, M, real, half=False):
+        assert len(live) <= slots               # the plans the slots hold, nothing older
+        plan = build(support, M, real, half)
+        live.add(plan)
+        keys.append(plan.key)
+        return plan
+
+    monkeypatch.setattr(disk, "circle_plan", counted)
+    return live, keys
+
+
 def test_ensemble_plans_one_per_radius(monkeypatch):
     # gaussian magnitudes move the tail cut, so the kept prefix differs between trials
     cfg = small_config(scheme={"name": "loglog", "k_max": 3}, model={"kind": "gaussian"},
                        radii=[0.5, 0.8, 0.95], trials=12)
-    live, layouts = weakref.WeakSet(), set()
-    build = disk.circle_plan
-
-    def counted(support, M, real, half=False):
-        assert len(live) <= len(cfg.radii)      # the plans the slots hold, nothing older
-        plan = build(support, M, real, half)
-        live.add(plan)
-        layouts.add(plan.key)
-        return plan
-
-    monkeypatch.setattr(disk, "circle_plan", counted)
+    live, keys = _counted_plans(monkeypatch, len(cfg.radii))
     shared = run_growth_ensemble(cfg)
     assert len(live) == 0                       # no plan outlives the call
-    assert len(layouts) > len(cfg.radii)        # some trial replaced its radius' plan
+    assert len(set(keys)) > len(cfg.radii)      # some trial replaced its radius' plan
+    _plan_free(monkeypatch)
+    assert run_growth_ensemble(cfg).canonical_bytes() == shared.canonical_bytes()
+
+
+def _plan_free(monkeypatch):
     monkeypatch.setattr(mclab, "sup_bracket", lambda ser, r, oversample, refine, slot:
                         disk.sup_bracket(ser, r, oversample=oversample, refine=refine))
-    assert run_growth_ensemble(cfg).canonical_bytes() == shared.canonical_bytes()
+
+
+@pytest.mark.parametrize("probe, slots, brackets", [
+    # one slot per offset for 8 sign patterns
+    (lambda: riesz_probe(4, offsets=(0, 1, 7), sign_patterns=True), 3, 24),
+    # one slot per radius and one per (radius, n); the tail cut at r = 0.5 varies
+    (lambda: cesaro_domination_check(6, SeedSpec(8), degree=120, radii=(0.5, 0.9),
+                                     n_list=(10, 50)), 6, 36),
+], ids=["riesz", "cesaro"])
+def test_probes_share_plans_per_slot(monkeypatch, probe, slots, brackets):
+    live, keys = _counted_plans(monkeypatch, slots)
+    shared = probe()
+    assert len(live) == 0                       # no plan outlives the call
+    assert slots <= len(keys) < brackets / 2
+    _plan_free(monkeypatch)
+    assert probe() == shared
 
 
 def test_analytic_flavor_ensemble():

@@ -43,8 +43,8 @@ from .randomness import SeedSpec, make_model
 from .reporting import config_hash, write_csv, write_json, write_records
 from .schemes import (SCHEMES, NuSequence, blocks_from_provenance, blocks_provenance,
                       scheme_fields)
-from .sphere import (CAP_CSV_HEADER, build_basis, cap_fraction, default_covering,
-                     random_degree_combination)
+from .sphere import (CAP_CSV_HEADER, MAX_BASIS_DEGREE, build_basis, cap_fraction,
+                     default_covering, random_degree_combination)
 from .weights import (block_sequence, bloch_reciprocal, doubling_audit, make_weight,
                       parse_weight_spec)
 
@@ -274,6 +274,9 @@ def _block_scheme(args, what):
 
 
 def _probe_sz(args, run):
+    if args.trials < 1:
+        raise _CliError("DOMAIN", f"--trials must be >= 1, got {args.trials}",
+                        pointer="/trials")
     prov, scheme, blocks = _block_scheme(args, "probe-sz")
     run.start({"scheme": prov, "model": args.model, "trials": args.trials,
                "n_list": args.n_list, "seed": args.seed}, args.seed)
@@ -301,6 +304,14 @@ def _cap(args, run):
     if args.combos < 1:
         raise _CliError("DOMAIN", f"--combos must be >= 1, got {args.combos}",
                         pointer="/combos")
+    if args.alpha <= 0.0 or args.alpha >= 1.0:   # NaN passes: run.start refuses it, NON_FINITE
+        raise _CliError("DOMAIN", f"--alpha must lie in (0, 1), got {args.alpha}",
+                        pointer="/alpha")
+    for n in args.degrees:
+        if not 0 <= n <= MAX_BASIS_DEGREE:
+            raise _CliError("DOMAIN" if n < 0 else "DEGREE_BUDGET",
+                            f"--degrees entries must lie in 0..{MAX_BASIS_DEGREE}, got {n}",
+                            pointer="/degrees")
     run.start({"degrees": args.degrees, "alpha": args.alpha, "combos": args.combos,
                "seed": args.seed}, args.seed)
     basis = build_basis(max(args.degrees))

@@ -324,6 +324,8 @@ def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
     The flatness ratio (sum b^4) n / R^2 is reported per N so callers can
     confirm the regime where such maxima concentrate.
     """
+    if trials < 1:
+        fail("DOMAIN", f"need at least one trial, got {trials}")
     edges = list(blocks.n) if hasattr(blocks, "n") else list(blocks)
     rows = []
     for N in n_list:

@@ -14,7 +14,11 @@ F^mu: evaluation and normalization both take it from there.
 
 A degree-m combination with weights w_mu = c_cos - i c_sin is the real part
 of the Horner sum acc <- acc s + w_mu F^mu over mu = m..0: O(m) array passes
-per degree, all polynomial in x, so the origin is exact.
+per degree, all polynomial in x, so the origin is exact.  Evaluation runs in
+blocks of POINT_BLOCK points, so one pass's buffers stay in cache.  Every
+step is elementwise and no complex product is taken in place (numpy rounds
+an in-place complex product of one point differently), so a value does not
+depend on the block or on the other points: blocks change no value.
 
 Normalization: on the unit sphere rho = sin(theta), so |Y| factors into the
 profile p(theta) = sin^mu(theta) F^mu(cos theta, sin^2 theta) times
@@ -56,6 +60,7 @@ SIN = "sin"
 
 MAX_BASIS_DEGREE = 128
 PROFILE_OVERSAMPLE = 64.0     # profile grid M >= 64 pi N: norm_lower >= cos(1/64)
+POINT_BLOCK = 8192            # points per evaluation pass: ~0.8 MB of buffers fits a 2 MB L2
 
 
 def element_index(m: int, l: int):
@@ -160,19 +165,22 @@ class SphereSeries:
             w = weights.setdefault(m, np.zeros(m + 1, dtype=complex))
             c = coeff * self.basis.scales[(m, mu)]
             w[mu] += -1j * c if kind == SIN else c
-        x, y, z = pts[:, 0], pts[:, 1], np.ascontiguousarray(pts[:, 2])
-        s, rho2 = x + 1j * y, x * x + y * y
+        # Horner starts at the top nonzero weight; all-zero degrees drop out
+        degrees = [(m, w, np.flatnonzero(w)[-1]) for m, w in weights.items() if w.any()]
         out = np.zeros(len(pts))
-        for m, w in weights.items():
-            top = max(np.flatnonzero(w), default=-1)     # Horner starts here
-            if top < 0:
-                continue
-            acc = np.zeros_like(s)
-            for mu, f in _solid_harmonics(m, z, rho2):
-                if mu <= top:
-                    acc *= s
-                    acc += w[mu] * f
-            out += acc.real
+        for lo in range(0, len(pts), POINT_BLOCK):   # elementwise, so blocks change no bit
+            blk, res = pts[lo:lo + POINT_BLOCK], out[lo:lo + POINT_BLOCK]
+            x, y, z = blk[:, 0], blk[:, 1], np.ascontiguousarray(blk[:, 2])
+            s, rho2 = x + 1j * y, x * x + y * y
+            term = np.empty_like(s)
+            for m, w, top in degrees:
+                acc = np.zeros_like(s)
+                for mu, f in _solid_harmonics(m, z, rho2):
+                    if mu <= top:    # acc <- acc s + w_mu f; acc s never in place
+                        np.multiply(acc, s, out=term)
+                        np.multiply(f, w[mu], out=acc)
+                        acc += term
+                res += acc.real
         return out
 
 

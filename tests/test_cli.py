@@ -433,7 +433,7 @@ def test_weights_non_finite_rejected(tmp_path, capsys, argv, code):
 
 
 def test_non_finite_flag_never_reaches_a_manifest(tmp_path, capsys):
-    # cap checks alpha only after its manifest is due; strict JSON refuses it first
+    # cap's range check lets a NaN alpha through; strict JSON refuses it before the manifest
     out = tmp_path / "c"
     code, diag = _diagnostic(capsys, "cap", "--degrees", "2", "--combos", "1",
                              "--alpha", "nan", "--out", str(out))
@@ -462,6 +462,30 @@ def test_cap_without_combos_rejected_before_manifest(tmp_path, capsys, combos):
     code, diag = _diagnostic(capsys, "cap", "--degrees", "4", "--combos", combos,
                              "--out", str(out))
     assert (code, diag["error"], diag["pointer"]) == (2, "DOMAIN", "/combos")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, code, pointer", [
+    (["--alpha", "1.5"], "DOMAIN", "/alpha"),
+    (["--alpha", "0"], "DOMAIN", "/alpha"),
+    (["--degrees", "200"], "DEGREE_BUDGET", "/degrees"),
+    (["--degrees", "4,-3"], "DOMAIN", "/degrees"),
+    (["--degrees", "-3"], "DOMAIN", "/degrees"),
+])
+def test_cap_bad_alpha_or_degrees_rejected_before_manifest(tmp_path, capsys, flags, code,
+                                                           pointer):
+    out = tmp_path / "cap"
+    exit_code, diag = _diagnostic(capsys, "cap", "--combos", "1", *flags, "--out", str(out))
+    assert (exit_code, diag["error"], diag["pointer"]) == (2, code, pointer)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_probe_sz_without_trials_rejected_before_manifest(tmp_path, capsys, trials):
+    out = tmp_path / "sz"
+    code, diag = _diagnostic(capsys, "probe-sz", *_SAT, "--k-max", "4", "--n-list", "4",
+                             "--trials", trials, "--out", str(out))
+    assert (code, diag["error"], diag["pointer"]) == (2, "DOMAIN", "/trials")
     assert not out.exists()
 
 

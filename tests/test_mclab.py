@@ -238,6 +238,15 @@ def test_sz_probe_rejects_massless_block():
     assert ei.value.code == "EMPTY_BLOCKS" 
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sz_probe_rejects_no_trials(sat_scheme, trials):
+    scheme, blocks = sat_scheme
+    with pytest.raises(GrowthLabError) as ei:
+        salem_zygmund_probe(scheme, blocks, make_model("rademacher"), SeedSpec(4),
+                            trials=trials, n_list=[6])
+    assert ei.value.code == "DOMAIN"
+
+
 def test_sz_probe_determinism(sat_scheme):
     scheme, blocks = sat_scheme
     a = salem_zygmund_probe(scheme, blocks, make_model("rademacher"), SeedSpec(4),

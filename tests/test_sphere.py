@@ -8,7 +8,7 @@ from growthlab import (GrowthLabError, SphereSeries, build_basis, cap_fraction,
                        default_covering, evaluate_ball, fibonacci_covering,
                        laplacian_stencil, make_model, random_degree_combination,
                        sup_bracket_sphere)
-from growthlab.sphere import COS, SIN, ZONAL, element_index
+from growthlab.sphere import COS, POINT_BLOCK, SIN, ZONAL, element_index
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +230,26 @@ def test_mixed_degrees_sum_their_elements(basis):
     total = SphereSeries(basis, entries).evaluate(pts)
     parts = sum(SphereSeries(basis, (e,)).evaluate(pts) for e in entries)
     assert np.abs(total - parts).max() <= 1e-13
+
+
+@pytest.mark.parametrize("K", [POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1,
+                               3 * POINT_BLOCK + 5])
+def test_blocks_equal_pointwise_evaluation(basis, K):
+    # evaluation runs in blocks of POINT_BLOCK points and is elementwise, so
+    # every value is bitwise the value of that point evaluated on its own;
+    # one-point calls cost ~0.4 ms, so they cover every block edge plus a sample
+    rng = np.random.default_rng(K)
+    pts = np.vstack([fibonacci_covering(K - K // 3 - 1).points,
+                     interior_points(rng, K // 3), np.zeros((1, 3))])
+    pts = pts[rng.permutation(K)]
+    entries = ((0, 0, 0.5), (2, 3, -1.25), (5, 0, 0.0), (5, 7, 0.0), (7, 13, 2.0),
+               (10, 1, 1.1), (10, 20, -0.3))          # degree 5 is all zero
+    series = SphereSeries(basis, entries)
+    edges = np.arange(0, K + POINT_BLOCK, POINT_BLOCK)[:, None] + np.arange(-2, 2)
+    idx = np.union1d(edges[(edges >= 0) & (edges < K)], rng.choice(K, 256, replace=False))
+    idx = np.union1d(idx, np.flatnonzero(~pts.any(axis=1)))    # the origin
+    one_by_one = np.concatenate([series.evaluate(p) for p in pts[idx]])
+    assert np.array_equal(series.evaluate(pts)[idx], one_by_one)
 
 
 def test_origin_is_exact(basis):

@@ -25,6 +25,7 @@ carries progress text only; results go to files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -34,10 +35,10 @@ import time
 from . import __version__
 from .census import CENSUS_CSV_HEADER, LiminfRow, coefficient_census, liminf_profile
 from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_sup_ratio
-from .disk import ANALYTIC, REAL_HARMONIC, check_oversample
+from .disk import ANALYTIC, REAL_HARMONIC, check_oversample, grid_size
 from .errors import GrowthLabError
 from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzRow,
-                    config_from_json, riesz_probe, run_growth_ensemble,
+                    config_from_json, riesz_comb, riesz_probe, run_growth_ensemble,
                     salem_zygmund_probe, scheme_from_provenance)
 from .randomness import SeedSpec, make_model
 from .reporting import config_hash, write_csv, write_json, write_records
@@ -62,7 +63,8 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError("CONFIG_INVALID", message)
 
 
-def _diag(code: str, detail: str, pointer: str = ""):
+def diagnostic(code: str, detail: str, pointer: str = ""):
+    """Print the JSON diagnostic of a validation error to stderr."""
     payload = {"error": code, "detail": detail}
     if pointer:
         payload["pointer"] = pointer
@@ -74,13 +76,13 @@ def main(argv=None) -> int:
     try:
         return _dispatch(argv)
     except _CliError as e:
-        _diag(e.code, e.message, e.pointer)
+        diagnostic(e.code, e.message, e.pointer)
         return 2
     except GrowthLabError as e:
-        _diag(e.code, str(e))
+        diagnostic(e.code, str(e))
         return 2
     except Exception as e:  # internal error
-        _diag("INTERNAL", f"{type(e).__name__}: {e}")
+        diagnostic("INTERNAL", f"{type(e).__name__}: {e}")
         return 1
 
 
@@ -288,6 +290,13 @@ def _probe_sz(args, run):
 
 def _probe_riesz(args, run):
     check_oversample(args.oversample)
+    # each comb's top frequency 4^n + N fits its grid, or nothing is written
+    for pointer, offsets in (("/n_terms", [0]), ("/offsets", args.offsets)):
+        for nt, off in itertools.product(args.n_terms, offsets):
+            try:
+                grid_size(int(riesz_comb(nt, off)[-1]), args.oversample)
+            except GrowthLabError as e:
+                raise _CliError(e.code, str(e), pointer) from None
     run.start({"n_terms": args.n_terms, "offsets": args.offsets, "oversample": args.oversample,
                "signed": args.signed}, args.seed)
     rows = []

@@ -8,14 +8,18 @@ an analytic-flavor series is u(z) = sum_m a_m xi_m z^m with complex signs.
 On a fixed circle both reduce to trigonometric polynomials in the
 coefficients c_j = (a_j0 xi_j0 - i a_j1 xi_j1) r^j: u = Re sum c_j e^{ij theta}
 for the real flavor, and the modulus |sum c_j e^{ij theta}| for the analytic
-one.  One FFT helper evaluates either on M equispaced angles (the real part
-from its half spectrum), one direct-summation helper at any angles.  The FFT
-helper never transforms the zero padding of a fine grid: it splits the M
-angles into P = M / L interleaved rows, L the smallest M / 2^a above 2n (or
-M itself), and runs one L-point transform per row on twisted coefficients.
-That layout is a CirclePlan, which brackets at one radius share through a
+one.  One grid helper evaluates either on M equispaced angles, one
+direct-summation helper at any angles.  The grid helper never evaluates the
+zero padding of a fine grid: it splits the M angles into P = M / L
+interleaved rows, L the smallest M / 2^a above 2n (or M itself), and sums
+each row from twisted coefficients.  A dense support takes one L-point
+transform per row (the real part from its half spectrum); a support of at
+most WAVE_TERMS coefficients takes one matrix product per block of rows with
+a table of their L-point waves, while that table fits in BLOCK_BYTES.  That
+layout is a CirclePlan, which brackets at one radius share through a
 PlanSlot.  For real coefficients, rows P - p mirror rows p, so brackets
-transform rows 0..P/2 only, in blocks of about BLOCK_BYTES of spectrum.
+evaluate rows 0..P/2 only, in blocks of about BLOCK_BYTES of spectrum or a
+quarter of that of wave-table values.
 
 Sup brackets bound sup|u| for the real flavor and sup|f| for the analytic
 flavor.  A real trigonometric polynomial T of degree n satisfies
@@ -142,6 +146,19 @@ class CirclePlan:
     fold: np.ndarray        # coefficients conjugated into bin L - m, or None
     scale: np.ndarray       # L, times the half-spectrum weight for the real flavor
     twists: np.ndarray      # e^{2 pi i m p / M}, one row per evaluated row p
+    waves: np.ndarray       # few terms: e^{2 pi i j q / L} as [cos; sin] or cos + i sin, else None
+    step: int               # rows per block of a bracket
+
+
+def _unit_phases(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """e^{2 pi i a_i b_k / n} into the complex out, or its cos above its sin into the
+    real out of twice the rows; each a_i b_k must be an exact float integer."""
+    phase = np.outer(a.astype(float), b.astype(float))
+    phase *= 2.0 * math.pi / n
+    cos, sin = (out.real, out.imag) if np.iscomplexobj(out) else np.split(out, 2)
+    np.cos(phase, out=cos)
+    np.sin(phase, out=sin)
+    return out
 
 
 def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> CirclePlan:
@@ -150,16 +167,23 @@ def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> 
 
     L is the smallest M / 2^a with L > 2n (n the largest j) and L >= 8, else M
     (M odd, M <= 4n or M < 16); P = M / L.  As e^{ijt} = e^{2 pi i j p / M}
-    e^{2 pi i j q / L}, row p is one L-point inverse transform of the coefficients
-    twisted by e^{2 pi i j p / M}, so the zero padding of a fine grid is never
-    transformed.  Coefficient j lands in bin j mod L, exact on these angles even
-    when M <= 2n.  The real part comes from the half spectrum: a bin m > L/2 folds
-    to L - m with the conjugate coefficient, bins 0 and L/2 carry weight 1 (only
-    their real parts count) and the others 1/2; these weights and the scale L go
-    on the coefficients.  With P > 1, L > 2n gives every frequency j <= n its own
-    bin below L/2: nothing aliases or folds and the Nyquist bin stays empty, so
-    the twist, a function of j and not of j mod L, is one factor per bin.  Half
-    evaluates rows 0..P/2, enough for real coefficients: S(-t) = conj S(t), and
+    e^{2 pi i j q / L}, row p is a sum over the coefficients twisted by
+    e^{2 pi i j p / M}, so the zero padding of a fine grid is never evaluated.
+    How a row is summed depends on the number S of coefficients alone.  Up to
+    WAVE_TERMS of them, while the (2S, L) wave table e^{2 pi i (j q mod L) / L}
+    fits in BLOCK_BYTES, a block of rows is one matrix product of the twisted
+    coefficients with that table: an S-term direct sum per angle, whose
+    roundoff of about S eps l1 <= S^1.5 eps sup stays far below FLOAT_GUARD
+    (S^1.5 eps < 1e-13 at S = 16).
+    Otherwise row p is one L-point inverse transform: coefficient j lands in
+    bin j mod L, exact on these angles even when M <= 2n.  The real part comes
+    from the half spectrum: a bin m > L/2 folds to L - m with the conjugate
+    coefficient, bins 0 and L/2 carry weight 1 (only their real parts count)
+    and the others 1/2; these weights and the scale L go on the coefficients.
+    With P > 1, L > 2n gives every frequency j <= n its own bin below L/2:
+    nothing aliases or folds and the Nyquist bin stays empty, so the twist, a
+    function of j and not of j mod L, is one factor per bin.  Half evaluates
+    rows 0..P/2, enough for real coefficients: S(-t) = conj S(t), and
     -k = (L-1-q)P + (P-p) makes row P - p row p reversed, with the same |values|.
     """
     n = int(support.max(initial=0))
@@ -167,22 +191,37 @@ def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> 
     while L % 2 == 0 and L > 4 * n and L >= 16:
         L //= 2
     P = M // L
-    m = support % L
-    fold, scale = m > L // 2, L
+    j = support % L
+    m, fold, scale = j, j > L // 2, L
     if real:
         scale = np.where((m == 0) | (2 * m == L), 1.0, 0.5) * L
         m = np.where(fold, L - m, m)
     # m p < M / 2 is an exact integer, so each twist has one cos or sin roundoff for any P
-    phase = np.outer(np.arange(P // 2 + 1 if half else P), m) * (2.0 * math.pi / M)
-    twists = np.empty(phase.shape, dtype=complex)
-    twists.real, twists.imag = np.cos(phase), np.sin(phase)
+    rows = np.arange(P // 2 + 1 if half else P)
+    twists = _unit_phases(rows, m, M, np.empty((len(rows), len(m)), dtype=complex))
+    waves, step = None, max(1, BLOCK_BYTES // (16 * (L // 2 + 1 if real else L)))
+    if len(j) <= WAVE_TERMS and 16 * len(j) * L <= BLOCK_BYTES:
+        # entry [j, q] is base[j q mod L]: an exact index, so one cos or sin roundoff
+        q = np.arange(L)
+        base = _unit_phases(np.ones(1), q, L, np.empty((2, L)) if real
+                            else np.empty((1, L), dtype=complex))
+        waves = np.take(base, np.outer(j, q) % L, axis=1).reshape(-1, L)
+        # blocks of a quarter of BLOCK_BYTES of values stay in cache for their reduction
+        step = max(1, BLOCK_BYTES // (4 * waves.itemsize * L))
     return CirclePlan((len(m), M, real, half), real, L, m,
-                      fold if real and fold.any() else None, scale, twists)
+                      fold if real and fold.any() else None, scale, twists, waves, step)
 
 
 def _circle_values(plan: CirclePlan, coeffs: np.ndarray, blocks):
     """Yield, per row selection in blocks (slice or index array of evaluated rows),
     the values of those rows: entry [i, q] is the value at k = qP + (row i)."""
+    if plan.waves is not None:
+        for rows in blocks:
+            z = plan.twists[rows] * coeffs
+            if plan.real:   # Re(z e^{i phi}) = Re z cos phi - Im z sin phi
+                z = np.concatenate([z.real, -z.imag], axis=1)
+            yield z @ plan.waves
+        return
     c = coeffs * plan.scale
     if plan.fold is not None:
         c = np.where(plan.fold, np.conj(c), c)
@@ -227,8 +266,9 @@ def _next_pow2(x: float) -> int:
 FLOAT_GUARD = 1e-12  # absorbs FFT/summation roundoff of a few ulps
 TAIL_RTOL = 1e-12    # relative l1 mass a bracket may drop from its coefficient tail
 MAX_GRID = 2**24     # circle grid limit, 4x the largest in use (2^22 at degree 65536)
-BLOCK_BYTES = 2**21  # spectrum a bracket hands one transform call
+BLOCK_BYTES = 2**21  # spectrum a bracket hands one transform call; the wave table's cap
 NEWTON_STEPS = 8     # direct-summation calls of one refinement
+WAVE_TERMS = 16      # most coefficients summed by wave table: the product beat the FFT up to here
 
 
 def secant_upper(gmax: float, n: int, M: int) -> float:
@@ -236,6 +276,16 @@ def secant_upper(gmax: float, n: int, M: int) -> float:
     one with frequencies 0..n) whose max over M > 2n equispaced angles is gmax
     has sup <= gmax / cos(pi n / M)."""
     return gmax / math.cos(math.pi * n / M)
+
+
+def grid_size(n: int, oversample: float) -> int:
+    """M of a degree-n bracket: the power of two above oversample * pi * n, refused
+    with BUDGET_EXCEEDED above MAX_GRID."""
+    M = _next_pow2(min(oversample * max(n, 1) * math.pi, 2.0 * MAX_GRID))
+    if M > MAX_GRID:
+        fail("BUDGET_EXCEEDED", f"oversample {oversample:g} at degree {n} needs a "
+             f"circle grid above MAX_GRID = {MAX_GRID} points")
+    return M
 
 
 def _newton_max(support: np.ndarray, coeffs: np.ndarray, real: bool,
@@ -286,17 +336,13 @@ def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float,
     keep = max(int(np.searchsorted(-suffix, -TAIL_RTOL * l1)), 1)   # first suffix <= that
     tail = float(suffix[keep]) if keep < len(support) else 0.0
     n_eff = int(support[keep - 1])
-    M = _next_pow2(min(oversample * max(n_eff, 1) * math.pi, 2.0 * MAX_GRID))
-    if M > MAX_GRID:
-        fail("BUDGET_EXCEEDED", f"oversample {oversample:g} at degree {n_eff} needs a "
-             f"circle grid above MAX_GRID = {MAX_GRID} points")
+    M = grid_size(n_eff, oversample)
     kept = coeffs[:keep]
     key = (keep, M, real, not kept.imag.any())
     plan = slot.plan             # read once: threads sharing the slot may swap it
     if plan is None or plan.key != key:
         plan = slot.plan = circle_plan(support[:keep], *key[1:])
-    step = max(1, BLOCK_BYTES // (16 * (plan.L // 2 + 1 if real else plan.L)))
-    blocks = [slice(i, i + step) for i in range(0, len(plan.twists), step)]
+    blocks = [slice(i, i + plan.step) for i in range(0, len(plan.twists), plan.step)]
     row_max = np.concatenate([np.maximum(v.max(1), -v.min(1)) if real else np.abs(v).max(1)
                               for v in _circle_values(plan, kept, blocks)])
     gmax = float(row_max.max())

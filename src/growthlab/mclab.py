@@ -380,6 +380,15 @@ class RieszReport:
 RIESZ_CSV_HEADER = ["offset", "pattern", "ratio"]
 
 
+def riesz_comb(n_terms: int, offset: int) -> np.ndarray:
+    """The frequencies N + 4^j, j = 1..n_terms, of the comb at offset N >= -4."""
+    if not (1 <= n_terms <= 8):
+        fail("DOMAIN", f"n_terms must lie in 1..8, got {n_terms}")
+    if offset < -4:
+        fail("DOMAIN", f"offset must be >= -4 so that every frequency is >= 0, got {offset}")
+    return 4 ** np.arange(1, n_terms + 1, dtype=np.int64) + int(offset)
+
+
 def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
                 c_values: Optional[Sequence[float]] = None,
                 theta_oversample: float = 64.0,
@@ -390,31 +399,30 @@ def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
     and every ratio is exactly 1; scanning sign patterns (first sign fixed
     by symmetry) probes the nontrivial absolute constant.
     """
-    if not (1 <= n_terms <= 8):
-        fail("DOMAIN", f"n_terms must lie in 1..8, got {n_terms}")
+    combs = [(int(off), riesz_comb(n_terms, off)) for off in offsets]
+    if not combs:
+        fail("DOMAIN", "need at least one offset")
     c = np.ones(n_terms) if c_values is None else np.asarray(c_values, dtype=float)
-    if len(c) != n_terms or np.any(c < 0):
-        fail("DOMAIN", "need n_terms coefficients with c_j >= 0")
+    if len(c) != n_terms or not np.all(np.isfinite(c)) or np.any(c < 0):
+        fail("DOMAIN", "need n_terms finite coefficients with c_j >= 0")
     total = float(np.sum(np.abs(c)))
     if total == 0.0:
         fail("DOMAIN", "coefficients must not all vanish")
-    freqs = np.array([4 ** j for j in range(1, n_terms + 1)], dtype=np.int64)
     if sign_patterns and n_terms > 1:
         from itertools import product
         patterns = [(1,) + p for p in product((1, -1), repeat=n_terms - 1)]
     else:
         patterns = [(1,) * n_terms]
     rows = []
-    for off in offsets:
-        slot = PlanSlot(freqs + int(off), 1.0)     # every sign pattern shares the plan
+    for off, freqs in combs:
+        slot = PlanSlot(freqs, 1.0)     # every sign pattern shares the plan
         for pat in patterns:
             vals = c * np.asarray(pat, dtype=float)
-            sch = scheme_from_arrays(freqs + int(off), vals, np.zeros_like(vals),
-                                     int(freqs[-1] + off),
-                                     {"name": "riesz_comb", "offset": int(off)})
+            sch = scheme_from_arrays(freqs, vals, np.zeros_like(vals), int(freqs[-1]),
+                                     {"name": "riesz_comb", "offset": off})
             b = sup_bracket(unit_series(sch), 1.0, oversample=theta_oversample, refine=True,
                             slot=slot)
-            rows.append(RieszRow(offset=int(off), pattern=pat, ratio=b.lower / total))
+            rows.append(RieszRow(offset=off, pattern=pat, ratio=b.lower / total))
     c_emp = min(r.ratio for r in rows)
     return RieszReport(n_terms=n_terms, rows=tuple(rows), c_emp=c_emp)
 

@@ -130,6 +130,8 @@ class CoefficientScheme:
 
 def scheme_from_arrays(support, cos_coeffs, sin_coeffs, max_degree, provenance) -> CoefficientScheme:
     support = np.asarray(support, dtype=np.int64)
+    if support.size and support.min() < 0:   # brackets take the degree from the last index
+        fail("DOMAIN", f"support indices must be >= 0, got {support.min()}")
     order = np.argsort(support)
     return CoefficientScheme(
         support=support[order],

@@ -1,5 +1,7 @@
 import json
 import os
+import runpy
+import sys
 
 import pytest
 
@@ -415,9 +417,30 @@ def test_probe_riesz_grid_limit_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 0
     code, diag = _diagnostic(capsys, "probe-riesz", "--n-terms", "2", "--oversample", "32",
                              "--out", str(tmp_path / "big"))
-    assert (code, diag["error"]) == (2, "BUDGET_EXCEEDED")
-    man = json.loads((tmp_path / "big" / "manifest.json").read_text())
-    assert (man["status"], man["error"]) == ("failed", "BUDGET_EXCEEDED")
+    assert (code, diag["error"], diag["pointer"]) == (2, "BUDGET_EXCEEDED", "/n_terms")
+    assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize("argv, code, pointer", [
+    (["--offsets", "0,10000000"], "BUDGET_EXCEEDED", "/offsets"),
+    (["--offsets", "-5"], "DOMAIN", "/offsets"),
+    (["--n-terms", "2,9"], "DOMAIN", "/n_terms"),
+])
+def test_probe_riesz_checked_before_manifest(tmp_path, capsys, argv, code, pointer):
+    out = tmp_path / "r"
+    got, diag = _diagnostic(capsys, "probe-riesz", *argv, "--out", str(out))
+    assert (got, diag["error"], diag["pointer"]) == (2, code, pointer)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("offsets, code", [("-10", "DOMAIN"), ("10000000", "BUDGET_EXCEEDED")])
+def test_riesz_script_prints_the_diagnostic(capsys, monkeypatch, offsets, code):
+    script = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                                         "estimate_riesz_constant.py"))
+    monkeypatch.setattr(sys, "argv", ["estimate_riesz_constant.py", "--n-terms", "2",
+                                      "--offsets", offsets])
+    assert script["main"]() == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == code
 
 
 @pytest.mark.parametrize("argv, code", [

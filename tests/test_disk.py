@@ -12,7 +12,8 @@ from growthlab import (ANALYTIC, REAL_HARMONIC, GrowthLabError, SeedSpec, cesaro
 from growthlab import disk
 from growthlab.disk import RandomizedSeries
 from growthlab.mclab import random_scheme
-from growthlab.schemes import scheme_from_arrays
+from growthlab.schemes import hadamard_lacunary_scheme, scheme_from_arrays
+from growthlab.weights import block_sequence, make_weight
 
 SEED = SeedSpec(987)
 
@@ -199,6 +200,100 @@ def test_imaginary_coefficients_use_every_row():
     b = sup_bracket(ser, 0.9, oversample=16.0, refine=False, slot=slot)
     assert len(slot.plan.twists) == b.grid_size // slot.plan.L > 2
     assert b == sup_bracket(ser, 0.9, oversample=16.0, refine=False)
+
+
+# -- few-term supports: the wave-table product ---------------------------------------
+
+def _lacunary(S, n):
+    """S frequencies spread geometrically over 1..n, the last one n."""
+    j = np.unique(np.round(np.geomspace(1, n, 4 * S)).astype(np.int64))
+    return np.append(j[np.linspace(0, len(j) - 2, S - 1).astype(int)], n)
+
+
+def _fft_plan(support, M, real, half, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(disk, "WAVE_TERMS", 0)
+        return disk.circle_plan(support, M, real, half)
+
+
+def _rows(plan, c, blocks):
+    return np.concatenate(list(disk._circle_values(plan, c, blocks)))
+
+
+@pytest.mark.parametrize("S", [disk.WAVE_TERMS, disk.WAVE_TERMS + 1])
+@pytest.mark.parametrize("real, half", [(True, True), (True, False), (False, False)])
+@pytest.mark.parametrize("M, n", [(4096, 200), (63, 200), (2**16, 1000)])
+def test_wave_blocks_match_fft_and_direct(S, real, half, M, n, monkeypatch):
+    # odd M and M <= 2n alias frequencies into one row; 2^16 at degree 1000 gives 32 rows
+    support = _lacunary(S, n)
+    rng = np.random.default_rng(S + M)
+    c = rng.normal(size=S) + (0.0 if half else 1j * rng.normal(size=S))
+    plan, fft = disk.circle_plan(support, M, real, half), _fft_plan(support, M, real, half,
+                                                                    monkeypatch)
+    assert (plan.waves is not None) == (S <= disk.WAVE_TERMS) and fft.waves is None
+    rows = np.arange(len(plan.twists))
+    blocks = [rows[::-1][:2], slice(0, plan.step), slice(plan.step, None)]
+    vals = _rows(plan, c, blocks)
+    l1 = np.abs(c).sum()
+    assert np.max(np.abs(vals - _rows(fft, c, blocks))) <= 1e-13 * l1
+    order = np.concatenate([rows[::-1][:2], rows])
+    th = 2 * np.pi * (np.arange(plan.L)[None, :] * (M // plan.L) + order[:, None]) / M
+    assert vals.shape == th.shape
+    # a direct sum's angle j t carries about n eps of rounding; the grid's phases are exact
+    direct = disk._point_values(support, c, th.ravel(), real).reshape(th.shape)
+    assert np.max(np.abs(vals - direct)) <= 1e-15 * n * l1
+
+
+def test_wave_table_fits_its_budget(monkeypatch):
+    # Riesz combs: n = 6 (1.5 MB table) sums by waves, n = 7 and 8 would need 6 and 33 MB
+    for n_terms, waves in ((6, True), (7, False), (8, False)):
+        freqs = 4 ** np.arange(1, n_terms + 1)
+        plan = disk.circle_plan(freqs, disk.grid_size(int(freqs[-1]), 4.0), True, True)
+        assert (plan.waves is not None) == waves
+        assert plan.waves is None or plan.waves.nbytes <= disk.BLOCK_BYTES
+    # a table over budget falls back to the transform and yields the same values
+    support, c = _lacunary(4, 300), np.array([1.0, -0.5, 2.0, 0.25])
+    wave = disk.circle_plan(support, 2**14, True, True)
+    monkeypatch.setattr(disk, "BLOCK_BYTES", wave.waves.nbytes - 1)
+    fft = disk.circle_plan(support, 2**14, True, True)
+    assert fft.waves is None
+    blocks = [slice(None)]
+    assert np.allclose(_rows(wave, c, blocks), _rows(fft, c, blocks), rtol=0,
+                       atol=1e-13 * np.abs(c).sum())
+
+
+@pytest.mark.parametrize("flavor", [REAL_HARMONIC, ANALYTIC])
+def test_evaluate_circle_on_hadamard_support(flavor):
+    sch = hadamard_lacunary_scheme(block_sequence(make_weight("power", 1.0), 2.0, 1, 10))
+    assert len(sch.support) <= disk.WAVE_TERMS
+    ser = randomize(sch, make_model("rademacher"), SEED, 3, flavor=flavor)
+    for M in (8192, 1000, 333):
+        th = 2 * np.pi * np.arange(M) / M
+        assert np.max(np.abs(evaluate_circle(ser, 0.99, M) - evaluate_at(ser, 0.99, th))) \
+            <= 1e-13 * np.abs(ser.signed_complex_coeffs()).sum()
+
+
+@pytest.mark.parametrize("flavor", [REAL_HARMONIC, ANALYTIC])
+def test_wave_brackets_match_fft_brackets(flavor, monkeypatch):
+    # same grid, refinement seeds and Newton ascent on both paths: the brackets agree
+    # to roundoff, and refinement climbs from the wave grid to the dense sup
+    support = _lacunary(12, 1500)
+    sch = scheme_from_arrays(support, np.linspace(1.0, 2.0, 12), np.zeros(12), 1500,
+                             {"name": "t"})
+    for trial in range(3):
+        ser = randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
+        slot = disk.PlanSlot(support, 1.0)
+        wave = sup_bracket(ser, 1.0, refine=True, slot=slot)
+        assert slot.plan.waves is not None and len(slot.plan.twists) == 17   # half of 32 rows
+        with monkeypatch.context() as m:
+            m.setattr(disk, "WAVE_TERMS", 0)
+            fft = sup_bracket(ser, 1.0, refine=True)
+        assert wave.grid_size == fft.grid_size and wave.degree == fft.degree
+        assert wave.lower == pytest.approx(fft.lower, rel=1e-13, abs=0)
+        assert wave.upper == pytest.approx(fft.upper, rel=1e-13, abs=0)
+        lo, hi = dense_sup(*coeffs_at(ser, 1.0), real=flavor == REAL_HARMONIC)
+        assert sup_bracket(ser, 1.0, refine=False).lower < lo * (1 - 1e-7)
+        assert lo * (1 - 2e-12) <= wave.lower <= hi
 
 
 # -- sup brackets ------------------------------------------------------------------

@@ -287,6 +287,34 @@ def test_riesz_validation():
         riesz_probe(2, c_values=[1.0, -1.0])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"offsets": (0, -5)},             # frequency 4 - 5 < 0
+    {"offsets": ()},
+    {"c_values": [math.inf, 1.0]},    # gave c_emp = nan
+    {"c_values": [math.nan, 1.0]},
+])
+def test_riesz_rejects_bad_offsets_and_coefficients(kwargs):
+    with pytest.raises(GrowthLabError) as ei:
+        riesz_probe(2, **kwargs)
+    assert ei.value.code == "DOMAIN"
+
+
+def test_riesz_lowest_offset_starts_at_frequency_zero():
+    assert mclab.riesz_comb(3, -4).tolist() == [0, 12, 60]
+    assert riesz_probe(3, offsets=(-4,)).c_emp == pytest.approx(1.0, rel=1e-11)
+
+
+def test_riesz_constants_unchanged():
+    # the signed scan's minima since the batched Newton refinement, now summed by wave
+    # table; at n = 2 every pattern reaches sum|c|, which the guard scales by 1 - 1e-12
+    want = [1.0 - disk.FLOAT_GUARD, 0.9026745458511428, 0.9222348861179731,
+            0.8859555090086649, 0.9000794561711212]
+    for n, c in zip(range(2, 7), want):
+        comb = mclab.riesz_comb(n, 0)
+        assert disk.circle_plan(comb, disk.grid_size(int(comb[-1]), 64.0), True).waves is not None
+        assert riesz_probe(n, sign_patterns=True).c_emp == pytest.approx(c, rel=1e-13, abs=0)
+
+
 # -- cesaro domination ------------------------------------------------------------------
 
 def test_domination_zero_scheme_trivially_passes():

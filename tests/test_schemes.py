@@ -326,3 +326,16 @@ def test_dense_magnitudes_budget_checked_before_allocating(monkeypatch):
         sch.dense_magnitudes()
     assert ei.value.code == "DEGREE_BUDGET"
     assert len(sch.dense_magnitudes(1023)) == 1024
+
+
+@pytest.mark.parametrize("support", [[-200, 3], [-1], [0, 5, -3]])
+def test_negative_support_rejected(support):
+    # a bracket takes its degree from the last index: [-200, 3] with sin 0.3 on -200
+    # bracketed upper = 2.0219 below the dense sup 2.0440 at oversample 4
+    n = len(support)
+    with pytest.raises(GrowthLabError) as ei:
+        schemes.scheme_from_arrays(support, np.ones(n), np.full(n, 0.3), 3, {"name": "t"})
+    assert ei.value.code == "DOMAIN"
+    with pytest.raises(GrowthLabError) as ei:
+        schemes.scheme_from_csv("j,cos,sin\n" + "".join(f"{j},1.0,0.3\n" for j in support))
+    assert ei.value.code == "DOMAIN"

@@ -25,9 +25,9 @@ from .disk import (RandomizedSeries, SupBracket, randomize, unit_series,
                    evaluate_at, evaluate_circle, sup_bracket, partial_sum,
                    cesaro_mean, gradient_at, gradient_sup_bracket,
                    REAL_HARMONIC, ANALYTIC)
-from .sphere import (SphericalBasis, SphereSeries, build_basis, evaluate_ball,
-                     fibonacci_covering, default_covering, sup_bracket_sphere,
-                     cap_fraction, random_degree_combination, laplacian_stencil)
+from .sphere import (SphericalBasis, SphereSeries, build_basis, fibonacci_covering,
+                     default_covering, sup_bracket_sphere, cap_fraction,
+                     random_degree_combination, laplacian_stencil)
 from .criteria import (score_sup_ratio, score_block_sum, score_blockwise,
                        operator_norm_profile, ScoreReport, BlockScoreReport,
                        L2_CUM, L1_CUM, L1_SQRT, L2_LOG, CESARO, PARTIAL)

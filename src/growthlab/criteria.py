@@ -216,9 +216,6 @@ class OperatorNormProfile:
     which: str
     rows: tuple
 
-    def ratio_lowers(self) -> np.ndarray:
-        return np.array([r.ratio_lower for r in self.rows])
-
 
 def operator_norm_profile(series: RandomizedSeries, weight: Weight,
                           ns=None, which: str = CESARO,

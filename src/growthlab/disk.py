@@ -254,10 +254,6 @@ class SupBracket:
     grid_size: int
     degree: int
 
-    @property
-    def width_ratio(self) -> float:
-        return self.upper / self.lower if self.lower > 0 else math.inf
-
 
 def _next_pow2(x: float) -> int:
     return 1 << max(3, int(math.ceil(math.log2(max(2.0, x)))))

@@ -13,7 +13,7 @@ Probes:
                           median ratios against candidate growth functions
   salem_zygmund_probe     distribution of max |h_N| / sqrt(R log n_N) for the
                           Cesaro-weighted top block h_N at radius 1 - 1/n_N
-  riesz_probe             certified lower bounds of sup / sum|c| for shifted
+  riesz_probe             certified lower bounds of sup / n for shifted n-term
                           4-power cosine combs, optionally over sign patterns
   cesaro_domination_check batched property test that no Cesaro mean can
                           exceed the function's certified sup
@@ -34,11 +34,12 @@ import numpy as np
 
 from .disk import (ANALYTIC, REAL_HARMONIC, PlanSlot, cesaro_mean, check_oversample,
                    randomize, sup_bracket, unit_series)
-from .errors import GrowthLabError, fail
+from .errors import fail
 from .randomness import RandomModel, SeedSpec, make_model, model_from_json
 from .reporting import canonical_json, config_hash, record_json
 from . import schemes
-from .schemes import CoefficientScheme, clamped_log, scheme_from_arrays
+from .schemes import (CoefficientScheme, clamped_log, scheme_from_arrays,
+                      scheme_from_provenance)
 
 # -- named growth candidates ---------------------------------------------------
 
@@ -70,26 +71,12 @@ def resolve_candidate(name: str) -> Callable:
     fail("CONFIG_INVALID", f"unknown growth candidate {name!r}")
 
 
-# -- scheme regeneration from provenance ---------------------------------------
-
-def scheme_from_provenance(prov: dict) -> CoefficientScheme:
-    """Rebuild a scheme bit-exactly from its provenance dict, random ones included;
-    a field of the wrong type or shape is CONFIG_INVALID."""
-    try:
-        if prov.get("name") == "random":
-            return random_scheme(SeedSpec(prov["seed"]), prov["trial"], prov["degree"],
-                                 prov.get("density", 1.0), prov.get("both", True))
-        return schemes.scheme_from_provenance(prov)
-    except GrowthLabError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        fail("CONFIG_INVALID", f"scheme {prov.get('name')!r} provenance is malformed "
-             f"({type(e).__name__}: {e})")
-
+# -- random schemes ---------------------------------------------------------------
 
 def random_scheme(seed_spec: SeedSpec, trial: int, degree: int,
                   density: float = 1.0, both: bool = True, lane: int = 7) -> CoefficientScheme:
-    """Gaussian random scheme for oracles and property tests."""
+    """Gaussian random scheme for the Cesaro check and property tests; its
+    provenance records the draw, but scheme_from_provenance does not rebuild it."""
     rng = seed_spec.generator(trial, lane)
     n_entries = max(1, int(round(density * (degree + 1))))
     support = np.sort(rng.choice(degree + 1, size=n_entries, replace=False))
@@ -390,24 +377,17 @@ def riesz_comb(n_terms: int, offset: int) -> np.ndarray:
 
 
 def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
-                c_values: Optional[Sequence[float]] = None,
                 theta_oversample: float = 64.0,
                 sign_patterns: bool = False) -> RieszReport:
-    """Certified lower bounds for || sum c_j cos((N + 4^j) theta) || / sum |c_j|.
+    """Certified lower bounds for || sum eps_j cos((N + 4^j) theta) || / n_terms.
 
-    With all-equal positive coefficients the sup is attained at theta = 0
-    and every ratio is exactly 1; scanning sign patterns (first sign fixed
-    by symmetry) probes the nontrivial absolute constant.
+    With all signs eps_j = +1 the sup is attained at theta = 0 and every
+    ratio is exactly 1; scanning sign patterns (first sign fixed by
+    symmetry) probes the nontrivial absolute constant.
     """
     combs = [(int(off), riesz_comb(n_terms, off)) for off in offsets]
     if not combs:
         fail("DOMAIN", "need at least one offset")
-    c = np.ones(n_terms) if c_values is None else np.asarray(c_values, dtype=float)
-    if len(c) != n_terms or not np.all(np.isfinite(c)) or np.any(c < 0):
-        fail("DOMAIN", "need n_terms finite coefficients with c_j >= 0")
-    total = float(np.sum(np.abs(c)))
-    if total == 0.0:
-        fail("DOMAIN", "coefficients must not all vanish")
     if sign_patterns and n_terms > 1:
         from itertools import product
         patterns = [(1,) + p for p in product((1, -1), repeat=n_terms - 1)]
@@ -417,12 +397,12 @@ def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
     for off, freqs in combs:
         slot = PlanSlot(freqs, 1.0)     # every sign pattern shares the plan
         for pat in patterns:
-            vals = c * np.asarray(pat, dtype=float)
+            vals = np.asarray(pat, dtype=float)
             sch = scheme_from_arrays(freqs, vals, np.zeros_like(vals), int(freqs[-1]),
                                      {"name": "riesz_comb", "offset": off})
             b = sup_bracket(unit_series(sch), 1.0, oversample=theta_oversample, refine=True,
                             slot=slot)
-            rows.append(RieszRow(offset=off, pattern=pat, ratio=b.lower / total))
+            rows.append(RieszRow(offset=off, pattern=pat, ratio=b.lower / n_terms))
     c_emp = min(r.ratio for r in rows)
     return RieszReport(n_terms=n_terms, rows=tuple(rows), c_emp=c_emp)
 
@@ -445,6 +425,10 @@ def cesaro_domination_check(trials: int, seed_spec: SeedSpec,
                             oversample: float = 16.0) -> DominationReport:
     """No Cesaro mean may exceed the certified sup of the function by more
     than DOMINATION_RTOL of max(1, sup)."""
+    if trials < 1:
+        fail("DOMAIN", f"need at least one trial, got {trials}")
+    if degree < 0:
+        fail("DOMAIN", f"degree must be >= 0, got {degree}")
     cases = 0
     violations = 0
     worst = math.inf

@@ -11,7 +11,7 @@ for every real lambda.  The built-in real models
 all satisfy the inequality (mean zero and |w| <= 1, or Gaussian with
 variance at most one).  ``mgf_audit`` checks it statistically on a lambda
 grid.  The complex ``steinhaus`` model (unit-modulus phases) is reserved
-for analytic-flavor series; ``constant_one`` is a degenerate test hook.
+for analytic-flavor series.
 
 Streams are derived per (master_seed, trial, lane) through a Philox
 counter-based generator, so trials can run in any order, or concurrently,
@@ -33,7 +33,6 @@ GAUSSIAN = "gaussian"
 STEINHAUS_REAL = "steinhaus_real"
 UNIFORM_SYMMETRIC = "uniform_symmetric"
 STEINHAUS = "steinhaus"          # complex unit-modulus, analytic flavor only
-CONSTANT_ONE = "constant_one"    # degenerate hook: every sign is +1
 
 SUBNORMAL_KINDS = (RADEMACHER, GAUSSIAN, STEINHAUS_REAL, UNIFORM_SYMMETRIC)
 
@@ -55,7 +54,7 @@ class RandomModel:
 
 
 def make_model(kind: str, sigma: float = 1.0) -> RandomModel:
-    if kind not in SUBNORMAL_KINDS + (STEINHAUS, CONSTANT_ONE):
+    if kind not in SUBNORMAL_KINDS + (STEINHAUS,):
         fail("CONFIG_INVALID", f"unknown random model {kind!r}")
     if kind == GAUSSIAN:
         if not (0.0 < sigma) or sigma * sigma > 1.0:
@@ -100,8 +99,6 @@ def sample_vector(model: RandomModel, seed_spec: SeedSpec, trial: int, count: in
         return rng.uniform(-1.0, 1.0, size=count)
     if model.kind == STEINHAUS:
         return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=count))
-    if model.kind == CONSTANT_ONE:
-        return np.ones(count)
     raise AssertionError(f"unhandled model kind {model.kind}")
 
 
@@ -159,18 +156,6 @@ def theoretical_mgf_ratio(model: RandomModel, lam: float) -> float:
             return 1.0
         return math.sinh(lam) / lam / denom
     if model.kind == STEINHAUS_REAL:
-        return _bessel_i0(lam) / denom
+        return float(np.i0(lam)) / denom
     fail("CONFIG_INVALID", f"no closed-form mgf for model {model.kind!r}")
 
-
-def _bessel_i0(x: float) -> float:
-    # power series sum_k (x^2/4)^k / (k!)^2, plenty for |x| <= 20
-    q = x * x / 4.0
-    term = 1.0
-    total = 1.0
-    for k in range(1, 200):
-        term *= q / (k * k)
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total

@@ -29,12 +29,8 @@ def canonical_json(obj) -> str:
     return _dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def config_hash(obj) -> str:
-    return sha256_hex(canonical_json(obj).encode("utf-8"))
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def write_text(path, text: str):

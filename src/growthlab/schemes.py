@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import fail
+from .errors import GrowthLabError, fail
 from .reporting import canonical_json, format_csv, write_text
 from .weights import BlockSequence, weight_from_json, weight_to_json
 
@@ -133,8 +133,12 @@ def scheme_from_arrays(support, cos_coeffs, sin_coeffs, max_degree, provenance) 
     if support.size and support.min() < 0:   # brackets take the degree from the last index
         fail("DOMAIN", f"support indices must be >= 0, got {support.min()}")
     order = np.argsort(support)
+    support = support[order]
+    repeats = support[1:][support[1:] == support[:-1]]
+    if repeats.size:
+        fail("DOMAIN", f"support indices must be unique, got {repeats[0]} more than once")
     return CoefficientScheme(
-        support=support[order],
+        support=support,
         cos_coeffs=np.asarray(cos_coeffs, dtype=float)[order],
         sin_coeffs=np.asarray(sin_coeffs, dtype=float)[order],
         max_degree=int(max_degree),
@@ -187,6 +191,18 @@ def _block_segments(blocks: BlockSequence):
         yield k, blocks.n[k - 1], blocks.n[k]
 
 
+def _block_scheme(pieces, max_degree: int, prov: dict,
+                  fill_both: bool = False) -> CoefficientScheme:
+    """Cosine scheme from per-block (degrees, values) pieces, values a scalar
+    or one per degree; fill_both copies the values into the sine part."""
+    pieces = list(pieces)
+    support = np.concatenate([js for js, _ in pieces] or [np.zeros(0, dtype=np.int64)])
+    vals = np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), js.shape)
+                           for js, v in pieces] or [np.zeros(0)])
+    sin = vals.copy() if fill_both else np.zeros_like(vals)
+    return scheme_from_arrays(support, vals, sin, max_degree, prov)
+
+
 # -- constructors -------------------------------------------------------------
 
 def uniform_block_scheme(blocks: BlockSequence, rule: str,
@@ -203,7 +219,7 @@ def uniform_block_scheme(blocks: BlockSequence, rule: str,
     if blocks.k_max < 1:
         fail("EMPTY_BLOCKS", "need at least one block beyond n0")
     _check_span(blocks, "uniform")
-    support, vals = [], []
+    pieces = []
     gs = blocks.g_values()
     for k, lo, hi in _block_segments(blocks):
         gnk = float(gs[k])
@@ -214,16 +230,10 @@ def uniform_block_scheme(blocks: BlockSequence, rule: str,
             mag = gnk / math.sqrt(nk * float(clamped_log(nk)))
         else:
             mag = gnk / math.sqrt(nk)
-        js = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        support.append(js)
-        vals.append(np.full(len(js), mag))
-    support = np.concatenate(support) if support else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(vals) if vals else np.zeros(0)
-    cos = vals
-    sin = vals.copy() if fill_both else np.zeros_like(vals)
+        pieces.append((np.arange(lo + 1, hi + 1, dtype=np.int64), mag))
     prov = {"name": "uniform", "rule": rule, "fill_both": fill_both,
             "blocks": blocks_provenance(blocks)}
-    return scheme_from_arrays(support, cos, sin, blocks.n[-1], prov)
+    return _block_scheme(pieces, blocks.n[-1], prov, fill_both)
 
 
 TOWER_BLOCKS = (2, 4, 16, 256, 65536)  # 2^(2^k), k = 0..4
@@ -240,15 +250,9 @@ def loglog_energy_scheme(k_max: int) -> CoefficientScheme:
     if k_max > 4:
         fail("DEGREE_BUDGET", f"k_max <= 4 (degree 65536); got {k_max}")
     n = TOWER_BLOCKS[:k_max + 1]
-    support, vals = [], []
-    for k in range(1, len(n)):
-        js = np.arange(n[k - 1] + 1, n[k] + 1, dtype=np.int64)
-        support.append(js)
-        vals.append(np.full(len(js), 1.0 / math.sqrt(n[k])))
-    support = np.concatenate(support) if support else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(vals) if vals else np.zeros(0)
-    prov = {"name": "loglog", "k_max": k_max}
-    return scheme_from_arrays(support, vals, np.zeros_like(vals), n[-1], prov)
+    pieces = ((np.arange(n[k - 1] + 1, n[k] + 1, dtype=np.int64), 1.0 / math.sqrt(n[k]))
+              for k in range(1, len(n)))
+    return _block_scheme(pieces, n[-1], {"name": "loglog", "k_max": k_max})
 
 
 def riesz_lacunary_scheme(blocks: BlockSequence, nu: NuSequence) -> CoefficientScheme:
@@ -263,20 +267,15 @@ def riesz_lacunary_scheme(blocks: BlockSequence, nu: NuSequence) -> CoefficientS
             fail("RATIO_TOO_SMALL",
                  f"riesz lacunary scheme needs n_k >= 4 n_(k-1); block {k} has {hi} < 4*{lo}")
     _check_span(blocks, "riesz_lacunary")
-    support, vals = [], []
+    pieces = []
     gs = blocks.g_values()
     for k, lo, hi in _block_segments(blocks):
         m_top = int(math.floor(math.log(hi / 2.0, 4.0)))
-        js = lo + 4 ** np.arange(0, m_top + 1, dtype=np.int64)
-        mag = float(nu.at(k - 1)) * float(gs[k]) / float(clamped_log(hi))
-        support.append(js)
-        vals.append(np.full(len(js), mag))
-    support = np.concatenate(support) if support else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(vals) if vals else np.zeros(0)
+        pieces.append((lo + 4 ** np.arange(0, m_top + 1, dtype=np.int64),
+                       float(nu.at(k - 1)) * float(gs[k]) / float(clamped_log(hi))))
     prov = {"name": "riesz_lacunary", "nu": nu.to_json(),
             "blocks": blocks_provenance(blocks)}
-    return scheme_from_arrays(support, vals, np.zeros_like(vals),
-                              blocks.n[-1], prov)
+    return _block_scheme(pieces, blocks.n[-1], prov)
 
 
 def saturating_scheme(blocks: BlockSequence, nu: NuSequence) -> CoefficientScheme:
@@ -324,19 +323,13 @@ def rudin_shapiro_scheme(blocks: BlockSequence) -> CoefficientScheme:
             fail("RATIO_TOO_SMALL",
                  f"rudin-shapiro scheme needs n_k >= 2 n_(k-1); block {k} has {hi} < 2*{lo}")
     _check_span(blocks, "rudin_shapiro")
-    support, vals = [], []
     gs = blocks.g_values()
-    for k, lo, hi in _block_segments(blocks):
-        m = hi - lo
-        signs = rudin_shapiro_signs(m)   # term j of P uses eps_{j-1}
-        js = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        support.append(js)
-        vals.append(signs * (float(gs[k]) / math.sqrt(m)))
-    support = np.concatenate(support) if support else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(vals) if vals else np.zeros(0)
-    prov = {"name": "rudin_shapiro", "blocks": blocks_provenance(blocks)}
-    return scheme_from_arrays(support, vals, np.zeros_like(vals),
-                              blocks.n[-1], prov)
+    # term j of block k's polynomial uses eps_{j-1}
+    pieces = ((np.arange(lo + 1, hi + 1, dtype=np.int64),
+               rudin_shapiro_signs(hi - lo) * (float(gs[k]) / math.sqrt(hi - lo)))
+              for k, lo, hi in _block_segments(blocks))
+    return _block_scheme(pieces, blocks.n[-1],
+                         {"name": "rudin_shapiro", "blocks": blocks_provenance(blocks)})
 
 
 def hadamard_lacunary_scheme(blocks: BlockSequence) -> CoefficientScheme:
@@ -379,10 +372,18 @@ def scheme_fields(name) -> tuple:
 
 
 def scheme_from_provenance(prov: dict) -> CoefficientScheme:
-    """Rebuild a scheme bit-exactly from its provenance dict."""
-    fields = scheme_fields(prov.get("name"))
-    missing = [f for f in fields if f not in prov and f not in _OPTIONAL]
-    if missing:
-        fail("CONFIG_INVALID", f"scheme {prov['name']!r} provenance lacks {', '.join(missing)}")
-    build = globals()[SCHEMES[prov["name"]][0]]
-    return build(**{f: _DECODE.get(f, lambda v: v)(prov[f]) for f in fields if f in prov})
+    """Rebuild a scheme bit-exactly from its provenance dict; a field of the
+    wrong type or shape is CONFIG_INVALID."""
+    try:
+        fields = scheme_fields(prov.get("name"))
+        missing = [f for f in fields if f not in prov and f not in _OPTIONAL]
+        if missing:
+            fail("CONFIG_INVALID",
+                 f"scheme {prov['name']!r} provenance lacks {', '.join(missing)}")
+        build = globals()[SCHEMES[prov["name"]][0]]
+        return build(**{f: _DECODE.get(f, lambda v: v)(prov[f]) for f in fields if f in prov})
+    except GrowthLabError:       # a ValueError subclass that already carries its code
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        fail("CONFIG_INVALID", f"scheme {prov.get('name')!r} provenance is malformed "
+             f"({type(e).__name__}: {e})")

@@ -106,11 +106,6 @@ class SphericalBasis:
         mu, _ = element_index(m, l)
         return self.scales[(m, mu)]
 
-    def normalized_sup_bounds(self, m: int, l: int):
-        """Certified (lower, upper) for the normalized element's sphere sup."""
-        mu, _ = element_index(m, l)
-        return self.norm_lower[(m, mu)], 1.0
-
 
 def build_basis(N: int) -> SphericalBasis:
     """Normalize all elements of degree <= N via great-circle profiles.
@@ -184,24 +179,14 @@ class SphereSeries:
         return out
 
 
-def evaluate_ball(series: SphereSeries, x) -> float:
-    """Value at one point of the closed unit ball."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        fail("DOMAIN", f"point must be a 3-vector, got shape {x.shape}")
-    if float(x @ x) > 1.0 + 1e-12:
-        fail("DOMAIN", f"|x| must be <= 1, got {math.sqrt(float(x @ x))}")
-    return float(series.evaluate(x[None, :])[0])
-
-
 # -- coverings ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Covering:
-    """Fibonacci-lattice points with a certified covering radius bound."""
+    """Fibonacci-lattice points with an estimated covering radius (not certified)."""
 
     points: np.ndarray          # (K, 3)
-    radius: float               # delta <= 2.5/sqrt(K)
+    radius: float               # 2.5/sqrt(K); sampled distances reach about 2.72/sqrt(K)
 
     @property
     def size(self) -> int:
@@ -237,10 +222,11 @@ def _covering_modulus(series: SphereSeries, covering: Optional[Covering]):
 
 
 def sup_bracket_sphere(series: SphereSeries, covering: Optional[Covering] = None) -> SupBracket:
-    """Certified sphere sup bracket via the covering and tangential Bernstein.
+    """Sphere sup bracket via the covering and tangential Bernstein.
 
-    Any sphere point is within geodesic distance delta of a covering point,
-    and |P(y*) - P(y)| <= delta n sup|P|, hence sup <= grid_max/(1 - n delta).
+    If every sphere point is within geodesic distance delta of a covering
+    point, |P(y*) - P(y)| <= delta n sup|P| gives sup <= grid_max/(1 - n delta);
+    the covering's delta is an estimate, so the upper side is not certified.
     """
     n = series.degree
     covering, _, gmax = _covering_modulus(series, covering)

@@ -148,16 +148,16 @@ class DoublingAudit:
     grid_size: int
 
 
-def doubling_audit(weight: Weight, x_max: float, grid_size: int = 2048) -> DoublingAudit:
+DOUBLING_GRID = 2048     # log-spaced points of doubling_audit's grid
+
+
+def doubling_audit(weight: Weight, x_max: float) -> DoublingAudit:
     """Measure max g(2x)/g(x) over a log-spaced grid on [domain_min, x_max/2]."""
     if not (2.0 <= x_max < math.inf):
         fail("DOMAIN", f"x_max must be finite and >= 2, got {x_max}")
     lo = max(1.0, weight.domain_min)
     hi = max(lo, x_max / 2.0)
-    if grid_size <= 1 or hi == lo:
-        xs = np.array([lo])
-    else:
-        xs = np.geomspace(lo, hi, grid_size)
+    xs = np.geomspace(lo, hi, DOUBLING_GRID) if hi > lo else np.array([lo])
     ratios = _g(weight, 2.0 * xs) / _g(weight, xs)
     i = int(np.argmax(ratios))
     return DoublingAudit(d_hat=float(ratios[i]), worst_x=float(xs[i]),

@@ -355,7 +355,7 @@ def test_config_scheme_missing_field(tmp_path, capsys, scheme):
 @pytest.mark.parametrize("scheme", [
     {"name": "loglog", "k_max": "x"},
     {"name": "loglog", "k_max": 2.5},
-    {"name": "random"},
+    {"name": "random"},                   # random schemes are not rebuilt from provenance
     {"name": "saturating", "blocks": {}, "nu": "sqrt"},
 ])
 def test_config_scheme_malformed_rejected_before_manifest(tmp_path, capsys, scheme):
@@ -364,7 +364,7 @@ def test_config_scheme_malformed_rejected_before_manifest(tmp_path, capsys, sche
     out = tmp_path / "g"
     code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
     assert (code, diag["error"]) == (2, "CONFIG_INVALID")
-    assert "malformed" in diag["detail"]
+    assert ("unknown scheme" if scheme["name"] == "random" else "malformed") in diag["detail"]
     assert not out.exists()
 
 

@@ -183,7 +183,7 @@ def test_operator_profile_hadamard_bounded():
     b = blocks_pow2(9)
     s = hadamard_lacunary_scheme(b)
     prof = operator_norm_profile(unit_series(s), W1, ns=b, which=CESARO, refine=False)
-    ratios = prof.ratio_lowers()
+    ratios = np.array([r.ratio_lower for r in prof.rows])
     assert np.max(ratios) <= 3.0
     assert ratios[-1] <= 1.5 * ratios[len(ratios) // 2]
 
@@ -193,14 +193,15 @@ def test_operator_profile_riesz_growing_trend():
     s = riesz_lacunary_scheme(b, NuSequence("sqrt"))
     prof = operator_norm_profile(unit_series(s), W1, ns=list(b.n[1:]),
                                  which=CESARO, refine=False)
-    ratios = prof.ratio_lowers()
+    ratios = np.array([r.ratio_lower for r in prof.rows])
     assert np.all(np.diff(ratios) > 0)
     assert ratios[-1] / ratios[0] >= 2.0
     # a couple of random sign choices keep the growth
     for trial in range(2):
         ser = randomize(s, make_model("rademacher"), SeedSpec(3), trial)
-        rr = operator_norm_profile(ser, W1, ns=list(b.n[1:]), which=CESARO,
-                                   refine=False).ratio_lowers()
+        rows = operator_norm_profile(ser, W1, ns=list(b.n[1:]), which=CESARO,
+                                     refine=False).rows
+        rr = [r.ratio_lower for r in rows]
         assert rr[-1] / rr[0] >= 1.5
 
 

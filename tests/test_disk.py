@@ -24,15 +24,6 @@ def mono(j, cos=1.0, sin=0.0):
 
 # -- randomize -------------------------------------------------------------------
 
-def test_constant_one_hook_equals_scheme():
-    sch = random_scheme(SEED, 0, 50)
-    ser = randomize(sch, make_model("constant_one"), SEED, 0)
-    th = np.linspace(0, 2 * np.pi, 7)
-    direct = evaluate_at(unit_series(sch), 0.8, th)
-    hooked = evaluate_at(ser, 0.8, th)
-    assert np.array_equal(direct, hooked)
-
-
 def test_randomize_deterministic():
     sch = random_scheme(SEED, 0, 50)
     a = randomize(sch, make_model("rademacher"), SEED, 3)

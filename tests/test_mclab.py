@@ -8,8 +8,8 @@ import pytest
 
 from growthlab import (GrowthLabError, NuSequence, SeedSpec, block_sequence,
                        cesaro_domination_check, fit_growth, make_model, make_weight,
-                       random_scheme, riesz_probe, run_growth_ensemble,
-                       salem_zygmund_probe, saturating_scheme, scheme_from_provenance)
+                       riesz_probe, run_growth_ensemble, salem_zygmund_probe,
+                       saturating_scheme)
 from growthlab import disk, mclab
 from growthlab.mclab import EnsembleReport, ExperimentConfig, config_from_json
 
@@ -283,15 +283,13 @@ def test_riesz_signed_patterns_positive():
 def test_riesz_validation():
     with pytest.raises(GrowthLabError):
         riesz_probe(9)
-    with pytest.raises(GrowthLabError):
-        riesz_probe(2, c_values=[1.0, -1.0])
 
 
 @pytest.mark.parametrize("kwargs", [
     {"offsets": (0, -5)},             # frequency 4 - 5 < 0
     {"offsets": ()},
-    {"c_values": [math.inf, 1.0]},    # gave c_emp = nan
-    {"c_values": [math.nan, 1.0]},
+    {"theta_oversample": math.inf},
+    {"theta_oversample": math.nan},
 ])
 def test_riesz_rejects_bad_offsets_and_coefficients(kwargs):
     with pytest.raises(GrowthLabError) as ei:
@@ -320,6 +318,14 @@ def test_riesz_constants_unchanged():
 def test_domination_zero_scheme_trivially_passes():
     rep = cesaro_domination_check(2, SeedSpec(8), degree=0, radii=(0.5,), n_list=(1,))
     assert rep.violations == 0
+
+
+@pytest.mark.parametrize("trials, degree", [(0, 10), (2, -1)])
+def test_domination_rejects_bad_sizes(trials, degree):
+    # trials = 0 gave worst_margin = inf; degree = -1 a bare numpy ValueError
+    with pytest.raises(GrowthLabError) as ei:
+        cesaro_domination_check(trials, SeedSpec(8), degree=degree)
+    assert ei.value.code == "DOMAIN"
 
 
 def test_domination_batch():
@@ -364,11 +370,3 @@ def test_fit_growth_needs_radii():
         fit_growth(rep, ["identity"])
     assert ei.value.code == "INSUFFICIENT_RADII"
 
-
-# -- provenance ---------------------------------------------------------------------------
-
-def test_random_scheme_regenerates():
-    s = random_scheme(SeedSpec(5), 3, 100, density=0.5)
-    s2 = scheme_from_provenance(s.provenance)
-    assert np.array_equal(s.support, s2.support)
-    assert np.array_equal(s.cos_coeffs, s2.cos_coeffs)

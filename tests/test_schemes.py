@@ -10,9 +10,7 @@ from growthlab import (G_OVER_N, G_OVER_SQRT_N, G_OVER_SQRT_NLOGN, GrowthLabErro
                        rudin_shapiro_scheme, rudin_shapiro_signs, saturating_scheme,
                        scheme_from_csv, uniform_block_scheme)
 from growthlab import schemes
-from growthlab.mclab import random_scheme, scheme_from_provenance
-from growthlab.randomness import SeedSpec
-from growthlab.schemes import SCHEMES
+from growthlab.schemes import SCHEMES, scheme_from_provenance
 
 W1 = make_weight("power", 1.0)
 
@@ -222,7 +220,7 @@ PROVENANCE_CASES = [
     lambda: hadamard_lacunary_scheme(blocks_pow2(6)),
     lambda: uniform_block_scheme(blocks_pow2(5), G_OVER_N, fill_both=True),
     lambda: saturating_scheme(blocks_pow2(5), NuSequence("constant", c=2.5)),
-    lambda: random_scheme(SeedSpec(5), 3, 100, density=0.5),
+    lambda: uniform_block_scheme(blocks_pow2(7, n0=3), G_OVER_SQRT_N),
 ]
 
 
@@ -338,4 +336,17 @@ def test_negative_support_rejected(support):
     assert ei.value.code == "DOMAIN"
     with pytest.raises(GrowthLabError) as ei:
         schemes.scheme_from_csv("j,cos,sin\n" + "".join(f"{j},1.0,0.3\n" for j in support))
+    assert ei.value.code == "DOMAIN"
+
+
+@pytest.mark.parametrize("support", [[3, 3], [5, 0, 5], [1, 2, 2, 7]])
+def test_repeated_support_rejected(support):
+    # [3, 3] meant 2 cos 3t to a bracket, one entry to dense_magnitudes and
+    # a square-sum of 2 to the block scores
+    n = len(support)
+    with pytest.raises(GrowthLabError) as ei:
+        schemes.scheme_from_arrays(support, np.ones(n), np.zeros(n), 7, {"name": "t"})
+    assert ei.value.code == "DOMAIN"
+    with pytest.raises(GrowthLabError) as ei:
+        schemes.scheme_from_csv("j,a_j0,a_j1\n" + "".join(f"{j},1.0,0.0\n" for j in support))
     assert ei.value.code == "DOMAIN"

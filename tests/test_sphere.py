@@ -5,9 +5,8 @@ import pytest
 from numpy.polynomial import legendre
 
 from growthlab import (GrowthLabError, SphereSeries, build_basis, cap_fraction,
-                       default_covering, evaluate_ball, fibonacci_covering,
-                       laplacian_stencil, make_model, random_degree_combination,
-                       sup_bracket_sphere)
+                       default_covering, fibonacci_covering, laplacian_stencil,
+                       make_model, random_degree_combination, sup_bracket_sphere)
 from growthlab.sphere import COS, POINT_BLOCK, SIN, ZONAL, element_index
 
 
@@ -30,7 +29,7 @@ def test_fibonacci_covering_shape_and_radius():
 
 
 def test_fibonacci_covering_radius_is_conservative():
-    # empirical fill distance of a probe set stays below the certified bound
+    # empirical fill distance of a probe set stays below the stated (uncertified) radius
     cov = fibonacci_covering(2000)
     rng = np.random.default_rng(3)
     probe = rng.standard_normal((500, 3))
@@ -52,41 +51,39 @@ def test_degree_zero_is_constant_one(basis):
     s = element(basis, 0, 0)
     pts = fibonacci_covering(64).points
     assert np.allclose(s.evaluate(pts), 1.0)
-    assert evaluate_ball(s, [0.1, 0.2, 0.3]) == pytest.approx(1.0)
+    assert s.evaluate([[0.1, 0.2, 0.3]])[0] == pytest.approx(1.0)
 
 
 def test_zonal_degree_one_is_vertical_coordinate(basis):
     s = element(basis, 1, 0)
-    assert evaluate_ball(s, [0.0, 0.0, 0.5]) == pytest.approx(0.5, rel=1e-3)
-    assert evaluate_ball(s, [0.0, 0.0, 1.0]) == pytest.approx(1.0, rel=1e-3)
-    assert evaluate_ball(s, [0.3, -0.4, 0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert s.evaluate([[0.0, 0.0, 0.5]])[0] == pytest.approx(0.5, rel=1e-3)
+    assert s.evaluate([[0.0, 0.0, 1.0]])[0] == pytest.approx(1.0, rel=1e-3)
+    assert s.evaluate([[0.3, -0.4, 0.0]])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zonal_degree_two_legendre(basis):
     # profile (3 z^2 - 1)/2 has sup 1 at the poles: normalization constant ~ 1
     assert basis.scale(2, 0) == pytest.approx(1.0, rel=2e-3)
     s = element(basis, 2, 0)
-    assert evaluate_ball(s, [0.0, 0.0, 1.0]) == pytest.approx(1.0, rel=1e-3)
-    assert evaluate_ball(s, [1.0, 0.0, 0.0]) == pytest.approx(-0.5, rel=1e-3)
+    assert s.evaluate([[0.0, 0.0, 1.0]])[0] == pytest.approx(1.0, rel=1e-3)
+    assert s.evaluate([[1.0, 0.0, 0.0]])[0] == pytest.approx(-0.5, rel=1e-3)
 
 
 def test_origin_and_homogeneity(basis):
-    assert evaluate_ball(element(basis, 3, 2), [0.0, 0.0, 0.0]) == 0.0
+    assert element(basis, 3, 2).evaluate([[0.0, 0.0, 0.0]])[0] == 0.0
     # solid harmonics scale like r^m
     s = element(basis, 3, 4)
     y = np.array([0.3, 0.5, -0.2])
     y /= np.linalg.norm(y)
-    v1 = evaluate_ball(s, y * 0.9)
-    v2 = evaluate_ball(s, y * 0.45)
+    v1 = s.evaluate([y * 0.9])[0]
+    v2 = s.evaluate([y * 0.45])[0]
     assert v2 == pytest.approx(v1 / 2**3, rel=1e-10)
 
 
 def test_normalized_sups_certified(basis):
     for m in range(0, basis.max_degree + 1):
         for l in range(0, 2 * m + 1):
-            lo, hi = basis.normalized_sup_bounds(m, l)
-            assert hi == 1.0
-            assert 0.999 < lo <= 1.0
+            assert 0.999 < basis.norm_lower[(m, element_index(m, l)[0])] <= 1.0
 
 
 def test_harmonicity_stencil(basis):
@@ -100,11 +97,6 @@ def test_harmonicity_stencil(basis):
                 x *= rng.uniform(0.2, 0.7) / np.linalg.norm(x)
                 worst = max(worst, abs(laplacian_stencil(s, x)))
     assert worst <= 1e-6
-
-
-def test_ball_domain_validation(basis):
-    with pytest.raises(GrowthLabError):
-        evaluate_ball(element(basis, 1, 0), [1.2, 0.0, 0.0])
 
 
 # -- sup brackets -----------------------------------------------------------------------
@@ -279,5 +271,5 @@ def test_degree_128_spot_check():
         assert_matches_reference(element(basis, m, l), m, l, scale, circle)
         ref, rounding = reference_element(m, l, scale, circle)
         top, tol = float(np.abs(ref).max()), float(rounding.max())
-        lower, upper = basis.normalized_sup_bounds(m, l)
-        assert lower - tol <= top <= upper + tol, (l, top, lower)
+        lower = basis.norm_lower[(m, mu)]     # the normalized sup is at most 1
+        assert lower - tol <= top <= 1.0 + tol, (l, top, lower)

@@ -74,7 +74,7 @@ def test_doubling_audit_power():
 
 
 def test_doubling_audit_single_point():
-    aud = doubling_audit(make_weight("power", 1.0), 2.0, grid_size=1)
+    aud = doubling_audit(make_weight("power", 1.0), 2.0)
     assert aud.d_hat == pytest.approx(2.0)
     assert aud.worst_x == 1.0
 
@@ -97,7 +97,7 @@ def test_weight_parameters_finite():
 
 
 def test_doubling_audit_logpower_worst_near_min():
-    aud = doubling_audit(make_weight("logpower", 1.0), 1e6, grid_size=4096)
+    aud = doubling_audit(make_weight("logpower", 1.0), 1e6)
     assert aud.d_hat <= 2.0
     # ratio maximized where the clamp releases, near x = e
     assert aud.worst_x < 10.0
@@ -160,7 +160,7 @@ def test_monotone_and_doubling_on_log_grid(w):
     g = eval_g(w, xs)
     assert np.all(np.diff(g) >= -1e-14)
     # D_hat is a grid estimate of the doubling sup; allow grid resolution slack
-    aud = doubling_audit(w, 1e8, grid_size=8192)
+    aud = doubling_audit(w, 1e8)
     assert np.all(eval_g(w, 2 * xs) <= aud.d_hat * g * (1 + 5e-3))
 
 

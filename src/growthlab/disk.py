@@ -9,7 +9,8 @@ On a fixed circle both reduce to trigonometric polynomials in the
 coefficients c_j = (a_j0 xi_j0 - i a_j1 xi_j1) r^j: u = Re sum c_j e^{ij theta}
 for the real flavor, and the modulus |sum c_j e^{ij theta}| for the analytic
 one.  One grid helper evaluates either on M equispaced angles, one
-direct-summation helper at any angles.  The grid helper never evaluates the
+direct-summation helper at any angles; both take one series or a stack of
+series on one support.  The grid helper never evaluates the
 zero padding of a fine grid: it splits the M angles into P = M / L
 interleaved rows, L the smallest M / 2^a above 2n (or M itself), and sums
 each row from twisted coefficients.  A dense support takes one L-point
@@ -29,11 +30,22 @@ rotating the phase carries this to |f|, so on M > 2n angles
     grid_max <= sup <= grid_max / cos(pi n / M).
 
 M is the power of two above oversample * pi * n, for a finite oversample
->= 4, and never above MAX_GRID.  Long series are truncated where the exact
-l1 tail at the radius drops below TAIL_RTOL of the total; the tail bound
-widens both sides of the bracket, keeping it sound.  Refinement sharpens
-the lower bound by a Newton ascent from the three best grid angles at once,
-summing the bracket's own untruncated coefficients and their derivatives.
+>= 4, and never above MAX_GRID.  A support whose frequencies share a common
+period g = gcd(support) gives S(t) = T(g t), T on the support j / g, with
+the same sup and the same secant bound, so brackets run on T: its grid of M
+angles, sized from n / g, stands for the g M angles that SupBracket.grid_size
+reports.  Long series are truncated where the exact l1 tail at the radius
+drops below TAIL_RTOL of the total; the tail bound widens both sides of the
+bracket, keeping it sound.  Refinement sharpens the lower bound by a Newton
+ascent from the three best grid angles at once, summing the bracket's own
+untruncated coefficients and their derivatives at exact grid phases plus
+an offset.
+
+A bracket kernel takes a stack of coefficient rows on one support and
+radius (sup_brackets; sup_bracket is a stack of one).  Each row keeps its
+own truncation, rows sharing a plan key are evaluated together, and every
+transform call or wave product takes as many (series, row) pairs as fit in
+BLOCK_BYTES; the refinement's top rows and Newton columns are chunked alike.
 """
 
 from __future__ import annotations
@@ -114,23 +126,29 @@ def _coeffs_at(series: RandomizedSeries, r: float) -> np.ndarray:
     return series.signed_complex_coeffs() * np.power(float(r), series.scheme.support.astype(float))
 
 
-def _point_values(support: np.ndarray, coeffs: np.ndarray, theta: np.ndarray,
+def _point_values(support: np.ndarray, coeffs: np.ndarray, k, delta: np.ndarray, M: int,
                   real: bool) -> np.ndarray:
-    """Re sum_j c_j e^{ij t} (real) or sum_j c_j e^{ij t} at the 1-D angles theta,
-    by direct summation, for c = coeffs or each of its columns.  The real part is
-    cos(jt) @ Re c - sin(jt) @ Im c on contiguous copies (one BLAS path)."""
-    jt = np.outer(theta, support.astype(float))
+    """Re sum_j c_j e^{ij t} (real) or sum_j c_j e^{ij t} at the angles
+    t = 2 pi k / M + delta, by direct summation.  Term j's phase is
+    2 pi ((j k) mod M) / M + j delta: j k is exact in int64, so only j delta
+    carries a rounding of order j eps |delta|.  With delta and k of shape
+    (..., T) and coeffs (S,) or a stack (..., S, C), the result is (..., T) or
+    (..., T, C).  The real part is cos @ Re c - sin @ Im c on contiguous copies
+    (one BLAS path)."""
+    phase = (np.multiply.outer(k, support) % M) * (2.0 * math.pi / M)
+    phase = phase + np.multiply.outer(delta, support.astype(float))
     if not real:
-        return np.exp(1j * jt) @ coeffs
-    return (np.cos(jt) @ np.ascontiguousarray(coeffs.real)
-            - np.sin(jt) @ np.ascontiguousarray(coeffs.imag))
+        return np.exp(1j * phase) @ coeffs
+    return (np.cos(phase) @ np.ascontiguousarray(coeffs.real)
+            - np.sin(phase) @ np.ascontiguousarray(coeffs.imag))
 
 
 def evaluate_at(series: RandomizedSeries, r: float, theta):
-    """Direct summation at radius r and angle(s) theta."""
+    """Direct summation at radius r and angle(s) theta.  The phases j theta are
+    formed in float64, so each carries a rounding of about j eps theta."""
     _check_radius(r)
-    vals = _point_values(series.scheme.support, _coeffs_at(series, r),
-                         np.atleast_1d(np.asarray(theta, dtype=float)),
+    vals = _point_values(series.scheme.support, _coeffs_at(series, r), 0,
+                         np.atleast_1d(np.asarray(theta, dtype=float)), 1,
                          series.flavor == REAL_HARMONIC)
     return vals[0] if np.ndim(theta) == 0 else vals
 
@@ -143,6 +161,7 @@ class CirclePlan:
     real: bool
     L: int                  # P = M / L rows of L angles
     m: np.ndarray           # bin of each coefficient
+    bins: object            # the slice of m's bins when they form one run, else m
     fold: np.ndarray        # coefficients conjugated into bin L - m, or None
     scale: np.ndarray       # L, times the half-spectrum weight for the real flavor
     twists: np.ndarray      # e^{2 pi i m p / M}, one row per evaluated row p
@@ -208,30 +227,39 @@ def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> 
         waves = np.take(base, np.outer(j, q) % L, axis=1).reshape(-1, L)
         # blocks of a quarter of BLOCK_BYTES of values stay in cache for their reduction
         step = max(1, BLOCK_BYTES // (4 * waves.itemsize * L))
-    return CirclePlan((len(m), M, real, half), real, L, m,
+    # SZ blocks, Cesaro means and towers land on one run of distinct bins: a slice write
+    run = len(m) > 0 and np.array_equal(m, np.arange(m[0], m[0] + len(m)))
+    bins = slice(int(m[0]), int(m[0]) + len(m)) if run else m
+    return CirclePlan((len(m), M, real, half), real, L, m, bins,
                       fold if real and fold.any() else None, scale, twists, waves, step)
 
 
 def _circle_values(plan: CirclePlan, coeffs: np.ndarray, blocks):
-    """Yield, per row selection in blocks (slice or index array of evaluated rows),
-    the values of those rows: entry [i, q] is the value at k = qP + (row i)."""
+    """Yield, per row selection in blocks, the values of those rows: entry [i, q] is
+    the value at k = qP + (row i).  coeffs is one series (S,) or a stack (B, S);
+    a selection (slice or index array of evaluated rows) applies to every series
+    of the stack, a (B, R) index array gives each series rows of its own, and a
+    stack's values carry its series first, (B, R, L)."""
     if plan.waves is not None:
         for rows in blocks:
-            z = plan.twists[rows] * coeffs
+            z = plan.twists[rows] * coeffs[..., None, :]
             if plan.real:   # Re(z e^{i phi}) = Re z cos phi - Im z sin phi
-                z = np.concatenate([z.real, -z.imag], axis=1)
-            yield z @ plan.waves
+                z = np.concatenate([z.real, -z.imag], axis=-1)
+            yield z @ plan.waves    # a product per series: a stack's rows sum as a lone series
         return
     c = coeffs * plan.scale
     if plan.fold is not None:
         c = np.where(plan.fold, np.conj(c), c)
-    spec = np.zeros((1, plan.L // 2 + 1 if plan.real else plan.L), dtype=complex)
-    np.add.at(spec[0], plan.m, c)
-    base = spec[0, plan.m]             # a bin's sum, once per coefficient landing there
+    width = plan.L // 2 + 1 if plan.real else plan.L
+    base = c                           # distinct bins: each holds its coefficient
+    if not isinstance(plan.bins, slice):
+        spec = np.zeros(c.shape[:-1] + (width,), dtype=complex)
+        np.add.at(spec, (..., plan.m), c)
+        base = spec[..., plan.m]       # a bin's sum, once per coefficient landing there
     for rows in blocks:
-        twists = plan.twists[rows]
-        block = np.zeros((len(twists), spec.shape[1]), dtype=complex)
-        block[:, plan.m] = twists * base   # repeated bins write equal values
+        values = plan.twists[rows] * base[..., None, :]
+        block = np.zeros(values.shape[:-1] + (width,), dtype=complex)
+        block[..., plan.bins] = values   # repeated bins write equal values
         yield np.fft.irfft(block, n=plan.L) if plan.real else np.fft.ifft(block)
 
 
@@ -284,82 +312,127 @@ def grid_size(n: int, oversample: float) -> int:
     return M
 
 
-def _newton_max(support: np.ndarray, coeffs: np.ndarray, real: bool,
-                seeds: np.ndarray, h: float) -> float:
-    """Largest |value| met by a safeguarded Newton ascent of |Re S| (real) or |S|^2
-    from every seed angle at once, each kept within h of its seed.
+def _newton_max(support: np.ndarray, coeffs: np.ndarray, real: bool, k: np.ndarray,
+                M: int) -> np.ndarray:
+    """Per row of coeffs (B, S), the largest |value| met by a safeguarded Newton
+    ascent of |Re S| (real) or |S|^2 from the grid angles 2 pi k / M of its row
+    of k (B, T) at once, each iterate kept within one grid step of its seed.
 
-    One direct summation of the columns [c, i j c, -j^2 c] gives S, S' and S''
-    at all iterates.  The ascent ends when every step is roundoff; the result
-    is sound however far Newton got."""
+    An iterate is its seed's index k and an offset delta, which _point_values
+    turns into exact grid phases plus j delta.  One direct summation of the
+    columns [c, i j c, -j^2 c] gives S, S' and S'' at the iterates of every row
+    still moving; a row stops when all its steps are roundoff.  The result is
+    sound however far Newton got."""
     jf = support.astype(float)
-    cols = np.stack([coeffs, 1j * jf * coeffs, -jf * jf * coeffs], axis=1)
-    lo, hi = seeds - h, seeds + h
-    t, best = seeds, 0.0
+    cols = np.stack([coeffs, 1j * jf * coeffs, -jf * jf * coeffs], axis=-1)
+    h = 2.0 * math.pi / M
+    tol = 4.0 * np.spacing(k * h + 1.0)     # a step below this is roundoff
+    best, rows, delta = np.zeros(len(k)), np.arange(len(k)), np.zeros(k.shape)
     for _ in range(NEWTON_STEPS):
-        s, d1, d2 = _point_values(support, cols, t, real).T
-        best = max(best, float(np.abs(s).max()))
+        v = _point_values(support, cols, k, delta, M, real)
+        s, d1, d2 = v[..., 0], v[..., 1], v[..., 2]
+        best[rows] = np.maximum(best[rows], np.abs(s).max(1))
         if real:   # ascend sign(u) u
             g1, g2 = np.sign(s) * d1, np.sign(s) * d2
         else:      # ascend |S|^2
             g1, g2 = 2.0 * (s.conj() * d1).real, 2.0 * (abs(d1) ** 2 + (s.conj() * d2).real)
         up = g2 < 0.0    # a seed with curvature of the wrong sign stays put
-        nxt = np.clip(t - np.where(up, g1, 0.0) / np.where(up, g2, -1.0), lo, hi)
-        if np.all(np.abs(nxt - t) <= 4.0 * np.spacing(np.abs(t) + 1.0)):
-            break
-        t = nxt
+        nxt = np.clip(delta - np.where(up, g1, 0.0) / np.where(up, g2, -1.0), -h, h)
+        moving = (np.abs(nxt - delta) > tol).any(1)
+        if not moving.all():     # rows whose every step is roundoff stop
+            if not moving.any():
+                break
+            rows, cols, k = rows[moving], cols[moving], k[moving]
+            tol, nxt = tol[moving], nxt[moving]
+        delta = nxt
     return best
 
 
-def _bracket_modulus(support: np.ndarray, coeffs: np.ndarray, oversample: float, real: bool,
-                     refine: bool, slot: "PlanSlot") -> SupBracket:
-    """Certified bracket of sup_t |Re sum_j coeffs_j e^{ijt}| (real) or
-    sup_t |sum_j coeffs_j e^{ijt}|.
+def _blocks(n: int, per: int):
+    return [slice(i, i + per) for i in range(0, n, per)]
 
-    Truncates the coefficient tail once its exact l1 mass drops below
-    TAIL_RTOL of the total; the discarded mass widens both bracket sides,
-    as does a relative FLOAT_GUARD covering grid-value roundoff.  The slot's
-    plan is reused when its key fits, else replaced.  Refinement runs on the
-    untruncated coefficients.
+
+def _bracket_modulus(slot: "PlanSlot", coeffs: np.ndarray, oversample: float, real: bool,
+                     refine: bool) -> list:
+    """Certified brackets of sup_t |Re sum_j c_j e^{ijt}| (real) or
+    sup_t |sum_j c_j e^{ijt}|, one per row c of coeffs (B, S) on the slot's support.
+
+    Each row truncates its coefficient tail once the exact l1 mass drops below
+    TAIL_RTOL of its total; the discarded mass widens both bracket sides, as
+    does a relative FLOAT_GUARD covering grid-value roundoff.  Rows run on the
+    slot's reduced support j / g, whose grid of M angles stands for g M on the
+    circle, and are grouped by plan key (kept prefix, M, real, half); the
+    slot's plan is reused when a group's key fits, else replaced.  A group's
+    transform calls and wave products each take as many (series, row) pairs as
+    fit in BLOCK_BYTES.  Refinement runs on the untruncated coefficients.
     """
     check_oversample(oversample)
+    out = [SupBracket(0.0, 0.0, 1, 0)] * len(coeffs)     # what a zero row gets
     mags = np.abs(coeffs)
-    l1 = float(mags.sum())
-    if l1 == 0.0 or len(support) == 0:
-        return SupBracket(0.0, 0.0, 1, 0)
+    l1 = mags.sum(1)
     # minimal prefix keeping all but TAIL_RTOL of the l1 mass
-    suffix = np.cumsum(mags[::-1])[::-1]
-    keep = max(int(np.searchsorted(-suffix, -TAIL_RTOL * l1)), 1)   # first suffix <= that
-    tail = float(suffix[keep]) if keep < len(support) else 0.0
-    n_eff = int(support[keep - 1])
-    M = grid_size(n_eff, oversample)
-    kept = coeffs[:keep]
-    key = (keep, M, real, not kept.imag.any())
-    plan = slot.plan             # read once: threads sharing the slot may swap it
-    if plan is None or plan.key != key:
-        plan = slot.plan = circle_plan(support[:keep], *key[1:])
-    blocks = [slice(i, i + plan.step) for i in range(0, len(plan.twists), plan.step)]
-    row_max = np.concatenate([np.maximum(v.max(1), -v.min(1)) if real else np.abs(v).max(1)
-                              for v in _circle_values(plan, kept, blocks)])
-    gmax = float(row_max.max())
-    lower = max(gmax - tail, 0.0)
-    if refine:
-        # the three largest grid values lie in the three rows of largest max
-        rows = np.argsort(row_max)[-3:]
-        vals = np.abs(next(_circle_values(plan, kept, [rows])))
-        i, q = np.divmod(np.argpartition(vals, -3, axis=None)[-3:], vals.shape[1])
-        seeds = 2.0 * math.pi * (q * (M // plan.L) + rows[i]) / M
-        lower = max(lower, _newton_max(support, coeffs, real, seeds, 2.0 * math.pi / M))
-    lower *= 1.0 - FLOAT_GUARD
-    upper = (secant_upper(gmax, n_eff, M) + tail) * (1.0 + FLOAT_GUARD)
-    return SupBracket(lower=lower, upper=upper, grid_size=M, degree=n_eff)
+    suffix = np.cumsum(mags[:, ::-1], axis=1)[:, ::-1]
+    keeps = np.maximum((suffix > TAIL_RTOL * l1[:, None]).sum(1), 1)
+    groups = {}
+    for b in np.flatnonzero(l1 != 0.0):
+        keep = int(keeps[b])
+        groups.setdefault((keep, not coeffs[b, :keep].imag.any()), []).append(b)
+    for (keep, half), rows in groups.items():
+        n_eff = int(slot.support[keep - 1])
+        n_red = n_eff // slot.g
+        M = grid_size(n_red, oversample)
+        key = (keep, M, real, half)
+        plan = slot.plan             # read once: threads sharing the slot may swap it
+        if plan is None or plan.key != key:
+            plan = slot.plan = circle_plan(slot.reduced[:keep], M, real, half)
+        kept = coeffs[rows, :keep]
+        R, step = len(plan.twists), plan.step
+        row_max = np.empty((len(rows), R))
+        for series in _blocks(len(rows), max(1, step // R)):
+            row_blocks = _blocks(R, step)
+            for sel, v in zip(row_blocks, _circle_values(plan, kept[series], row_blocks)):
+                row_max[series, sel] = (np.maximum(v.max(-1), -v.min(-1)) if real
+                                        else np.abs(v).max(-1))
+        gmax = row_max.max(1)
+        if refine:
+            # the three largest grid values lie in the three rows of largest max
+            top = np.argsort(row_max, axis=1)[:, -3:]
+            seeds = np.empty((len(rows), 3), dtype=np.int64)
+            for series in _blocks(len(rows), max(1, step // top.shape[1])):
+                vals = np.abs(next(_circle_values(plan, kept[series], [top[series]])))
+                best = np.argpartition(vals.reshape(len(vals), -1), -3, axis=1)[:, -3:]
+                i, q = np.divmod(best, plan.L)
+                seeds[series] = q * (M // plan.L) + np.take_along_axis(top[series], i, 1)
+            full = coeffs[rows]
+            per = max(1, BLOCK_BYTES // (16 * 3 * full.shape[1]))
+            climbed = np.concatenate([_newton_max(slot.reduced, full[s], real, seeds[s], M)
+                                      for s in _blocks(len(rows), per)])
+        for i, b in enumerate(rows):
+            top_value = float(gmax[i])
+            tail = float(suffix[b, keep]) if keep < coeffs.shape[1] else 0.0
+            lower = max(top_value - tail, 0.0)
+            if refine:
+                lower = max(lower, float(climbed[i]))
+            upper = (secant_upper(top_value, n_red, M) + tail) * (1.0 + FLOAT_GUARD)
+            out[b] = SupBracket(lower=lower * (1.0 - FLOAT_GUARD), upper=upper,
+                                grid_size=M * slot.g, degree=n_eff)
+    return out
 
 
 class PlanSlot:
-    """r^j on one support at radius r, and the plan of the last bracket sharing it."""
+    """A support's common period and r^j at radius r, with the plan of the last
+    bracket sharing them.
+
+    g is the gcd of the support (1 for {0} or no support), so a series on it is
+    S(t) = T(g t) with T on the reduced support j / g: T has the same sup, and
+    the secant bound of T on M angles is that of S on g M."""
 
     def __init__(self, support: np.ndarray, r: float):
+        _check_radius(r)
+        self.support = support
         self.radial = np.power(float(r), support.astype(float))
+        self.g = int(np.gcd.reduce(support)) or 1
+        self.reduced = support // self.g
         self.plan = None
 
 
@@ -368,20 +441,28 @@ def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
     """Certified bracket of sup|u| (real flavor) or sup|f| (analytic flavor)
     over the circle of radius r.
 
-    The grid has M = next power of two above oversample * pi * degree
-    points (a finite oversample >= 4, M <= MAX_GRID), so pi n / M <=
-    1/oversample and the secant bound keeps upper / lower <= 1 /
-    cos(1/oversample) up to the TAIL_RTOL and roundoff guards.  With refine
-    on, a safeguarded Newton ascent from the top three grid angles, each kept
-    within one grid step of its seed, sharpens the lower bound: at most
-    NEWTON_STEPS direct summations of the same coefficients c_j r^j,
-    untruncated, for all three.  Brackets at one r of series on one support
-    may share a slot.
+    The grid has M = next power of two above oversample * pi * degree / g
+    points on the reduced support (a finite oversample >= 4, M <= MAX_GRID),
+    so pi n / (g M) <= 1/oversample and the secant bound keeps upper / lower <=
+    1 / cos(1/oversample) up to the TAIL_RTOL and roundoff guards; grid_size
+    reports g M.  With refine on, a safeguarded Newton ascent from the top
+    three grid angles, each kept within one grid step of its seed, sharpens
+    the lower bound: at most NEWTON_STEPS direct summations of the same
+    coefficients c_j r^j, untruncated, for all three.  Brackets at one r of
+    series on one support may share a slot.
     """
     _check_radius(r)
     slot = PlanSlot(series.scheme.support, r) if slot is None else slot
-    return _bracket_modulus(series.scheme.support, series.signed_complex_coeffs() * slot.radial,
-                            oversample, series.flavor == REAL_HARMONIC, refine, slot)
+    return sup_brackets(series.signed_complex_coeffs()[None], slot, oversample, refine,
+                        series.flavor)[0]
+
+
+def sup_brackets(coeffs: np.ndarray, slot: PlanSlot, oversample: float, refine: bool,
+                 flavor: str) -> list:
+    """sup_bracket of each series in a stack on the slot's support, at the slot's
+    radius: row b of coeffs (B, S) holds one series' signed_complex_coeffs."""
+    return _bracket_modulus(slot, coeffs * slot.radial, oversample, flavor == REAL_HARMONIC,
+                            refine)
 
 
 def _truncate(series: RandomizedSeries, n: int, name: str, cesaro: bool) -> RandomizedSeries:
@@ -438,4 +519,4 @@ def gradient_sup_bracket(series: RandomizedSeries, r: float, oversample: float =
     pos = j >= 1
     slot = PlanSlot(j[pos] - 1, r)
     cd = series.signed_complex_coeffs()[pos] * j[pos].astype(float) * slot.radial
-    return _bracket_modulus(j[pos] - 1, cd, oversample, False, refine, slot)
+    return _bracket_modulus(slot, cd[None], oversample, False, refine)[0]

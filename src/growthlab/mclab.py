@@ -26,14 +26,13 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .disk import (ANALYTIC, REAL_HARMONIC, PlanSlot, cesaro_mean, check_oversample,
-                   randomize, sup_bracket, unit_series)
+from .disk import (ANALYTIC, REAL_HARMONIC, PlanSlot, check_oversample, randomize,
+                   sup_bracket, sup_brackets)
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, make_model, model_from_json
 from .reporting import canonical_json, config_hash, record_json
@@ -73,11 +72,14 @@ def resolve_candidate(name: str) -> Callable:
 
 # -- random schemes ---------------------------------------------------------------
 
+RANDOM_SCHEME_LANE = 7    # the Philox lane of random_scheme's draws
+
+
 def random_scheme(seed_spec: SeedSpec, trial: int, degree: int,
-                  density: float = 1.0, both: bool = True, lane: int = 7) -> CoefficientScheme:
+                  density: float = 1.0, both: bool = True) -> CoefficientScheme:
     """Gaussian random scheme for the Cesaro check and property tests; its
     provenance records the draw, but scheme_from_provenance does not rebuild it."""
-    rng = seed_spec.generator(trial, lane)
+    rng = seed_spec.generator(trial, RANDOM_SCHEME_LANE)
     n_entries = max(1, int(round(density * (degree + 1))))
     support = np.sort(rng.choice(degree + 1, size=n_entries, replace=False))
     cos = rng.standard_normal(n_entries)
@@ -253,6 +255,7 @@ def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
     if config.threads == 1:
         results = list(map(one_trial, range(config.trials)))
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.threads) as ex:
             results = list(ex.map(one_trial, range(config.trials)))
     lowers = np.array([r[0] for r in results])      # (T, R)
@@ -335,12 +338,10 @@ def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
         hsch = scheme_from_arrays(js, b, np.zeros_like(b), int(hi),
                                   {"name": "sz_block", "N": int(N)})
         denom = math.sqrt(big_r * float(clamped_log(hi)))
-        maxima = np.empty(trials)
-        slot = PlanSlot(hsch.support, 1.0)
-        for t in range(trials):
-            series = randomize(hsch, model, seed_spec, t, lane=int(N))
-            maxima[t] = sup_bracket(series, 1.0, oversample=oversample, refine=False,
-                                    slot=slot).lower
+        coeffs = np.stack([randomize(hsch, model, seed_spec, t, lane=int(N))
+                           .signed_complex_coeffs() for t in range(trials)])
+        maxima = np.array([b.lower for b in sup_brackets(coeffs, PlanSlot(hsch.support, 1.0),
+                                                         oversample, False, REAL_HARMONIC)])
         normed = maxima / denom
         q05, q50, q95 = (float(np.quantile(normed, q)) for q in (0.05, 0.50, 0.95))
         rows.append(SzRow(n_index=int(N), n=int(hi), big_r=big_r, t4_ratio=t4_ratio,
@@ -393,16 +394,13 @@ def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
         patterns = [(1,) + p for p in product((1, -1), repeat=n_terms - 1)]
     else:
         patterns = [(1,) * n_terms]
+    signs = np.array(patterns, dtype=complex)    # the coefficients of every sign pattern
     rows = []
     for off, freqs in combs:
-        slot = PlanSlot(freqs, 1.0)     # every sign pattern shares the plan
-        for pat in patterns:
-            vals = np.asarray(pat, dtype=float)
-            sch = scheme_from_arrays(freqs, vals, np.zeros_like(vals), int(freqs[-1]),
-                                     {"name": "riesz_comb", "offset": off})
-            b = sup_bracket(unit_series(sch), 1.0, oversample=theta_oversample, refine=True,
-                            slot=slot)
-            rows.append(RieszRow(offset=off, pattern=pat, ratio=b.lower / n_terms))
+        brackets = sup_brackets(signs, PlanSlot(freqs, 1.0), theta_oversample, True,
+                                REAL_HARMONIC)
+        rows += [RieszRow(offset=off, pattern=pat, ratio=b.lower / n_terms)
+                 for pat, b in zip(patterns, brackets)]
     c_emp = min(r.ratio for r in rows)
     return RieszReport(n_terms=n_terms, rows=tuple(rows), c_emp=c_emp)
 
@@ -429,27 +427,22 @@ def cesaro_domination_check(trials: int, seed_spec: SeedSpec,
         fail("DOMAIN", f"need at least one trial, got {trials}")
     if degree < 0:
         fail("DOMAIN", f"degree must be >= 0, got {degree}")
-    cases = 0
-    violations = 0
-    worst = math.inf
     model = make_model("rademacher")
     support = np.arange(degree + 1)     # every trial's, as random_scheme runs at density 1
-    slots = [(PlanSlot(support, r), [PlanSlot(support[support < n], r) for n in n_list])
-             for r in radii]
-    for t in range(trials):
-        scheme = random_scheme(seed_spec, t, degree)
-        series = randomize(scheme, model, seed_spec, t)
-        for r, (full_slot, ces_slots) in zip(radii, slots):
-            full = sup_bracket(series, r, oversample=oversample, refine=False, slot=full_slot)
-            for n, ces_slot in zip(n_list, ces_slots):
-                ces = sup_bracket(cesaro_mean(series, n), r,
-                                  oversample=oversample, refine=True, slot=ces_slot)
-                margin = full.upper - ces.lower
-                worst = min(worst, margin)
-                cases += 1
-                if margin < -DOMINATION_RTOL * max(1.0, full.upper):
-                    violations += 1
-    return DominationReport(cases=cases, violations=violations, worst_margin=worst)
+    # one row of signed coefficients c_j per trial; sigma_n u has c_j (1 - j/n), j < n
+    coeffs = np.stack([randomize(random_scheme(seed_spec, t, degree), model, seed_spec, t)
+                       .signed_complex_coeffs() for t in range(trials)])
+    margins = []
+    for r in radii:
+        full = sup_brackets(coeffs, PlanSlot(support, r), oversample, False, REAL_HARMONIC)
+        for n in n_list:
+            kept = support[support < n]
+            ces = sup_brackets(coeffs[:, :len(kept)] * (1.0 - kept / float(n)),
+                               PlanSlot(kept, r), oversample, True, REAL_HARMONIC)
+            margins += [(f.upper, f.upper - c.lower) for f, c in zip(full, ces)]
+    violations = sum(m < -DOMINATION_RTOL * max(1.0, up) for up, m in margins)
+    return DominationReport(cases=len(margins), violations=violations,
+                            worst_margin=min((m for _, m in margins), default=math.inf))
 
 
 # -- growth fitting --------------------------------------------------------------------

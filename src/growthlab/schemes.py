@@ -373,7 +373,10 @@ def scheme_fields(name) -> tuple:
 
 def scheme_from_provenance(prov: dict) -> CoefficientScheme:
     """Rebuild a scheme bit-exactly from its provenance dict; a field of the
-    wrong type or shape is CONFIG_INVALID."""
+    wrong type or shape is CONFIG_INVALID, as is a provenance that is not an object."""
+    if not isinstance(prov, dict):
+        fail("CONFIG_INVALID", f"a scheme provenance must be a JSON object, "
+             f"got {type(prov).__name__}")
     try:
         fields = scheme_fields(prov.get("name"))
         missing = [f for f in fields if f not in prov and f not in _OPTIONAL]

@@ -124,7 +124,7 @@ def test_circle_grid_matches_direct_summation(degree, M, rows):
         assert next(disk._circle_values(disk.circle_plan(j, M, real), c, [slice(None)])).shape \
             == (rows, M // rows)
         circ = evaluate_circle(series, 1.0, M)
-        direct = disk._point_values(j, c, th, real)
+        direct = disk._point_values(j, c, 0, th, 1, real)
         assert np.max(np.abs(circ - direct)) <= 1e-13 * np.abs(c).sum(), (M, real)
 
 
@@ -231,7 +231,7 @@ def test_wave_blocks_match_fft_and_direct(S, real, half, M, n, monkeypatch):
     th = 2 * np.pi * (np.arange(plan.L)[None, :] * (M // plan.L) + order[:, None]) / M
     assert vals.shape == th.shape
     # a direct sum's angle j t carries about n eps of rounding; the grid's phases are exact
-    direct = disk._point_values(support, c, th.ravel(), real).reshape(th.shape)
+    direct = disk._point_values(support, c, 0, th.ravel(), 1, real).reshape(th.shape)
     assert np.max(np.abs(vals - direct)) <= 1e-15 * n * l1
 
 
@@ -514,20 +514,23 @@ def test_refined_lower_matches_dense_oracle(case):
 
 
 def test_newton_stops_on_the_window_edge():
-    # one seed whose window [t0 + h/2, t0 + 5h/2] excludes the maximiser t0 of
-    # cos(7 (t - t0)): the ascent is clipped and returns the window's own max
-    t0, h = 0.4, 2 * math.pi / 512
-    j, c = np.array([7]), np.array([np.exp(-7j * t0)])
-    best = disk._newton_max(j, c, True, np.array([t0 + 1.5 * h]), h)
-    assert best == pytest.approx(math.cos(7 * 0.5 * h), rel=1e-14)
+    # one seed, grid angle 5h of 512, whose window [t0 + h/2, t0 + 5h/2] excludes the
+    # maximiser t0 of cos(7 (t - t0)): the ascent is clipped and returns the window's own max
+    h = 2 * math.pi / 512
+    t0 = 3.5 * h
+    j, c = np.array([7]), np.array([[np.exp(-7j * t0)]])
+    best = disk._newton_max(j, c, True, np.array([[5]]), 512)
+    assert best.shape == (1,)
+    assert best[0] == pytest.approx(math.cos(7 * 0.5 * h), rel=1e-14)
 
 
 def test_newton_keeps_the_best_value_it_met():
-    # |1 + e^{it}|^2 from t = 1.2 with a wide window: Newton overshoots into the
-    # convex region and stops at a worse angle; the seed's value is still returned
-    j, c = np.array([0, 1]), np.array([1.0, 1.0], dtype=complex)
-    best = disk._newton_max(j, c, False, np.array([1.2]), 10.0)
-    assert best == pytest.approx(2 * math.cos(0.6), rel=1e-14)
+    # |1 + e^{it}|^2 from t = 2 pi / 3 on a 3-point grid, whose window is as wide: Newton
+    # overshoots into the convex region and stops at a worse angle; the seed's value is
+    # still returned
+    j, c = np.array([0, 1]), np.array([[1.0, 1.0]], dtype=complex)
+    best = disk._newton_max(j, c, False, np.array([[1]]), 3)
+    assert best[0] == pytest.approx(2 * math.cos(math.pi / 3), rel=1e-14)
 
 
 def _counted_point_values(monkeypatch):
@@ -600,6 +603,131 @@ def test_bracket_contains_sup_property(coeffs, r, oversample, flavor):
     assert loose.upper / loose.lower <= (1 + 1e-8) / math.cos(1.0 / oversample)
 
 
+# -- stacks of series and the common period -------------------------------------------
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_stacked_brackets_match_single_brackets(data):
+    # rows on one support, some with a sine part (every grid row) and some with a tail
+    # of 1e-15 (a shorter kept prefix), so a stack spans several plan groups; up to 16
+    # kept terms sum by wave table, more by transform; BLOCK_BYTES = 1 gives one-row blocks
+    g = data.draw(st.sampled_from([1, 2, 3, 4]), label="g")
+    base = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=40, unique=True))
+    support = g * np.array(sorted(base))
+    S = len(support)
+    flavor = data.draw(st.sampled_from([REAL_HARMONIC, ANALYTIC]))
+    r = data.draw(st.sampled_from([0.5, 0.9, 1.0]))
+    oversample = data.draw(st.floats(4.0, 64.0))
+    block_bytes = data.draw(st.sampled_from([1, disk.BLOCK_BYTES]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    series = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        cos = rng.normal(size=S)
+        sin = rng.normal(size=S) * data.draw(st.sampled_from([0.0, 1.0]))
+        cut = data.draw(st.integers(1, S))
+        cos[cut:] *= 1e-15
+        sin[cut:] *= 1e-15
+        sch = scheme_from_arrays(support, cos, sin, int(support[-1]), {"name": "t"})
+        series.append(unit_series(sch, flavor))
+    coeffs = np.stack([ser.signed_complex_coeffs() for ser in series])
+    period = disk.PlanSlot(support, r).g      # g, or 1 for the support {0}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(disk, "BLOCK_BYTES", block_bytes)
+        coarse = disk.sup_brackets(coeffs, disk.PlanSlot(support, r), oversample, False, flavor)
+        assert coarse == [sup_bracket(ser, r, oversample, refine=False) for ser in series]
+        fine = disk.sup_brackets(coeffs, disk.PlanSlot(support, r), oversample, True, flavor)
+        for a, b, c in zip(fine, [sup_bracket(ser, r, oversample) for ser in series], coarse):
+            assert (a.upper, a.grid_size, a.degree) == (c.upper, c.grid_size, c.degree)
+            assert a.lower == pytest.approx(b.lower, rel=1e-13, abs=0)
+            assert a.lower >= c.lower
+            assert c.grid_size % period == 0 or c.upper == 0.0   # a zero row has no grid
+
+
+@pytest.mark.parametrize("S", [5, 40])
+@pytest.mark.parametrize("real, half", [(True, True), (True, False), (False, False)])
+@pytest.mark.parametrize("M", [4096, 192, 100, 63, 1])
+def test_stacked_circle_values_match_rows(S, real, half, M):
+    # M <= 4n (one row, folded and aliased bins), odd M and a fine grid; wave and transform
+    rng = np.random.default_rng(S + M)
+    support = np.sort(rng.choice(51, size=S, replace=False))
+    c = rng.normal(size=(3, S)) + (0.0 if half else 1j * rng.normal(size=(3, S)))
+    plan = disk.circle_plan(support, M, real, half)
+    R = len(plan.twists)
+    rows = rng.integers(0, R, size=(3, 2))     # rows of each series' own
+    for blocks in ([slice(None)], [slice(0, 1), slice(1, None)]):
+        stacked = _rows_stacked(plan, c, blocks)
+        assert stacked.shape == (3, R, plan.L)
+        for b in range(3):
+            assert np.array_equal(stacked[b], _rows(plan, c[b], blocks))
+    own = next(disk._circle_values(plan, c, [rows]))
+    for b in range(3):
+        assert np.array_equal(own[b], next(disk._circle_values(plan, c[b], [rows[b]])))
+
+
+def _rows_stacked(plan, c, blocks):
+    return np.concatenate(list(disk._circle_values(plan, c, blocks)), axis=1)
+
+
+@pytest.mark.parametrize("g", [3, 4, 6])
+@pytest.mark.parametrize("flavor", [REAL_HARMONIC, ANALYTIC])
+def test_common_period_brackets_contain_dense_sup(g, flavor):
+    # a support of multiples of g runs on j / g, with a grid g times smaller that
+    # stands for grid_size angles; the bracket still contains the full-grid reference
+    rng = np.random.default_rng(g)
+    support = g * np.sort(rng.choice(np.arange(1, 200), size=30, replace=False))
+    sch = scheme_from_arrays(support, rng.normal(size=30), rng.normal(size=30),
+                             int(support[-1]), {"name": "t"})
+    for trial, r in itertools.product(range(3), (0.9, 1.0)):
+        ser = randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
+        slot = disk.PlanSlot(sch.support, r)
+        assert slot.g == g and np.array_equal(slot.reduced * g, sch.support)
+        ref = dense_sup(*coeffs_at(ser, r), real=flavor == REAL_HARMONIC)
+        for refine in (False, True):
+            b = sup_bracket(ser, r, refine=refine, slot=slot)
+            assert b.grid_size == g * disk.grid_size(b.degree // g, 16.0)
+            assert_contains(b, ref)
+        assert b.lower >= ref[0] * (1 - 2e-12)    # refined: up to the reference's grid max
+
+
+def _longdouble_values(support, c, k, delta, M, real):
+    """Extended-precision sum at the angles 2 pi k / M + delta, phases formed as exactly."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    phase = ((np.multiply.outer(k, support) % M).astype(np.longdouble) * (2 * pi / M)
+             + np.multiply.outer(np.asarray(delta, dtype=np.longdouble),
+                                 support.astype(np.longdouble)))
+    cr, ci = (np.asarray(x, dtype=np.longdouble) for x in (c.real, c.imag))
+    re = (np.cos(phase) * cr - np.sin(phase) * ci).sum(-1)
+    if real:
+        return re
+    return np.hypot(re, (np.sin(phase) * cr + np.cos(phase) * ci).sum(-1))
+
+
+@pytest.mark.parametrize("flavor", [REAL_HARMONIC, ANALYTIC])
+def test_refined_values_match_extended_precision_at_degree_65536(flavor, monkeypatch):
+    # every value refinement meets is within 1e-13 of the sup of an extended-precision
+    # sum at the same point; phases j t in float64 missed it by up to 6.2e-12
+    n = 65536
+    rng = np.random.default_rng(n)
+    sch = scheme_from_arrays(np.arange(n + 1), rng.normal(size=n + 1), rng.normal(size=n + 1),
+                             n, {"name": "t"})
+    ser = randomize(sch, make_model("rademacher"), SEED, 0, flavor=flavor)
+    seen, direct = [], disk._point_values
+
+    def recording(support, coeffs, k, delta, M, real):
+        vals = direct(support, coeffs, k, delta, M, real)
+        seen.append((support, coeffs[..., 0], k, delta, M, real, vals[..., 0]))
+        return vals
+
+    monkeypatch.setattr(disk, "_point_values", recording)
+    b = sup_bracket(ser, 1.0, refine=True)
+    assert b.grid_size == 2**22 and len(seen) >= 1
+    for support, c, k, delta, M, real, vals in seen:
+        ref = _longdouble_values(support, c[0], k[0], delta[0], M, real)
+        assert np.max(np.abs(np.abs(vals[0]) - np.abs(ref))) <= 1e-13 * b.lower
+    best = max(float(np.abs(v).max()) for *_, v in seen)
+    assert b.lower >= best * (1 - disk.FLOAT_GUARD)
+
+
 @pytest.mark.parametrize("oversample", [float("nan"), float("inf"), -float("inf"), 3.99])
 def test_oversample_must_be_finite_and_at_least_4(oversample):
     ser = unit_series(scheme_from_arrays([0, 16], [1.0, 1.0], [0.0, 0.5], 16, {"name": "t"}))
@@ -613,7 +741,10 @@ def test_oversample_must_be_finite_and_at_least_4(oversample):
 
 
 def test_grid_limit_checked_before_allocating(monkeypatch):
-    ser = unit_series(mono(16))
+    # neither {1, 2, 16} nor its derivative's support {0, 1, 15} has a common period,
+    # so both grids are the full ones
+    ser = unit_series(scheme_from_arrays([1, 2, 16], [1.0, -0.3, 0.5], [0.0, 0.0, 0.0], 16,
+                                         {"name": "t"}))
     monkeypatch.setattr(disk, "MAX_GRID", 1024)
     # 16 pi * 16 = 804 -> M = 1024 passes; 32 pi * 16 = 1608 -> M = 2048 does not
     assert sup_bracket(ser, 1.0, oversample=16.0).grid_size == 1024
@@ -621,6 +752,10 @@ def test_grid_limit_checked_before_allocating(monkeypatch):
         with pytest.raises(GrowthLabError) as ei:
             bracket(ser, 1.0, oversample=oversample)
         assert ei.value.code == "BUDGET_EXCEEDED"
+    # z^16 has period 2 pi / 16: its degree-1 reduction needs 128 angles, standing for 2048
+    b = sup_bracket(unit_series(mono(16)), 1.0, oversample=32.0)
+    assert b.grid_size == 2048 and b.degree == 16
+    assert b.lower <= 1.0 <= b.upper and b.lower == pytest.approx(1.0, rel=1e-11)
     monkeypatch.undo()
     with pytest.raises(GrowthLabError) as ei:     # the product overflows to inf
         sup_bracket(ser, 1.0, oversample=1e308)

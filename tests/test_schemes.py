@@ -248,6 +248,15 @@ def test_provenance_missing_fields(prov, missing):
     assert str(ei.value).endswith(missing)
 
 
+@pytest.mark.parametrize("prov", [[1], "loglog", None, 3])
+def test_provenance_not_an_object_rejected(prov):
+    # each raised a bare AttributeError from inside the decoder's own handler
+    with pytest.raises(GrowthLabError) as ei:
+        scheme_from_provenance(prov)
+    assert ei.value.code == "CONFIG_INVALID"
+    assert "JSON object" in str(ei.value)
+
+
 def test_provenance_fill_both_optional():
     s = uniform_block_scheme(blocks_pow2(4), G_OVER_N)
     prov = {k: v for k, v in s.provenance.items() if k != "fill_both"}

@@ -35,7 +35,7 @@ import time
 from . import __version__
 from .census import CENSUS_CSV_HEADER, LiminfRow, coefficient_census, liminf_profile
 from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_sup_ratio
-from .disk import ANALYTIC, REAL_HARMONIC, check_oversample, grid_size
+from .disk import ANALYTIC, REAL_HARMONIC, PlanSlot, check_oversample
 from .errors import GrowthLabError
 from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzRow,
                     config_from_json, riesz_comb, riesz_probe, run_growth_ensemble,
@@ -243,19 +243,11 @@ def _ensemble(flavor, args, run):
             raise _CliError("CONFIG_INVALID", f"the config's flavor {cfg.flavor!r} is not "
                             f"{flavor!r}, the flavor of {run.name}", pointer="/flavor")
     else:
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("GROWTHLAB_THREADS", "1")
-            try:
-                threads = int(env)
-            except ValueError:
-                raise _CliError("CONFIG_INVALID",
-                                f"GROWTHLAB_THREADS must be an integer, got {env!r}") from None
         cfg = ExperimentConfig(
             scheme=_scheme_provenance(args), model={"kind": args.model},
             seed=args.seed, trials=args.trials, radii=args.radii, oversample=args.oversample,
             refine=args.refine, candidates=tuple(args.candidates.split(",")),
-            flavor=flavor, threads=threads)
+            flavor=flavor)
     run.start(cfg.to_json(), cfg.seed, config_path=args.config)
     print(f"running {cfg.trials} trials ...")
     rep = run_growth_ensemble(cfg)
@@ -290,11 +282,12 @@ def _probe_sz(args, run):
 
 def _probe_riesz(args, run):
     check_oversample(args.oversample)
-    # each comb's top frequency 4^n + N fits its grid, or nothing is written
+    # each comb's grid, sized as its brackets size it, fits MAX_GRID, or nothing is written
     for pointer, offsets in (("/n_terms", [0]), ("/offsets", args.offsets)):
         for nt, off in itertools.product(args.n_terms, offsets):
             try:
-                grid_size(int(riesz_comb(nt, off)[-1]), args.oversample)
+                comb = riesz_comb(nt, off)
+                PlanSlot(comb, 1.0).grid(int(comb[-1]), args.oversample)
             except GrowthLabError as e:
                 raise _CliError(e.code, str(e), pointer) from None
     run.start({"n_terms": args.n_terms, "offsets": args.offsets, "oversample": args.oversample,
@@ -406,7 +399,6 @@ def _ensemble_flags(model):
         ("--oversample", dict(type=float, default=16.0)),
         ("--refine", dict(action="store_true")),
         ("--candidates", dict(default="sqrt_log,sqrt_log_loglog")),
-        ("--threads", dict(type=int, default=None)),
     ]
 
 

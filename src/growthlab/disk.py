@@ -293,6 +293,7 @@ MAX_GRID = 2**24     # circle grid limit, 4x the largest in use (2^22 at degree 
 BLOCK_BYTES = 2**21  # spectrum a bracket hands one transform call; the wave table's cap
 NEWTON_STEPS = 8     # direct-summation calls of one refinement
 WAVE_TERMS = 16      # most coefficients summed by wave table: the product beat the FFT up to here
+TINY = 2.2250738585072014e-308   # the smallest normal float
 
 
 def secant_upper(gmax: float, n: int, M: int) -> float:
@@ -380,11 +381,10 @@ def _bracket_modulus(slot: "PlanSlot", coeffs: np.ndarray, oversample: float, re
     for (keep, half), rows in groups.items():
         n_eff = int(slot.support[keep - 1])
         n_red = n_eff // slot.g
-        M = grid_size(n_red, oversample)
-        key = (keep, M, real, half)
-        plan = slot.plan             # read once: threads sharing the slot may swap it
-        if plan is None or plan.key != key:
-            plan = slot.plan = circle_plan(slot.reduced[:keep], M, real, half)
+        M = slot.grid(n_eff, oversample)
+        if slot.plan is None or slot.plan.key != (keep, M, real, half):
+            slot.plan = circle_plan(slot.reduced[:keep], M, real, half)
+        plan = slot.plan
         kept = coeffs[rows, :keep]
         R, step = len(plan.twists), plan.step
         row_max = np.empty((len(rows), R))
@@ -421,23 +421,35 @@ def _bracket_modulus(slot: "PlanSlot", coeffs: np.ndarray, oversample: float, re
 
 class PlanSlot:
     """A support's common period and r^j at radius r, with the plan of the last
-    bracket sharing them.
+    bracket sharing them; stacks of series on the support at r share one slot.
 
     g is the gcd of the support (1 for {0} or no support), so a series on it is
     S(t) = T(g t) with T on the reduced support j / g: T has the same sup, and
-    the secant bound of T on M angles is that of S on g M."""
+    the secant bound of T on M angles is that of S on g M.  r^j is computed
+    only where it is a normal float and is 0 beyond (from j = 10,977 at
+    r = 0.9375), where pow would take its slow subnormal path; a term dropped
+    so is below 2.3e-308 times its coefficient."""
 
     def __init__(self, support: np.ndarray, r: float):
         _check_radius(r)
         self.support = support
-        self.radial = np.power(float(r), support.astype(float))
+        j = support.astype(float)
+        # r^j >= TINY for j <= log(TINY) / log(r); the margin covers the logs' rounding
+        reach = math.log(TINY) / math.log(r) * (1.0 + 1e-9) + 2.0 if 0.0 < r < 1.0 else math.inf
+        self.radial = np.power(float(r), j, out=np.zeros(len(j)), where=j <= reach)
+        self.radial[self.radial < TINY] = 0.0
         self.g = int(np.gcd.reduce(support)) or 1
         self.reduced = support // self.g
         self.plan = None
 
+    def grid(self, n: int, oversample: float) -> int:
+        """M of a bracket on the support whose top kept frequency is n: the grid of
+        the reduced degree n // g, refused with BUDGET_EXCEEDED above MAX_GRID."""
+        return grid_size(n // self.g, oversample)
+
 
 def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
-                refine: bool = True, *, slot: PlanSlot = None) -> SupBracket:
+                refine: bool = True) -> SupBracket:
     """Certified bracket of sup|u| (real flavor) or sup|f| (analytic flavor)
     over the circle of radius r.
 
@@ -448,12 +460,10 @@ def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
     reports g M.  With refine on, a safeguarded Newton ascent from the top
     three grid angles, each kept within one grid step of its seed, sharpens
     the lower bound: at most NEWTON_STEPS direct summations of the same
-    coefficients c_j r^j, untruncated, for all three.  Brackets at one r of
-    series on one support may share a slot.
+    coefficients c_j r^j, untruncated, for all three.
     """
-    _check_radius(r)
-    slot = PlanSlot(series.scheme.support, r) if slot is None else slot
-    return sup_brackets(series.signed_complex_coeffs()[None], slot, oversample, refine,
+    return sup_brackets(series.signed_complex_coeffs()[None],
+                        PlanSlot(series.scheme.support, r), oversample, refine,
                         series.flavor)[0]
 
 
@@ -514,7 +524,6 @@ def gradient_sup_bracket(series: RandomizedSeries, r: float, oversample: float =
     f' = sum j c_j z^(j-1) bracketed like an analytic series."""
     if series.flavor != REAL_HARMONIC:
         fail("FLAVOR_MISMATCH", "gradient brackets apply to real harmonic series")
-    _check_radius(r)
     j = series.scheme.support
     pos = j >= 1
     slot = PlanSlot(j[pos] - 1, r)

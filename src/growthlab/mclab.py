@@ -2,10 +2,10 @@
 
 Everything here is reproducible: configs serialize to canonical JSON, trials
 derive independent Philox streams from (seed, trial), and aggregation sorts
-by trial id, so shuffling execution order or running trials concurrently
-cannot change a single output byte.  Quantiles (q10/median/q90) summarize
-the typical behavior that almost-sure statements are about, without
-heavy-tail distortion.
+by trial id, so neither execution order nor the grouping of trials into the
+stacks of one bracket call can change a single output byte.  Quantiles
+(q10/median/q90) summarize the typical behavior that almost-sure statements
+are about, without heavy-tail distortion.
 
 Probes:
 
@@ -31,8 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .disk import (ANALYTIC, REAL_HARMONIC, PlanSlot, check_oversample, randomize,
-                   sup_bracket, sup_brackets)
+from .disk import (ANALYTIC, BLOCK_BYTES, REAL_HARMONIC, PlanSlot, check_oversample,
+                   randomize, sup_brackets)
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, make_model, model_from_json
 from .reporting import canonical_json, config_hash, record_json
@@ -99,11 +99,9 @@ def _is_number(value, kind) -> bool:
 class ExperimentConfig:
     """Fully serializable ensemble description; identical config, identical bytes.
 
-    The fields are the config file's keys.  `threads` only sets how many
-    trials run at once; being compare=False it is left out of the JSON form,
-    the hash and equality, since it cannot change an output byte.  Building
-    one is the only place that checks and converts the fields, so a bad
-    value fails before anything is written.
+    The fields are the config file's keys, its JSON form and what its hash
+    covers.  Building one is the only place that checks and converts the
+    fields, so a bad value fails before anything is written.
     """
 
     scheme: dict
@@ -116,16 +114,14 @@ class ExperimentConfig:
     candidates: tuple = ("sqrt_log", "sqrt_log_loglog")
     flavor: str = REAL_HARMONIC
     max_evals: float = 1e11
-    threads: int = field(default=1, compare=False)
 
     def __post_init__(self):
         def need(ok, name, what):
             if not ok:
                 fail("CONFIG_INVALID", f"{name} must be {what}, got {getattr(self, name)!r}")
 
-        for name in ("seed", "trials", "threads"):
+        for name in ("seed", "trials"):
             need(_is_number(getattr(self, name), numbers.Integral), name, "an integer")
-        need(self.threads >= 1, "threads", ">= 1")
         for name in ("oversample", "max_evals"):
             need(_is_number(getattr(self, name), numbers.Real), name, "a number")
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -152,7 +148,7 @@ class ExperimentConfig:
             fail("RADIUS_OUT_OF_RANGE",
                  f"ensemble radii need a finite 0 <= r < 1, got {list(self.radii)}")
 
-    to_json = record_json             # every field but threads, tuples as lists
+    to_json = record_json             # every field, tuples as lists
 
     @property
     def hash(self) -> str:
@@ -241,25 +237,20 @@ def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
         fail("BUDGET_EXCEEDED",
              f"estimated {cost:.3g} evaluations exceed the budget {config.max_evals:.3g}")
     t0 = time.monotonic()
-    slots = [PlanSlot(scheme.support, r) for r in radii]   # trials share r^j and plans
-
-    def one_trial(t: int):
-        series = randomize(scheme, model, seed, t, flavor=config.flavor)
-        bs = [sup_bracket(series, r, oversample=config.oversample, refine=config.refine,
-                          slot=slot) for r, slot in zip(radii, slots)]
-        return [b.lower for b in bs], [b.upper for b in bs]
-
-    # results come back in trial order either way; with one thread the trials
-    # run on the calling thread, since a worker thread allocates from a malloc
-    # arena of its own, which costs a degree-65536 ensemble 10% more peak RSS
-    if config.threads == 1:
-        results = list(map(one_trial, range(config.trials)))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            results = list(ex.map(one_trial, range(config.trials)))
-    lowers = np.array([r[0] for r in results])      # (T, R)
-    uppers = np.array([r[1] for r in results])
+    slots = [PlanSlot(scheme.support, r) for r in radii]   # chunks share r^j and plans
+    lowers = np.empty((config.trials, len(radii)))
+    uppers = np.empty((config.trials, len(radii)))
+    # a chunk of trials holds about BLOCK_BYTES of coefficients, and one trial at least
+    per = max(1, BLOCK_BYTES // (16 * max(scheme.size, 1)))
+    for first in range(0, config.trials, per):
+        rows = slice(first, first + per)
+        coeffs = np.stack([randomize(scheme, model, seed, t, flavor=config.flavor)
+                           .signed_complex_coeffs() for t in range(config.trials)[rows]])
+        for i, slot in enumerate(slots):
+            brackets = sup_brackets(coeffs, slot, config.oversample, config.refine,
+                                    config.flavor)
+            lowers[rows, i] = [b.lower for b in brackets]
+            uppers[rows, i] = [b.upper for b in brackets]
     q10, med, q90 = (np.quantile(lowers, q, axis=0) for q in (0.10, 0.50, 0.90))
     uq10, upmed, uq90 = (np.quantile(uppers, q, axis=0) for q in (0.10, 0.50, 0.90))
     n_of_r = [1.0 / (1.0 - r) for r in radii]

@@ -148,23 +148,20 @@ def test_run_config_pointer_diagnostic(tmp_path, capsys):
     assert diag["pointer"] == "/subcommand"
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
+def test_threads_env_ignored(tmp_path, capsys, monkeypatch):
+    # GROWTHLAB_THREADS is no setting: any value, even a non-integer, leaves every byte alone
     args = ["growth", "--scheme", "loglog", "--k-max", "2", "--trials", "4",
             "--radii", "0.5,0.9"]
-    monkeypatch.setenv("GROWTHLAB_THREADS", "3")
-    assert run_cli(capsys, *args, "--out", str(tmp_path / "env3"))[0] == 0
     monkeypatch.setenv("GROWTHLAB_THREADS", "abc")
-    code, diag = _diagnostic(capsys, *args, "--out", str(tmp_path / "abc"))
-    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
-    assert not (tmp_path / "abc").exists()
+    assert run_cli(capsys, *args, "--out", str(tmp_path / "abc"))[0] == 0
     monkeypatch.delenv("GROWTHLAB_THREADS")
-    assert run_cli(capsys, *args, "--threads", "1", "--out", str(tmp_path / "t1"))[0] == 0
+    assert run_cli(capsys, *args, "--out", str(tmp_path / "unset"))[0] == 0
     for name in ("quantiles.csv", "candidates.csv"):
-        assert (tmp_path / "env3" / name).read_bytes() == (tmp_path / "t1" / name).read_bytes()
-    r3, r1 = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("env3", "t1"))
-    r3.pop("wall_time"), r1.pop("wall_time")
-    assert r3 == r1
-    assert "threads" not in r3["config"]
+        assert (tmp_path / "abc" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes()
+    ra, ru = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("abc", "unset"))
+    ra.pop("wall_time"), ru.pop("wall_time")
+    assert ra == ru
+    assert "threads" not in ra["config"]
 
 
 def test_growth_from_experiment_config_file(tmp_path, capsys):
@@ -272,8 +269,8 @@ def test_scheme_span_budget_exit_2(tmp_path, capsys, monkeypatch):
     (["growth", "--oversample", "nan"], "DOMAIN"),
     (["analytic", "--oversample", "inf"], "DOMAIN"),
     (["growth", "--oversample", "3"], "DOMAIN"),
-    (["growth", "--threads", "0"], "CONFIG_INVALID"),
-    (["analytic", "--threads", "-1"], "CONFIG_INVALID"),
+    (["growth", "--threads", "2"], "CONFIG_INVALID"),      # a removed flag
+    (["analytic", "--threads", "2"], "CONFIG_INVALID"),
 ])
 def test_ensemble_config_checked_before_manifest(tmp_path, capsys, argv, code):
     out = tmp_path / "g"
@@ -305,7 +302,7 @@ _EXP = {"scheme": {"name": "loglog", "k_max": 2}, "model": {"kind": "rademacher"
     dict(_EXP, oversampel=1000),                                 # unknown key
     dict(_EXP, seed="x"),
     dict(_EXP, trials=2.5),
-    dict(_EXP, threads=0),
+    dict(_EXP, threads=2),                                       # a removed key
     dict(_EXP, oversample="abc"),
     dict(_EXP, oversample=None),
     dict(_EXP, max_evals=None),
@@ -324,6 +321,16 @@ def test_malformed_config_file_rejected_before_manifest(tmp_path, capsys, cfg):
     code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
     assert (code, diag["error"]) == (2, "CONFIG_INVALID")
     assert not out.exists()
+
+
+def test_threads_config_key_unknown(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(dict(_EXP, threads=2)))
+    code, diag = _diagnostic(capsys, "growth", "--config", str(path),
+                             "--out", str(tmp_path / "g"))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert "unknown ['threads']" in diag["detail"]
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("sub, cfg", [
@@ -411,7 +418,8 @@ def test_probe_riesz_oversample_checked(tmp_path, capsys, oversample):
 
 def test_probe_riesz_grid_limit_exit_2(tmp_path, capsys, monkeypatch):
     from growthlab import disk
-    monkeypatch.setattr(disk, "MAX_GRID", 1024)   # degree 16: 16 pi 16 -> M = 1024
+    # the comb {4, 16} has period 4, so its grid is that of degree 4: 16 pi 4 -> M = 256
+    monkeypatch.setattr(disk, "MAX_GRID", 256)
     code, _, _ = run_cli(capsys, "probe-riesz", "--n-terms", "2", "--oversample", "16",
                          "--out", str(tmp_path / "ok"))
     assert code == 0
@@ -419,6 +427,21 @@ def test_probe_riesz_grid_limit_exit_2(tmp_path, capsys, monkeypatch):
                              "--out", str(tmp_path / "big"))
     assert (code, diag["error"], diag["pointer"]) == (2, "BUDGET_EXCEEDED", "/n_terms")
     assert not (tmp_path / "big").exists()
+
+
+def test_probe_riesz_grid_sized_by_common_period(tmp_path, capsys):
+    # 8 terms at offset 0 have period 4: 128 pi 65540 / 4 -> 2^23 angles, within MAX_GRID
+    code, _, _ = run_cli(capsys, "probe-riesz", "--n-terms", "8", "--oversample", "128",
+                         "--out", str(tmp_path / "ok"))
+    assert code == 0
+    assert len((tmp_path / "ok" / "riesz.csv").read_text().splitlines()) == 4   # one row
+    for argv, pointer in ((["--oversample", "512"], "/n_terms"),     # 2^25 even reduced
+                          (["--oversample", "128", "--offsets", "1"], "/offsets")):   # g = 1
+        out = tmp_path / pointer.strip("/")
+        code, diag = _diagnostic(capsys, "probe-riesz", "--n-terms", "8", *argv,
+                                 "--out", str(out))
+        assert (code, diag["error"], diag["pointer"]) == (2, "BUDGET_EXCEEDED", pointer)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code, pointer", [

@@ -22,6 +22,12 @@ def mono(j, cos=1.0, sin=0.0):
     return scheme_from_arrays([j], [cos], [sin], j, {"name": "mono", "j": j})
 
 
+def slot_bracket(ser, slot, oversample=16.0, refine=True):
+    """sup_bracket of one series through a slot the caller keeps, to read its plan."""
+    return disk.sup_brackets(ser.signed_complex_coeffs()[None], slot, oversample, refine,
+                             ser.flavor)[0]
+
+
 # -- randomize -------------------------------------------------------------------
 
 def test_randomize_deterministic():
@@ -167,7 +173,7 @@ def test_half_row_brackets_match_the_full_grid(oversample, P, monkeypatch):
     for flavor, trial in itertools.product((REAL_HARMONIC, ANALYTIC), range(6)):
         ser = randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
         slot = disk.PlanSlot(sch.support, r)
-        b = sup_bracket(ser, r, oversample=oversample, refine=False, slot=slot)
+        b = slot_bracket(ser, slot, oversample, refine=False)
         assert (b.grid_size // slot.plan.L, len(slot.plan.twists)) == (P, P // 2 + 1)
         assert b.lower == pytest.approx(_full_grid_lower(evaluate_circle(ser, r, b.grid_size)),
                                         rel=1e-15, abs=0)
@@ -188,7 +194,7 @@ def test_imaginary_coefficients_use_every_row():
                              {"name": "t"})
     ser = randomize(sch, make_model("rademacher"), SEED, 2)
     slot = disk.PlanSlot(sch.support, 0.9)
-    b = sup_bracket(ser, 0.9, oversample=16.0, refine=False, slot=slot)
+    b = slot_bracket(ser, slot, refine=False)
     assert len(slot.plan.twists) == b.grid_size // slot.plan.L > 2
     assert b == sup_bracket(ser, 0.9, oversample=16.0, refine=False)
 
@@ -274,7 +280,7 @@ def test_wave_brackets_match_fft_brackets(flavor, monkeypatch):
     for trial in range(3):
         ser = randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
         slot = disk.PlanSlot(support, 1.0)
-        wave = sup_bracket(ser, 1.0, refine=True, slot=slot)
+        wave = slot_bracket(ser, slot)
         assert slot.plan.waves is not None and len(slot.plan.twists) == 17   # half of 32 rows
         with monkeypatch.context() as m:
             m.setattr(disk, "WAVE_TERMS", 0)
@@ -683,10 +689,23 @@ def test_common_period_brackets_contain_dense_sup(g, flavor):
         assert slot.g == g and np.array_equal(slot.reduced * g, sch.support)
         ref = dense_sup(*coeffs_at(ser, r), real=flavor == REAL_HARMONIC)
         for refine in (False, True):
-            b = sup_bracket(ser, r, refine=refine, slot=slot)
+            b = slot_bracket(ser, slot, refine=refine)
             assert b.grid_size == g * disk.grid_size(b.degree // g, 16.0)
             assert_contains(b, ref)
         assert b.lower >= ref[0] * (1 - 2e-12)    # refined: up to the reference's grid max
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-10, 0.3, 0.5, 0.9, 0.9375, 0.99, 1.0])
+def test_slot_radial_is_pow_where_normal_and_zero_beyond(r):
+    # pow's subnormal results (from j = 10,977 at r = 0.9375) become exact zeros
+    assert disk.TINY == np.finfo(float).tiny
+    support = np.random.default_rng(5).permutation(70000)
+    ref = np.power(r, support.astype(float))
+    normal = ref >= disk.TINY
+    radial = disk.PlanSlot(support, r).radial
+    assert np.array_equal(radial[normal], ref[normal])
+    assert not radial[~normal].any()
+    assert normal.all() if r >= 0.99 else not normal.all()
 
 
 def _longdouble_values(support, c, k, delta, M, real):

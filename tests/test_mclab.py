@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import weakref
@@ -38,10 +39,51 @@ def test_ensemble_deterministic_bytes():
     assert a.canonical_bytes() == b.canonical_bytes()
 
 
-def test_ensemble_thread_count_does_not_change_results():
-    r1 = run_growth_ensemble(small_config(threads=1))
-    r4 = run_growth_ensemble(small_config(threads=4))
-    assert r1.canonical_bytes() == r4.canonical_bytes()
+def _per_trial_report(cfg):
+    """The ensemble report assembled by hand from one sup_bracket per trial and radius."""
+    scheme = mclab.scheme_from_provenance(cfg.scheme)
+    radii = mclab._resolve_radii(cfg)
+    model, seed = mclab.model_from_json(cfg.model), SeedSpec(cfg.seed)
+    brackets = [[disk.sup_bracket(disk.randomize(scheme, model, seed, t, flavor=cfg.flavor), r,
+                                  oversample=cfg.oversample, refine=cfg.refine)
+                 for r in radii] for t in range(cfg.trials)]
+    lowers = np.array([[b.lower for b in row] for row in brackets])
+    uppers = np.array([[b.upper for b in row] for row in brackets])
+    lq, uq = ([tuple(float(v) for v in np.quantile(x, q, axis=0)) for q in (0.10, 0.50, 0.90)]
+              for x in (lowers, uppers))
+    n_of_r = [1.0 / (1.0 - r) for r in radii]
+    ratios = {name: tuple(float(v) for v in np.asarray(lq[1])
+                          / mclab.resolve_candidate(name)(np.asarray(n_of_r)))
+              for name in cfg.candidates}
+    return EnsembleReport(config=cfg.to_json(), config_hash=cfg.hash, radii=tuple(radii),
+                          n_of_r=tuple(n_of_r), lower_q10=lq[0], lower_med=lq[1],
+                          lower_q90=lq[2], upper_q10=uq[0], upper_med=uq[1],
+                          upper_q90=uq[2], candidate_ratios=ratios)
+
+
+@pytest.mark.parametrize("kw, stacks", [
+    (dict(), [16, 16]),
+    (dict(model={"kind": "steinhaus"}, flavor="analytic", trials=8), [8, 8]),
+    (dict(model={"kind": "gaussian"}, refine=True, trials=6, radii=[0.5, 0.8, 0.95]),
+     [6, 6, 6]),
+    # 65,534 terms: two trials fill BLOCK_BYTES, so three trials take two chunks
+    (dict(scheme={"name": "loglog", "k_max": 4}, trials=3, radii=[0.5, 0.9375]),
+     [2, 2, 1, 1]),
+    (dict(scheme={"name": "loglog", "k_max": 4}, trials=3, radii=[0.5, 0.9375], refine=True,
+          model={"kind": "steinhaus"}, flavor="analytic"), [2, 2, 1, 1]),
+], ids=["real", "analytic", "refined", "two_chunks", "two_chunks_analytic_refined"])
+def test_ensemble_matches_per_trial_brackets(monkeypatch, kw, stacks):
+    cfg = small_config(**kw)
+    seen, stacked = [], mclab.sup_brackets
+
+    def counted(coeffs, *args):
+        seen.append(len(coeffs))
+        return stacked(coeffs, *args)
+
+    monkeypatch.setattr(mclab, "sup_brackets", counted)
+    rep = run_growth_ensemble(cfg)
+    assert seen == stacks                       # one stack per chunk of trials and radius
+    assert rep.canonical_bytes() == _per_trial_report(cfg).canonical_bytes()
 
 
 def test_ensemble_quantiles_ordered():
@@ -81,9 +123,9 @@ def test_ensemble_block_radii_rule():
     (dict(radii=[]), "CONFIG_INVALID"),
     (dict(seed="x"), "CONFIG_INVALID"),
     (dict(trials=2.5), "CONFIG_INVALID"),
-    (dict(threads=0), "CONFIG_INVALID"),
-    (dict(threads=-1), "CONFIG_INVALID"),
-    (dict(threads="abc"), "CONFIG_INVALID"),
+    (dict(trials=True), "CONFIG_INVALID"),
+    (dict(seed=None), "CONFIG_INVALID"),
+    (dict(trials="3"), "CONFIG_INVALID"),
     (dict(oversample="abc"), "CONFIG_INVALID"),
     (dict(oversample=None), "CONFIG_INVALID"),
     (dict(oversample=True), "CONFIG_INVALID"),
@@ -129,8 +171,8 @@ def test_config_stores_numbers_as_floats():
 
 
 def test_config_json_holds_compared_fields():
-    cfg = small_config(threads=3)
-    assert set(cfg.to_json()) == {f.name for f in fields(cfg)} - {"threads"}
+    cfg = small_config()
+    assert set(cfg.to_json()) == {f.name for f in fields(cfg)} and len(fields(cfg)) == 10
     rep = EnsembleReport(config=cfg.to_json(), config_hash=cfg.hash, radii=(0.5,),
                          n_of_r=(2.0,), lower_q10=(1.0,), lower_med=(1.0,), lower_q90=(1.0,),
                          upper_q10=(2.0,), upper_med=(2.0,), upper_q90=(2.0,),
@@ -169,8 +211,16 @@ def test_ensemble_plans_one_per_radius(monkeypatch):
 
 
 def _plan_free(monkeypatch):
-    monkeypatch.setattr(mclab, "sup_bracket", lambda ser, r, oversample, refine, slot:
-                        disk.sup_bracket(ser, r, oversample=oversample, refine=refine))
+    """Bracket each series of a stack alone, on a copy of its slot holding no plan."""
+    def alone(coeffs, slot, *args):
+        out = []
+        for c in coeffs:
+            fresh = copy.copy(slot)
+            fresh.plan = None
+            out += disk.sup_brackets(c[None], fresh, *args)
+        return out
+
+    monkeypatch.setattr(mclab, "sup_brackets", alone)
 
 
 @pytest.mark.parametrize("probe, slots, brackets", [

@@ -15,7 +15,7 @@ from .weights import (Weight, BlockSequence, make_weight, table_weight,
                       block_sequence, weight_to_json, weight_from_json,
                       parse_weight_spec)
 from .randomness import (RandomModel, SeedSpec, make_model, sample_vector,
-                         mgf_audit, theoretical_mgf_ratio, SUBNORMAL_KINDS)
+                         mgf_audit, SUBNORMAL_KINDS)
 from .schemes import (CoefficientScheme, NuSequence, uniform_block_scheme,
                       loglog_energy_scheme, riesz_lacunary_scheme,
                       saturating_scheme, rudin_shapiro_signs, rudin_shapiro_scheme,

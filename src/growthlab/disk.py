@@ -8,19 +8,20 @@ an analytic-flavor series is u(z) = sum_m a_m xi_m z^m with complex signs.
 On a fixed circle both reduce to trigonometric polynomials in the
 coefficients c_j = (a_j0 xi_j0 - i a_j1 xi_j1) r^j: u = Re sum c_j e^{ij theta}
 for the real flavor, and the modulus |sum c_j e^{ij theta}| for the analytic
-one.  One grid helper evaluates either on M equispaced angles, one
-direct-summation helper at any angles; both take one series or a stack of
-series on one support.  The grid helper never evaluates the
-zero padding of a fine grid: it splits the M angles into P = M / L
-interleaved rows, L the smallest M / 2^a above 2n (or M itself), and sums
-each row from twisted coefficients.  A dense support takes one L-point
-transform per row (the real part from its half spectrum); a support of at
-most WAVE_TERMS coefficients takes one matrix product per block of rows with
-a table of their L-point waves, while that table fits in BLOCK_BYTES.  That
-layout is a CirclePlan, which brackets at one radius share through a
-PlanSlot.  For real coefficients, rows P - p mirror rows p, so brackets
-evaluate rows 0..P/2 only, in blocks of about BLOCK_BYTES of spectrum or a
-quarter of that of wave-table values.
+one.  One grid helper evaluates either on the M equispaced angles of a
+bracket grid (M a power of two of at least 8 above 2n), one direct-summation
+helper at any angles; both take one series or a stack of series on one
+support.  The grid helper never evaluates the zero padding of a fine grid:
+it splits the M angles into P = M / L interleaved rows, L the smallest
+M / 2^a above 2n, and sums each row from twisted coefficients, each in its
+own bin.  A dense support takes one L-point transform per row (the real part
+from its half spectrum); a support of at most WAVE_TERMS coefficients takes
+one matrix product per block of rows with a table of their L-point waves,
+while that table fits in WAVE_BYTES.  That layout is a CirclePlan, which
+brackets at one radius share through a PlanSlot.  For real coefficients,
+rows P - p mirror rows p, so brackets evaluate rows 0..P/2 only, in blocks
+of about BLOCK_BYTES of spectrum or a quarter of that of wave-table values.
+evaluate_circle, on any M, is an independent reference with no plan.
 
 Sup brackets bound sup|u| for the real flavor and sup|f| for the analytic
 flavor.  A real trigonometric polynomial T of degree n satisfies
@@ -160,11 +161,9 @@ class CirclePlan:
     key: tuple              # (number of coefficients, M, real flavor, half)
     real: bool
     L: int                  # P = M / L rows of L angles
-    m: np.ndarray           # bin of each coefficient
-    bins: object            # the slice of m's bins when they form one run, else m
-    fold: np.ndarray        # coefficients conjugated into bin L - m, or None
+    bins: object            # the coefficients' bins j: a slice when they form one run
     scale: np.ndarray       # L, times the half-spectrum weight for the real flavor
-    twists: np.ndarray      # e^{2 pi i m p / M}, one row per evaluated row p
+    twists: np.ndarray      # e^{2 pi i j p / M}, one row per evaluated row p
     waves: np.ndarray       # few terms: e^{2 pi i j q / L} as [cos; sin] or cos + i sin, else None
     step: int               # rows per block of a bracket
 
@@ -184,54 +183,49 @@ def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> 
     """The layout of Re sum_j c_j e^{ijt} (real) or sum_j c_j e^{ijt} on the M angles
     t = 2 pi k / M as a (P, L) array whose entry [p, q] is the value at k = qP + p.
 
-    L is the smallest M / 2^a with L > 2n (n the largest j) and L >= 8, else M
-    (M odd, M <= 4n or M < 16); P = M / L.  As e^{ijt} = e^{2 pi i j p / M}
-    e^{2 pi i j q / L}, row p is a sum over the coefficients twisted by
-    e^{2 pi i j p / M}, so the zero padding of a fine grid is never evaluated.
-    How a row is summed depends on the number S of coefficients alone.  Up to
-    WAVE_TERMS of them, while the (2S, L) wave table e^{2 pi i (j q mod L) / L}
-    fits in BLOCK_BYTES, a block of rows is one matrix product of the twisted
-    coefficients with that table: an S-term direct sum per angle, whose
-    roundoff of about S eps l1 <= S^1.5 eps sup stays far below FLOAT_GUARD
-    (S^1.5 eps < 1e-13 at S = 16).
-    Otherwise row p is one L-point inverse transform: coefficient j lands in
-    bin j mod L, exact on these angles even when M <= 2n.  The real part comes
-    from the half spectrum: a bin m > L/2 folds to L - m with the conjugate
-    coefficient, bins 0 and L/2 carry weight 1 (only their real parts count)
-    and the others 1/2; these weights and the scale L go on the coefficients.
-    With P > 1, L > 2n gives every frequency j <= n its own bin below L/2:
-    nothing aliases or folds and the Nyquist bin stays empty, so the twist, a
-    function of j and not of j mod L, is one factor per bin.  Half evaluates
-    rows 0..P/2, enough for real coefficients: S(-t) = conj S(t), and
+    M is a bracket grid: a power of two of at least 8 above 2n (n the largest j),
+    as grid_size makes it; any other M is refused with DOMAIN.  L is the
+    smallest M / 2^a with L > 2n and L >= 8, and P = M / L.  As e^{ijt} =
+    e^{2 pi i j p / M} e^{2 pi i j q / L}, row p is a sum over the coefficients
+    twisted by e^{2 pi i j p / M}, so the zero padding of a fine grid is never
+    evaluated.  L > 2n gives every frequency its own bin j below L / 2, and
+    j p < M / 2 is an exact integer phase.  How a row is summed depends on the
+    number S of coefficients alone.  Up to WAVE_TERMS of them, while the (2S, L)
+    wave table e^{2 pi i (j q mod L) / L} fits in WAVE_BYTES, a block of rows is
+    one matrix product of the twisted coefficients with that table: an S-term
+    direct sum per angle, whose roundoff of about S eps l1 <= S^1.5 eps sup
+    stays far below FLOAT_GUARD (S^1.5 eps < 1e-13 at S = 16).  Otherwise row p
+    is one L-point inverse transform of the twisted coefficients in their bins;
+    the real part comes from the half spectrum, where bin 0 carries weight 1 and
+    the others 1/2 (these weights and the scale L go on the coefficients).  Half
+    evaluates rows 0..P/2, enough for real coefficients: S(-t) = conj S(t), and
     -k = (L-1-q)P + (P-p) makes row P - p row p reversed, with the same |values|.
     """
     n = int(support.max(initial=0))
-    L = M
-    while L % 2 == 0 and L > 4 * n and L >= 16:
-        L //= 2
+    L = max(8, 1 << (2 * n).bit_length())     # the smallest power of two >= 8 above 2n
+    if M & (M - 1) or M < L:
+        fail("DOMAIN", f"a circle plan needs a power of two M >= 8 above 2n = {2 * n}, got {M}")
     P = M // L
-    j = support % L
-    m, fold, scale = j, j > L // 2, L
-    if real:
-        scale = np.where((m == 0) | (2 * m == L), 1.0, 0.5) * L
-        m = np.where(fold, L - m, m)
-    # m p < M / 2 is an exact integer, so each twist has one cos or sin roundoff for any P
+    scale = np.where(support == 0, 1.0, 0.5) * L if real else L
+    # j p < M / 2 is an exact integer, so each twist has one cos or sin roundoff for any P
     rows = np.arange(P // 2 + 1 if half else P)
-    twists = _unit_phases(rows, m, M, np.empty((len(rows), len(m)), dtype=complex))
+    twists = _unit_phases(rows, support, M, np.empty((len(rows), len(support)), dtype=complex))
     waves, step = None, max(1, BLOCK_BYTES // (16 * (L // 2 + 1 if real else L)))
-    if len(j) <= WAVE_TERMS and 16 * len(j) * L <= BLOCK_BYTES:
+    if len(support) <= WAVE_TERMS and 16 * len(support) * L <= WAVE_BYTES:
         # entry [j, q] is base[j q mod L]: an exact index, so one cos or sin roundoff
         q = np.arange(L)
         base = _unit_phases(np.ones(1), q, L, np.empty((2, L)) if real
                             else np.empty((1, L), dtype=complex))
-        waves = np.take(base, np.outer(j, q) % L, axis=1).reshape(-1, L)
-        # blocks of a quarter of BLOCK_BYTES of values stay in cache for their reduction
-        step = max(1, BLOCK_BYTES // (4 * waves.itemsize * L))
-    # SZ blocks, Cesaro means and towers land on one run of distinct bins: a slice write
-    run = len(m) > 0 and np.array_equal(m, np.arange(m[0], m[0] + len(m)))
-    bins = slice(int(m[0]), int(m[0]) + len(m)) if run else m
-    return CirclePlan((len(m), M, real, half), real, L, m, bins,
-                      fold if real and fold.any() else None, scale, twists, waves, step)
+        waves = np.take(base, np.outer(support, q) % L, axis=1).reshape(-1, L)
+        # blocks of a quarter of BLOCK_BYTES of values stay in cache for their reduction;
+        # a larger table comes from memory in every product, so a product takes S rows
+        step = (len(support) if waves.nbytes > BLOCK_BYTES
+                else max(1, BLOCK_BYTES // (4 * waves.itemsize * L)))
+    # SZ blocks, Cesaro means and towers land on one run of bins: a slice write
+    j0 = int(support[0]) if len(support) else 0
+    run = np.array_equal(support, np.arange(j0, j0 + len(support)))
+    bins = slice(j0, j0 + len(support)) if run else support
+    return CirclePlan((len(support), M, real, half), real, L, bins, scale, twists, waves, step)
 
 
 def _circle_values(plan: CirclePlan, coeffs: np.ndarray, blocks):
@@ -248,29 +242,27 @@ def _circle_values(plan: CirclePlan, coeffs: np.ndarray, blocks):
             yield z @ plan.waves    # a product per series: a stack's rows sum as a lone series
         return
     c = coeffs * plan.scale
-    if plan.fold is not None:
-        c = np.where(plan.fold, np.conj(c), c)
     width = plan.L // 2 + 1 if plan.real else plan.L
-    base = c                           # distinct bins: each holds its coefficient
-    if not isinstance(plan.bins, slice):
-        spec = np.zeros(c.shape[:-1] + (width,), dtype=complex)
-        np.add.at(spec, (..., plan.m), c)
-        base = spec[..., plan.m]       # a bin's sum, once per coefficient landing there
     for rows in blocks:
-        values = plan.twists[rows] * base[..., None, :]
+        values = plan.twists[rows] * c[..., None, :]
         block = np.zeros(values.shape[:-1] + (width,), dtype=complex)
-        block[..., plan.bins] = values   # repeated bins write equal values
+        block[..., plan.bins] = values
         yield np.fft.irfft(block, n=plan.L) if plan.real else np.fft.ifft(block)
 
 
 def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
     """Values at the M angles theta_t = 2 pi t / M, in t order: real for the real
-    flavor, complex for the analytic one."""
+    flavor, complex for the analytic one.  Any M >= 1: coefficient j lands in bin
+    j mod M, which is exact on these angles even when M <= 2n.  One M-point
+    transform of the whole spectrum and no plan, so it is a reference kept
+    apart from the bracket kernel."""
     _check_radius(r)
     if M < 1:
         fail("DOMAIN", f"M must be >= 1, got {M}")
-    plan = circle_plan(series.scheme.support, M, series.flavor == REAL_HARMONIC)
-    return next(_circle_values(plan, _coeffs_at(series, r), [slice(None)])).T.ravel()
+    spec = np.zeros(M, dtype=complex)
+    np.add.at(spec, series.scheme.support % M, _coeffs_at(series, r))
+    values = np.fft.ifft(spec, norm="forward")
+    return values.real if series.flavor == REAL_HARMONIC else values
 
 
 @dataclass(frozen=True)
@@ -290,7 +282,8 @@ def _next_pow2(x: float) -> int:
 FLOAT_GUARD = 1e-12  # absorbs FFT/summation roundoff of a few ulps
 TAIL_RTOL = 1e-12    # relative l1 mass a bracket may drop from its coefficient tail
 MAX_GRID = 2**24     # circle grid limit, 4x the largest in use (2^22 at degree 65536)
-BLOCK_BYTES = 2**21  # spectrum a bracket hands one transform call; the wave table's cap
+BLOCK_BYTES = 2**21  # spectrum a bracket hands one transform call
+WAVE_BYTES = 2**23   # the wave table's cap: an 8-term Riesz comb's at offset 0 is 8 MiB
 NEWTON_STEPS = 8     # direct-summation calls of one refinement
 WAVE_TERMS = 16      # most coefficients summed by wave table: the product beat the FFT up to here
 TINY = 2.2250738585072014e-308   # the smallest normal float

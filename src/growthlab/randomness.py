@@ -142,20 +142,3 @@ def mgf_audit(model: RandomModel, lam_grid, n_samples: int,
     worst = max(r.ratio for r in rows)
     return MgfAudit(rows=tuple(rows), worst_ratio=worst, n_samples=n_samples)
 
-
-def theoretical_mgf_ratio(model: RandomModel, lam: float) -> float:
-    """Closed-form E exp(lambda w) / exp(lambda^2/2) for the builtin models."""
-    lam = float(lam)
-    denom = math.exp(lam * lam / 2.0)
-    if model.kind == RADEMACHER:
-        return math.cosh(lam) / denom
-    if model.kind == GAUSSIAN:
-        return math.exp(lam * lam * model.sigma**2 / 2.0) / denom
-    if model.kind == UNIFORM_SYMMETRIC:
-        if lam == 0.0:
-            return 1.0
-        return math.sinh(lam) / lam / denom
-    if model.kind == STEINHAUS_REAL:
-        return float(np.i0(lam)) / denom
-    fail("CONFIG_INVALID", f"no closed-form mgf for model {model.kind!r}")
-

@@ -111,10 +111,10 @@ def test_fft_aliasing_rule_documented():
 @pytest.mark.parametrize("degree, M, rows", [
     (50, 4096, 32),      # L = 128 > 2n: 32 twisted rows
     (10, 2**18, 8192),   # 8192 rows: twist roundoff must not grow with the row index
-    (50, 1001, 1),       # odd M: one row, no Nyquist bin
+    (50, 1001, 1),       # odd M: no plan, evaluate_circle only
     (50, 1, 1),          # every coefficient aliases onto the single angle
     (50, 100, 1),        # M <= 2n: aliased and folded
-    (50, 192, 1),        # 2n < M <= 4n: no halving qualifies
+    (50, 192, 1),        # 2n < M <= 4n, not a power of two
 ])
 def test_circle_grid_matches_direct_summation(degree, M, rows):
     rng = np.random.default_rng(degree + M)
@@ -127,11 +127,56 @@ def test_circle_grid_matches_direct_summation(degree, M, rows):
     for series in (real_series, RandomizedSeries(ones, c, ANALYTIC)):
         real = series.flavor == REAL_HARMONIC
         assert np.allclose(series.signed_complex_coeffs(), c)
-        assert next(disk._circle_values(disk.circle_plan(j, M, real), c, [slice(None)])).shape \
-            == (rows, M // rows)
+        if M >= 8 and M & (M - 1) == 0 and M > 2 * degree:    # a bracket grid has a plan
+            assert next(disk._circle_values(disk.circle_plan(j, M, real), c,
+                                            [slice(None)])).shape == (rows, M // rows)
         circ = evaluate_circle(series, 1.0, M)
         direct = disk._point_values(j, c, 0, th, 1, real)
         assert np.max(np.abs(circ - direct)) <= 1e-13 * np.abs(c).sum(), (M, real)
+
+
+def test_circle_plan_takes_bracket_grids_only():
+    # a power of two of at least 8 above 2n, as grid_size makes it; evaluate_circle takes any M
+    j = np.arange(51)
+    for M in (63, 192, 100, 64, 4):
+        with pytest.raises(GrowthLabError) as ei:
+            disk.circle_plan(j, M, True)
+        assert ei.value.code == "DOMAIN"
+    assert disk.circle_plan(j, 128, True).L == 128
+    assert disk.circle_plan(np.array([0]), 8, False).L == 8
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_plan_rows_match_evaluate_circle(data):
+    # every bracket layout, from one row (M <= 4n) to thousands: runs of bins and scattered
+    # ones, wave products and transforms, half and full rows, against the plan-free reference
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 600), label="n")
+    S = data.draw(st.integers(1, min(n + 1, 40)), label="S")
+    if data.draw(st.booleans(), label="run"):
+        support = np.arange(n - S + 1, n + 1)
+    else:
+        support = np.append(np.sort(rng.choice(n, size=S - 1, replace=False)), n)
+        if S > 1 and data.draw(st.booleans(), label="from 0"):
+            support[0] = 0     # bin 0 carries its own half-spectrum weight
+    lo = max(3, (2 * n).bit_length())
+    M = 2 ** data.draw(st.integers(lo, min(lo + 12, 18)), label="log2 M")
+    real, half = data.draw(st.sampled_from([(True, True), (True, False), (False, False)]))
+    c = rng.normal(size=(3, S)) + (0.0 if half else 1j * rng.normal(size=(3, S)))
+    plan = disk.circle_plan(support, M, real, half)
+    R, P = len(plan.twists), M // plan.L
+    per = data.draw(st.integers(1, R), label="rows per block")
+    rows = _rows_stacked(plan, c, [slice(i, i + per) for i in range(0, R, per)])
+    for b in range(3):
+        if real:
+            series = RandomizedSeries(scheme_from_arrays(support, c[b].real, -c[b].imag, n,
+                                                         {"name": "t"}), np.ones((S, 2)))
+        else:
+            series = RandomizedSeries(scheme_from_arrays(support, np.ones(S), np.zeros(S), n,
+                                                         {"name": "1"}), c[b], ANALYTIC)
+        grid = evaluate_circle(series, 1.0, M).reshape(plan.L, P).T[:R]
+        assert np.max(np.abs(rows[b] - grid)) <= 1e-13 * np.abs(c[b]).sum()
 
 
 def _grid_max(plan, c):
@@ -141,7 +186,7 @@ def _grid_max(plan, c):
 
 
 @pytest.mark.parametrize("degree, M, P", [
-    (50, 192, 1),        # one row: nothing to mirror
+    (50, 128, 1),        # one row: nothing to mirror
     (50, 256, 2),        # rows 0 and 1 are both kept
     (50, 2048, 16),      # rows 0..8 of 16
     (10, 2**18, 8192),   # rows 0..4096 of 8192
@@ -219,9 +264,9 @@ def _rows(plan, c, blocks):
 
 @pytest.mark.parametrize("S", [disk.WAVE_TERMS, disk.WAVE_TERMS + 1])
 @pytest.mark.parametrize("real, half", [(True, True), (True, False), (False, False)])
-@pytest.mark.parametrize("M, n", [(4096, 200), (63, 200), (2**16, 1000)])
+@pytest.mark.parametrize("M, n", [(4096, 200), (512, 200), (2**16, 1000)])
 def test_wave_blocks_match_fft_and_direct(S, real, half, M, n, monkeypatch):
-    # odd M and M <= 2n alias frequencies into one row; 2^16 at degree 1000 gives 32 rows
+    # 4096 at degree 200 gives 8 rows, 512 one row, 2^16 at degree 1000 gives 32
     support = _lacunary(S, n)
     rng = np.random.default_rng(S + M)
     c = rng.normal(size=S) + (0.0 if half else 1j * rng.normal(size=S))
@@ -242,16 +287,16 @@ def test_wave_blocks_match_fft_and_direct(S, real, half, M, n, monkeypatch):
 
 
 def test_wave_table_fits_its_budget(monkeypatch):
-    # Riesz combs: n = 6 (1.5 MB table) sums by waves, n = 7 and 8 would need 6 and 33 MB
-    for n_terms, waves in ((6, True), (7, False), (8, False)):
+    # Riesz combs: n = 6 and 7 (1.5 and 7.3 MB tables) sum by waves, n = 8 would need 33 MB
+    for n_terms, waves in ((6, True), (7, True), (8, False)):
         freqs = 4 ** np.arange(1, n_terms + 1)
         plan = disk.circle_plan(freqs, disk.grid_size(int(freqs[-1]), 4.0), True, True)
         assert (plan.waves is not None) == waves
-        assert plan.waves is None or plan.waves.nbytes <= disk.BLOCK_BYTES
+        assert plan.waves is None or plan.waves.nbytes <= disk.WAVE_BYTES
     # a table over budget falls back to the transform and yields the same values
     support, c = _lacunary(4, 300), np.array([1.0, -0.5, 2.0, 0.25])
     wave = disk.circle_plan(support, 2**14, True, True)
-    monkeypatch.setattr(disk, "BLOCK_BYTES", wave.waves.nbytes - 1)
+    monkeypatch.setattr(disk, "WAVE_BYTES", wave.waves.nbytes - 1)
     fft = disk.circle_plan(support, 2**14, True, True)
     assert fft.waves is None
     blocks = [slice(None)]
@@ -651,9 +696,9 @@ def test_stacked_brackets_match_single_brackets(data):
 
 @pytest.mark.parametrize("S", [5, 40])
 @pytest.mark.parametrize("real, half", [(True, True), (True, False), (False, False)])
-@pytest.mark.parametrize("M", [4096, 192, 100, 63, 1])
+@pytest.mark.parametrize("M", [4096, 128])
 def test_stacked_circle_values_match_rows(S, real, half, M):
-    # M <= 4n (one row, folded and aliased bins), odd M and a fine grid; wave and transform
+    # a fine grid of many rows and a grid of one or two; wave and transform
     rng = np.random.default_rng(S + M)
     support = np.sort(rng.choice(51, size=S, replace=False))
     c = rng.normal(size=(3, S)) + (0.0 if half else 1j * rng.normal(size=(3, S)))

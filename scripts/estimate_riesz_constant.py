@@ -29,7 +29,7 @@ def main():
     try:
         return scan(args)
     except GrowthLabError as e:
-        diagnostic(e.code, str(e))
+        diagnostic(e.code, str(e), e.pointer)
         return 2
 
 

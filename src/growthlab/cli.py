@@ -15,7 +15,8 @@ Subcommands map onto the library's statement families:
   run           dispatch any of the above from a JSON config
 
 Every run directory receives a manifest.json (config hash, seed, version,
-wall time) sufficient to reproduce the outputs byte for byte.  It is written
+wall time) sufficient to reproduce the outputs byte for byte; the seed is null
+for the runs that draw no random numbers, which take no --seed.  It is written
 as "running" before the work starts and rewritten at the end as "complete",
 or as "failed" with the error code.  Exit codes: 0 success, 2 validation
 error (line-delimited JSON diagnostic on stderr), 1 internal error.  stdout
@@ -36,12 +37,12 @@ from . import __version__
 from .census import CENSUS_CSV_HEADER, LiminfRow, coefficient_census, liminf_profile
 from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_sup_ratio
 from .disk import ANALYTIC, REAL_HARMONIC, PlanSlot, check_oversample
-from .errors import GrowthLabError
+from .errors import GrowthLabError, fail
 from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzRow,
                     config_from_json, riesz_comb, riesz_probe, run_growth_ensemble,
                     salem_zygmund_probe, scheme_from_provenance)
 from .randomness import SeedSpec, make_model
-from .reporting import config_hash, write_csv, write_json, write_records
+from .reporting import config_hash, write_csv, write_json, write_records, write_text
 from .schemes import (SCHEMES, NuSequence, blocks_from_provenance, blocks_provenance,
                       scheme_fields)
 from .sphere import (CAP_CSV_HEADER, MAX_BASIS_DEGREE, build_basis, cap_fraction,
@@ -50,17 +51,10 @@ from .weights import (block_sequence, bloch_reciprocal, doubling_audit, make_wei
                       parse_weight_spec)
 
 
-class _CliError(Exception):
-    def __init__(self, code, message, pointer=""):
-        self.code = code
-        self.message = message
-        self.pointer = pointer
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits on error; surface a JSON diagnostic instead
     def error(self, message):
-        raise _CliError("CONFIG_INVALID", message)
+        fail("CONFIG_INVALID", message)
 
 
 def diagnostic(code: str, detail: str, pointer: str = ""):
@@ -75,11 +69,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         return _dispatch(argv)
-    except _CliError as e:
-        diagnostic(e.code, e.message, e.pointer)
-        return 2
     except GrowthLabError as e:
-        diagnostic(e.code, str(e))
+        diagnostic(e.code, str(e), e.pointer)
         return 2
     except Exception as e:  # internal error
         diagnostic("INTERNAL", f"{type(e).__name__}: {e}")
@@ -87,18 +78,19 @@ def main(argv=None) -> int:
 
 
 class _Run:
-    """One subcommand run: its output directory and manifest."""
+    """One subcommand run: its output directory, manifest and given flags."""
 
-    def __init__(self, name, out):
+    def __init__(self, name, out, given):
         self.name = name
         self.out = out
+        self.given = given        # dests of the flags on the command line, --out aside
         self.manifest = None      # set once the "running" manifest is on disk
 
-    def start(self, cfg, seed, config_path=None):
+    def start(self, cfg, seed=None, config_path=None):
         """Create the output directory and write the manifest as running."""
         digest = config_hash(cfg)         # fails on a non-finite value, before any write
         os.makedirs(self.out, exist_ok=True)
-        self.notes = [f"seed: {seed}", f"config_hash: {digest}"]
+        self.notes = ([] if seed is None else [f"seed: {seed}"]) + [f"config_hash: {digest}"]
         self.started = time.monotonic()
         man = {"subcommand": self.name, "config": cfg, "config_path": config_path,
                "config_hash": digest, "output_dir": os.path.abspath(self.out),
@@ -116,35 +108,34 @@ class _Run:
 
 def _dispatch(argv) -> int:
     if not argv:
-        raise _CliError("UNKNOWN_SUBCOMMAND", f"expected one of {', '.join(SUBCOMMANDS)}")
+        fail("UNKNOWN_SUBCOMMAND", f"expected one of {', '.join(SUBCOMMANDS)}")
     cmd = argv[0]
     if cmd in ("-h", "--help"):
         print("growthlab subcommands: " + ", ".join(SUBCOMMANDS))
         return 0
     if cmd not in SUBCOMMANDS:
-        raise _CliError("UNKNOWN_SUBCOMMAND", f"unknown subcommand {cmd!r}; "
-                        f"expected one of {', '.join(SUBCOMMANDS)}")
+        fail("UNKNOWN_SUBCOMMAND", f"unknown subcommand {cmd!r}; "
+             f"expected one of {', '.join(SUBCOMMANDS)}")
     flags, body = SUBCOMMANDS[cmd]
     p = _Parser(prog=f"growthlab {cmd}")
     p.add_argument("--out", default=None, help="output directory")
     for flag, spec in flags:
         p.add_argument(flag, **spec)
     args = p.parse_args(argv[1:])
-    if getattr(args, "config", None):
-        # --config replaces every flag but --out: reparse with marker defaults
-        unset = object()
-        p.set_defaults(**dict.fromkeys(vars(args), unset))
-        given = [k for k, v in vars(p.parse_args(argv[1:])).items()
-                 if v is not unset and k not in ("config", "out")]
-        if given:
-            raise _CliError("CONFIG_INVALID", "--config replaces the other flags; also given: "
-                            + ", ".join("--" + k.replace("_", "-") for k in given))
-    run = _Run(cmd, args.out or os.path.join("growthlab_out", cmd))
+    # the flags given on the command line: a reparse with marker defaults
+    unset = object()
+    p.set_defaults(**dict.fromkeys(vars(args), unset))
+    given = [k for k, v in vars(p.parse_args(argv[1:])).items() if v is not unset and k != "out"]
+    others = [k for k in given if k != "config"]
+    if "config" in given and others:        # --config replaces every flag but --out
+        fail("CONFIG_INVALID", "--config replaces the other flags; also given: "
+             + ", ".join("--" + k.replace("_", "-") for k in others))
+    run = _Run(cmd, args.out or os.path.join("growthlab_out", cmd), given)
     try:
         code = body(args, run)
     except Exception as e:
         if run.manifest is not None:
-            failed = e.code if isinstance(e, (_CliError, GrowthLabError)) else "INTERNAL"
+            failed = e.code if isinstance(e, GrowthLabError) else "INTERNAL"
             run.finish("failed", error=failed)
         raise
     if run.manifest is not None:
@@ -154,34 +145,41 @@ def _dispatch(argv) -> int:
 
 def _load_config(path) -> dict:
     if not os.path.exists(path):
-        raise _CliError("CONFIG_INVALID", f"config file not found: {path}")
+        fail("CONFIG_INVALID", f"config file not found: {path}")
     try:
         with open(path) as f:
             return json.load(f)
     except json.JSONDecodeError as e:
-        raise _CliError("CONFIG_INVALID", f"config is not valid JSON: {e}")
+        fail("CONFIG_INVALID", f"config is not valid JSON: {e}")
 
 
-# provenance field -> its value from the scheme flags
+# provenance field -> (the scheme flags that build it, its value from them)
 _FLAG_FIELDS = {
-    "k_max": lambda a: a.k_max,
-    "rule": lambda a: a.rule,
-    "fill_both": lambda a: False,
-    "nu": lambda a: {"kind": a.nu},
-    "blocks": lambda a: blocks_provenance(
-        block_sequence(parse_weight_spec(a.weight), a.ratio_A, a.n0, a.k_max)),
+    "k_max": (("k_max",), lambda a: a.k_max),
+    "rule": (("rule",), lambda a: a.rule),
+    "fill_both": ((), lambda a: False),
+    "nu": (("nu",), lambda a: {"kind": a.nu}),
+    "blocks": (("weight", "ratio_A", "n0", "k_max"), lambda a: blocks_provenance(
+        block_sequence(parse_weight_spec(a.weight), a.ratio_A, a.n0, a.k_max))),
 }
 
 
-def _scheme_provenance(args) -> dict:
+def _scheme_provenance(args, run, own=()) -> dict:
+    """The scheme's provenance from its flags.  A given scheme flag that neither
+    the scheme nor the subcommand (`own`) reads is refused, not ignored."""
     if args.scheme is None:
-        raise _CliError("CONFIG_INVALID", "missing --scheme", pointer="/scheme")
-    prov = {"name": args.scheme}
-    prov.update((f, _FLAG_FIELDS[f](args)) for f in scheme_fields(args.scheme))
-    return prov
+        fail("CONFIG_INVALID", "missing --scheme", pointer="/scheme")
+    fields = scheme_fields(args.scheme)
+    read = set(own).union(*(_FLAG_FIELDS[f][0] for f in fields))
+    scheme_flags = set().union(*(flags for flags, _ in _FLAG_FIELDS.values()))
+    for dest in run.given:
+        if dest in scheme_flags and dest not in read:
+            fail("CONFIG_INVALID", f"scheme {args.scheme!r} does not read "
+                 f"--{dest.replace('_', '-')}", pointer="/" + dest)
+    return {"name": args.scheme, **{f: _FLAG_FIELDS[f][1](args) for f in fields}}
 
 
-# -- subcommand bodies: build the config, run.start(config, seed), write results --
+# -- subcommand bodies: build the config, run.start(config[, seed]), write results --
 
 def _weights(args, run):
     w = make_weight(args.family, args.alpha, args.log_base)
@@ -190,12 +188,8 @@ def _weights(args, run):
     audit = doubling_audit(w, args.audit_x_max)
     run.start({"family": args.family, "alpha": args.alpha, "log_base": args.log_base,
                "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max,
-               "require_doubling": args.require_doubling, "audit_x_max": args.audit_x_max},
-              args.seed)
-    with open(run.path("blocks.csv"), "w") as f:
-        for c in run.notes:
-            f.write(f"# {c}\n")
-        f.write(blocks.to_csv())
+               "require_doubling": args.require_doubling, "audit_x_max": args.audit_x_max})
+    write_text(run.path("blocks.csv"), "".join(f"# {c}\n" for c in run.notes) + blocks.to_csv())
     write_json(run.path("audit.json"),
                {"d_hat": audit.d_hat, "worst_x": audit.worst_x,
                 "known_doubling": w.known_doubling})
@@ -203,32 +197,30 @@ def _weights(args, run):
 
 
 def _scheme(args, run):
-    prov = _scheme_provenance(args)
+    prov = _scheme_provenance(args, run)
     scheme = scheme_from_provenance(prov)
-    run.start(prov, args.seed)
+    run.start(prov)
     scheme.write_csv(run.path("scheme.csv"))
     print(f"wrote {run.out}/scheme.csv ({scheme.size} entries, degree {scheme.max_degree})")
 
 
 def _check(args, run):
-    prov = _scheme_provenance(args)
+    prov = _scheme_provenance(args, run, own=("weight",))
     scheme = scheme_from_provenance(prov)
     rep = score_sup_ratio(args.kind, scheme, parse_weight_spec(args.weight), args.n_max)
-    run.start({"scheme": prov, "kind": args.kind, "weight": args.weight,
-               "n_max": args.n_max}, args.seed)
+    run.start({"scheme": prov, "kind": args.kind, "weight": args.weight, "n_max": args.n_max})
     write_json(run.path("score.json"), rep.to_json())
     write_records(run.path("score.csv"), Checkpoint, rep.checkpoints, comments=run.notes)
     print(f"score={rep.score:.6g} witness={rep.witness} trend={rep.trend_ratio:.4g}")
 
 
 def _census(args, run):
-    prov = _scheme_provenance(args)
+    prov = _scheme_provenance(args, run, own=("weight",))
     scheme = scheme_from_provenance(prov)
     w = parse_weight_spec(args.weight)
     n_max = scheme.max_degree if args.n_max is None else args.n_max
     rep = coefficient_census(scheme, w, NuSequence(args.p), n_max)
-    run.start({"scheme": prov, "weight": args.weight, "p": args.p, "n_max": n_max},
-              args.seed)
+    run.start({"scheme": prov, "weight": args.weight, "p": args.p, "n_max": n_max})
     write_csv(run.path("census.csv"), CENSUS_CSV_HEADER, rep.to_rows(), comments=run.notes)
     if "blocks" in prov:
         lim = liminf_profile(scheme, blocks_from_provenance(prov["blocks"]), w)
@@ -240,14 +232,13 @@ def _ensemble(flavor, args, run):
     if args.config:
         cfg = config_from_json(_load_config(args.config))
         if cfg.flavor != flavor:
-            raise _CliError("CONFIG_INVALID", f"the config's flavor {cfg.flavor!r} is not "
-                            f"{flavor!r}, the flavor of {run.name}", pointer="/flavor")
+            fail("CONFIG_INVALID", f"the config's flavor {cfg.flavor!r} is not "
+                 f"{flavor!r}, the flavor of {run.name}", pointer="/flavor")
     else:
         cfg = ExperimentConfig(
-            scheme=_scheme_provenance(args), model={"kind": args.model},
+            scheme=_scheme_provenance(args, run), model={"kind": args.model},
             seed=args.seed, trials=args.trials, radii=args.radii, oversample=args.oversample,
-            refine=args.refine, candidates=tuple(args.candidates.split(",")),
-            flavor=flavor)
+            refine=args.refine, candidates=tuple(args.candidates.split(",")), flavor=flavor)
     run.start(cfg.to_json(), cfg.seed, config_path=args.config)
     print(f"running {cfg.trials} trials ...")
     rep = run_growth_ensemble(cfg)
@@ -260,18 +251,17 @@ def _ensemble(flavor, args, run):
     print(f"wrote {run.out}/report.json ({len(rep.radii)} radii, wall {rep.wall_time:.1f}s)")
 
 
-def _block_scheme(args, what):
-    prov = _scheme_provenance(args)
+def _block_scheme(args, run, what, own=()):
+    prov = _scheme_provenance(args, run, own)
     if "blocks" not in prov:
-        raise _CliError("CONFIG_INVALID", f"{what} needs a block-based scheme")
+        fail("CONFIG_INVALID", f"{what} needs a block-based scheme")
     return prov, scheme_from_provenance(prov), blocks_from_provenance(prov["blocks"])
 
 
 def _probe_sz(args, run):
     if args.trials < 1:
-        raise _CliError("DOMAIN", f"--trials must be >= 1, got {args.trials}",
-                        pointer="/trials")
-    prov, scheme, blocks = _block_scheme(args, "probe-sz")
+        fail("DOMAIN", f"--trials must be >= 1, got {args.trials}", pointer="/trials")
+    prov, scheme, blocks = _block_scheme(args, run, "probe-sz")
     run.start({"scheme": prov, "model": args.model, "trials": args.trials,
                "n_list": args.n_list, "seed": args.seed}, args.seed)
     rep = salem_zygmund_probe(scheme, blocks, make_model(args.model), SeedSpec(args.seed),
@@ -289,9 +279,10 @@ def _probe_riesz(args, run):
                 comb = riesz_comb(nt, off)
                 PlanSlot(comb, 1.0).grid(int(comb[-1]), args.oversample)
             except GrowthLabError as e:
-                raise _CliError(e.code, str(e), pointer) from None
+                e.pointer = pointer
+                raise
     run.start({"n_terms": args.n_terms, "offsets": args.offsets, "oversample": args.oversample,
-               "signed": args.signed}, args.seed)
+               "signed": args.signed})
     rows = []
     for nt in args.n_terms:
         rep = riesz_probe(nt, offsets=args.offsets, theta_oversample=args.oversample,
@@ -304,16 +295,14 @@ def _probe_riesz(args, run):
 
 def _cap(args, run):
     if args.combos < 1:
-        raise _CliError("DOMAIN", f"--combos must be >= 1, got {args.combos}",
-                        pointer="/combos")
+        fail("DOMAIN", f"--combos must be >= 1, got {args.combos}", pointer="/combos")
     if args.alpha <= 0.0 or args.alpha >= 1.0:   # NaN passes: run.start refuses it, NON_FINITE
-        raise _CliError("DOMAIN", f"--alpha must lie in (0, 1), got {args.alpha}",
-                        pointer="/alpha")
+        fail("DOMAIN", f"--alpha must lie in (0, 1), got {args.alpha}", pointer="/alpha")
     for n in args.degrees:
         if not 0 <= n <= MAX_BASIS_DEGREE:
-            raise _CliError("DOMAIN" if n < 0 else "DEGREE_BUDGET",
-                            f"--degrees entries must lie in 0..{MAX_BASIS_DEGREE}, got {n}",
-                            pointer="/degrees")
+            fail("DOMAIN" if n < 0 else "DEGREE_BUDGET",
+                 f"--degrees entries must lie in 0..{MAX_BASIS_DEGREE}, got {n}",
+                 pointer="/degrees")
     run.start({"degrees": args.degrees, "alpha": args.alpha, "combos": args.combos,
                "seed": args.seed}, args.seed)
     basis = build_basis(max(args.degrees))
@@ -333,11 +322,11 @@ def _cap(args, run):
 
 
 def _bloch(args, run):
-    prov, scheme, blocks = _block_scheme(args, "bloch scoring")
+    prov, scheme, blocks = _block_scheme(args, run, "bloch scoring", own=("weight",))
     w = parse_weight_spec(args.weight)
     bw = bloch_reciprocal(parse_weight_spec(args.w_weight))
     rep = score_blockwise(scheme, blocks, w, m_weighted=True, bloch_w=bw)
-    run.start({"scheme": prov, "weight": args.weight, "w_weight": args.w_weight}, args.seed)
+    run.start({"scheme": prov, "weight": args.weight, "w_weight": args.w_weight})
     write_json(run.path("bloch_score.json"), rep.to_json())
     write_records(run.path("bloch_targets.csv"), BlockRow, rep.rows, comments=run.notes)
     print(f"bloch blockwise score={rep.score:.6g} witness=k{rep.witness}")
@@ -348,8 +337,8 @@ def _run_config(args, run) -> int:
     sub = cfg.get("subcommand")
     if sub not in SUBCOMMANDS or sub == "run":
         others = ", ".join(name for name in SUBCOMMANDS if name != "run")
-        raise _CliError("CONFIG_INVALID", f"config must name a subcommand among {others}",
-                        pointer="/subcommand")
+        fail("CONFIG_INVALID", f"config must name a subcommand among {others}",
+             pointer="/subcommand")
     flags = list(cfg.get("argv", []))
     if args.out:
         flags += ["--out", args.out]
@@ -376,9 +365,10 @@ def _radii(text):
     return text if text == "block" else _FLOATS(text)
 
 
+# only the runs that draw random numbers take a seed
 _SEED = [("--seed", dict(type=int, default=20260808))]
 
-_SCHEME_FLAGS = _SEED + [
+_SCHEME_FLAGS = [
     ("--scheme", dict(default=None, help=f"one of {', '.join(SCHEMES)}")),
     ("--weight", dict(default="power:1", help="weight spec, e.g. power:1")),
     ("--ratio-A", dict(type=float, default=2.0)),
@@ -390,7 +380,7 @@ _SCHEME_FLAGS = _SEED + [
 
 
 def _ensemble_flags(model):
-    return _SCHEME_FLAGS + [
+    return _SCHEME_FLAGS + _SEED + [
         ("--config", dict(default=None, help="ExperimentConfig JSON used instead of the flags")),
         ("--model", dict(default=model)),
         ("--trials", dict(type=int, default=200)),
@@ -405,7 +395,7 @@ def _ensemble_flags(model):
 # name -> (flags beside --out, body(args, run)); a body that never calls
 # run.start leaves no manifest, which lets `run` hand over to another body
 SUBCOMMANDS = {
-    "weights": (_SEED + [
+    "weights": ([
         ("--family", dict(default="power")),
         ("--alpha", dict(type=float, default=1.0)),
         ("--log-base", dict(type=float, default=math.e)),
@@ -426,12 +416,12 @@ SUBCOMMANDS = {
     ], _census),
     "growth": (_ensemble_flags("rademacher"),
                lambda args, run: _ensemble(REAL_HARMONIC, args, run)),
-    "probe-sz": (_SCHEME_FLAGS + [
+    "probe-sz": (_SCHEME_FLAGS + _SEED + [
         ("--model", dict(default="rademacher")),
         ("--trials", dict(type=int, default=500)),
         ("--n-list", dict(type=_INTS, default="8,10")),
     ], _probe_sz),
-    "probe-riesz": (_SEED + [
+    "probe-riesz": ([
         ("--n-terms", dict(type=_INTS, default="2,3,4,5,6")),
         ("--offsets", dict(type=_INTS, default="0")),
         ("--oversample", dict(type=float, default=64.0)),

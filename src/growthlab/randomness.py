@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import fail
+from .errors import fail, refuse_unread
 
 RADEMACHER = "rademacher"
 GAUSSIAN = "gaussian"
@@ -67,6 +67,8 @@ def model_from_json(d: dict) -> RandomModel:
     if not (isinstance(sigma, numbers.Real) and not isinstance(sigma, bool) and "kind" in d):
         fail("CONFIG_INVALID", f"a random model is a JSON object with a kind and a numeric "
              f"sigma, got {d!r}")
+    refuse_unread(d, ("kind", "sigma") if d["kind"] == GAUSSIAN else ("kind",),
+                  f"random model {d['kind']!r}")
     return make_model(d["kind"], sigma)
 
 

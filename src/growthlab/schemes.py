@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GrowthLabError, fail
+from .errors import GrowthLabError, fail, refuse_unread
 from .reporting import canonical_json, format_csv, write_text
 from .weights import BlockSequence, weight_from_json, weight_to_json
 
@@ -83,6 +83,8 @@ class NuSequence:
 def nu_from_json(d) -> "NuSequence":
     if isinstance(d, str):
         return NuSequence(kind=d)
+    refuse_unread(d, ("kind", "c") if d.get("kind") == "constant" else ("kind",),
+                  f"nu sequence {d.get('kind')!r}")
     return NuSequence(kind=d["kind"], c=d.get("c", 1.0))
 
 
@@ -342,6 +344,7 @@ def hadamard_lacunary_scheme(blocks: BlockSequence) -> CoefficientScheme:
 
 
 def blocks_from_provenance(d: dict) -> BlockSequence:
+    refuse_unread(d, ("weight", "A", "n"), "a block sequence")
     w = weight_from_json(d["weight"])
     return BlockSequence(weight=w, ratio_a=float(d["A"]), n=tuple(int(x) for x in d["n"]))
 
@@ -379,6 +382,7 @@ def scheme_from_provenance(prov: dict) -> CoefficientScheme:
              f"got {type(prov).__name__}")
     try:
         fields = scheme_fields(prov.get("name"))
+        refuse_unread(prov, ("name",) + fields, f"scheme {prov['name']!r}")
         missing = [f for f in fields if f not in prov and f not in _OPTIONAL]
         if missing:
             fail("CONFIG_INVALID",

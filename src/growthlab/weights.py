@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GrowthLabError, fail
+from .errors import GrowthLabError, fail, refuse_unread
 
 N_BUDGET = 2**53  # block indices stay integers that floats hold exactly
 
@@ -65,7 +65,7 @@ class Weight:
 def make_weight(family: str, alpha: float, log_base: float = math.e) -> Weight:
     """Construct a power or log-power weight.
 
-    power:    g(x) = x^alpha
+    power:    g(x) = x^alpha, no log base
     logpower: g(x) = max(1, (log_b x)^alpha), natural log unless log_base set
     """
     if family not in (POWER, LOGPOWER):
@@ -74,6 +74,8 @@ def make_weight(family: str, alpha: float, log_base: float = math.e) -> Weight:
         fail("NON_POSITIVE_EXPONENT", f"alpha must be finite and > 0, got {alpha}")
     if not (1 < log_base < math.inf):
         fail("CONFIG_INVALID", f"log base must be finite and exceed 1, got {log_base}")
+    if family == POWER and log_base != math.e:
+        fail("CONFIG_INVALID", f"a power weight takes no log base, got {log_base}")
     return Weight(family=family, alpha=float(alpha), log_base=float(log_base))
 
 
@@ -263,10 +265,13 @@ def weight_to_json(weight: Weight) -> dict:
 def weight_from_json(d: dict) -> Weight:
     fam = d.get("family")
     if fam in (POWER, LOGPOWER):
+        refuse_unread(d, ("family", "alpha", "log_base"), f"a {fam} weight")
         return make_weight(fam, d["alpha"], d.get("log_base", math.e))
     if fam == BLOCH_RECIPROCAL:
+        refuse_unread(d, ("family", "inner"), f"a {fam} weight")
         return bloch_reciprocal(weight_from_json(d["inner"]))
     if fam == TABLE:
+        refuse_unread(d, ("family", "xs", "gs"), f"a {fam} weight")
         return table_weight(d["xs"], d["gs"])
     fail("CONFIG_INVALID", f"unknown weight family {fam!r}")
 

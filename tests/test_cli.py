@@ -105,7 +105,7 @@ def test_census_subcommand(tmp_path, capsys):
     assert code == 0
     lines = (out / "census.csv").read_text().splitlines()
     comments = [l for l in lines if l.startswith("#")]
-    assert any("seed" in c for c in comments)
+    assert not any("seed" in c for c in comments)      # census draws no random numbers
     assert any("config_hash" in c for c in comments)
     assert [l for l in lines if not l.startswith("#")][0] == "n,N_n,fraction,threshold_at_n"
     assert (out / "liminf.csv").exists()
@@ -313,6 +313,10 @@ _EXP = {"scheme": {"name": "loglog", "k_max": 2}, "model": {"kind": "rademacher"
     dict(_EXP, model="rademacher"),
     dict(_EXP, model={}),
     dict(_EXP, model={"kind": "gaussian", "sigma": "x"}),
+    dict(_EXP, model={"kind": "rademacher", "sigma": 0.25}),    # sigma it never reads
+    # blocks a loglog scheme never reads, which once set the "block" radii
+    dict(_EXP, radii="block", scheme={"name": "loglog", "k_max": 3, "blocks": {
+        "weight": {"family": "power", "alpha": 1.0}, "A": 2.0, "n": [1, 2, 4, 8]}}),
 ])
 def test_malformed_config_file_rejected_before_manifest(tmp_path, capsys, cfg):
     path = tmp_path / "exp.json"
@@ -434,7 +438,7 @@ def test_probe_riesz_grid_sized_by_common_period(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "probe-riesz", "--n-terms", "8", "--oversample", "128",
                          "--out", str(tmp_path / "ok"))
     assert code == 0
-    assert len((tmp_path / "ok" / "riesz.csv").read_text().splitlines()) == 4   # one row
+    assert len((tmp_path / "ok" / "riesz.csv").read_text().splitlines()) == 3   # one row
     for argv, pointer in ((["--oversample", "512"], "/n_terms"),     # 2^25 even reduced
                           (["--oversample", "128", "--offsets", "1"], "/offsets")):   # g = 1
         out = tmp_path / pointer.strip("/")
@@ -543,3 +547,86 @@ def test_empty_n_max_is_empty_range(tmp_path, capsys, sub, n_max):
                              "--n-max", n_max, "--out", str(out))
     assert (code, diag["error"]) == (2, "EMPTY_RANGE")
     assert not out.exists()
+
+
+# scheme -> the scheme flags it reads; check reads --weight besides
+_SCHEME_READS = {
+    "loglog": {"--k-max"},
+    "uniform": {"--weight", "--ratio-A", "--n0", "--k-max", "--rule"},
+    "saturating": {"--weight", "--ratio-A", "--n0", "--k-max", "--nu"},
+    "riesz_lacunary": {"--weight", "--ratio-A", "--n0", "--k-max", "--nu"},
+    "rudin_shapiro": {"--weight", "--ratio-A", "--n0", "--k-max"},
+    "hadamard": {"--weight", "--ratio-A", "--n0", "--k-max"},
+}
+_SCHEME_FLAG_VALUES = {"--weight": "power:1", "--ratio-A": "4", "--n0": "1", "--k-max": "2",
+                       "--rule": "g_over_n", "--nu": "sqrt"}
+
+
+def test_scheme_reads_table_covers_registry():
+    assert set(_SCHEME_READS) == set(schemes.SCHEMES)
+
+
+@pytest.mark.parametrize("sub", ["growth", "check"])
+@pytest.mark.parametrize("scheme", sorted(_SCHEME_READS))
+@pytest.mark.parametrize("flag", sorted(_SCHEME_FLAG_VALUES))
+def test_scheme_flag_read_or_refused(tmp_path, capsys, sub, scheme, flag):
+    base = [sub, "--scheme", scheme, "--k-max", "2"]
+    if scheme == "riesz_lacunary":           # its combs need n_k >= 4 n_(k-1)
+        base += ["--ratio-A", "4"]
+    if sub == "growth":
+        base += ["--trials", "2"]
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, *base, flag, _SCHEME_FLAG_VALUES[flag], "--out", str(out))
+    if flag in _SCHEME_READS[scheme] or (sub == "check" and flag == "--weight"):
+        assert code == 0, err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+    else:
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+        assert diag["pointer"] == "/" + flag[2:].replace("-", "_")
+        assert flag in diag["detail"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--k-max", "2"],
+    ["scheme", "--scheme", "loglog", "--k-max", "2"],
+    ["check", "--scheme", "loglog", "--k-max", "2"],
+    ["census", "--scheme", "loglog", "--k-max", "2"],
+    ["bloch", "--scheme", "hadamard", "--k-max", "2"],
+    ["probe-riesz", "--n-terms", "2"],
+], ids=lambda argv: argv[0])
+def test_seedless_subcommands_refuse_seed(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == 0     # runs without the flag
+    out = tmp_path / "seeded"
+    code, diag = _diagnostic(capsys, *argv, "--seed", "5", "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert "--seed" in diag["detail"]
+    assert not out.exists()
+
+
+def test_manifest_and_csv_record_seed_only_where_drawn(tmp_path, capsys):
+    for argv, seed in ([["census", "--scheme", "rudin_shapiro", "--k-max", "4"], None],
+                       [["probe-riesz", "--n-terms", "2"], None],
+                       [["bloch", "--scheme", "hadamard", "--k-max", "4"], None],
+                       [["cap", "--degrees", "2", "--combos", "1", "--seed", "9"], 9],
+                       [["growth", "--scheme", "loglog", "--k-max", "2", "--trials", "2",
+                         "--seed", "9"], 9]):
+        out = tmp_path / argv[0]
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+        for csv in out.glob("*.csv"):
+            notes = [l for l in csv.read_text().splitlines() if l.startswith("# ")]
+            assert ("# seed: 9" in notes) == (seed is not None), csv
+            assert any(l.startswith("# config_hash: ") for l in notes), csv
+
+
+def test_weights_power_refuses_log_base(tmp_path, capsys):
+    out = tmp_path / "w"
+    code, diag = _diagnostic(capsys, "weights", "--family", "power", "--log-base", "3",
+                             "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert not out.exists()
+    assert run_cli(capsys, "weights", "--family", "logpower", "--log-base", "3",
+                   "--k-max", "3", "--out", str(out))[0] == 0

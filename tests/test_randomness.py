@@ -85,3 +85,13 @@ def test_subnormal_inequality_statistically(kind, seed_spec):
 def test_mgf_audit_needs_enough_samples(seed_spec):
     with pytest.raises(GrowthLabError):
         mgf_audit(make_model("rademacher"), [1.0], 100, seed_spec)
+
+
+def test_model_json_takes_only_its_own_keys():
+    from growthlab.randomness import model_from_json
+    assert model_from_json({"kind": "gaussian", "sigma": 0.25}).sigma == 0.25
+    for d in ({"kind": "rademacher", "sigma": 0.25}, {"kind": "rademacher", "foo": 1},
+              {"kind": "gaussian", "sigma": 0.5, "foo": 1}):
+        with pytest.raises(GrowthLabError) as ei:
+            model_from_json(d)
+        assert ei.value.code == "CONFIG_INVALID"

@@ -359,3 +359,31 @@ def test_repeated_support_rejected(support):
     with pytest.raises(GrowthLabError) as ei:
         schemes.scheme_from_csv("j,a_j0,a_j1\n" + "".join(f"{j},1.0,0.0\n" for j in support))
     assert ei.value.code == "DOMAIN"
+
+
+@pytest.mark.parametrize("prov, unread", [
+    # a stray block sequence once set the ensemble radii of a loglog scheme
+    ({"name": "loglog", "k_max": 3,
+      "blocks": {"weight": {"family": "power", "alpha": 1.0}, "A": 2.0, "n": [1, 2, 4, 8]}},
+     "blocks"),
+    ({"name": "hadamard", "blocks": {"weight": {"family": "power", "alpha": 1.0}, "A": 2.0,
+                                     "n": [1, 2, 4]}, "nu": "sqrt", "rule": "bogus"},
+     "nu, rule"),
+])
+def test_provenance_unread_fields_rejected(prov, unread):
+    with pytest.raises(GrowthLabError) as ei:
+        scheme_from_provenance(prov)
+    assert ei.value.code == "CONFIG_INVALID"
+    assert str(ei.value).endswith(f"does not read {unread}")
+
+
+def test_nested_objects_take_only_their_own_keys():
+    assert schemes.nu_from_json({"kind": "constant", "c": 2.0}).at(0) == 2.0
+    good = uniform_block_scheme(blocks_pow2(3), G_OVER_N).provenance["blocks"]
+    assert schemes.blocks_from_provenance(good).n == (1, 2, 4, 8)
+    for decode, d in ((schemes.nu_from_json, {"kind": "log", "c": 2}),
+                      (schemes.nu_from_json, {"kind": "sqrt", "foo": 1}),
+                      (schemes.blocks_from_provenance, dict(good, k_max=3))):
+        with pytest.raises(GrowthLabError) as ei:
+            decode(d)
+        assert ei.value.code == "CONFIG_INVALID"

@@ -1,6 +1,8 @@
-"""The benchmark tracer and the experiment scripts still find every library
-name they use, so a deletion fails here rather than in a traced run."""
+"""The benchmark tracer, its CLI round and the experiment scripts still find
+every library name and flag they use, so a deletion or a refusal fails here
+rather than in a benchmark run."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -19,6 +21,17 @@ def test_traced_names_resolve(monkeypatch):
     original = growthlab.disk.sup_bracket
     tracing.Tracer()          # resolves every TARGETS entry with getattr
     assert growthlab.disk.sup_bracket is original     # and installs nothing
+
+
+def test_cli_suite_round_ok(monkeypatch, tmp_path):
+    """One round of the benchmark's cli_suite: a refusal of one of its command
+    lines fails here rather than in the benchmark."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    suite = workloads.CliSuite(growthlab, 20260808, str(tmp_path / "cli"))
+    suite.build()
+    outcomes, _ = suite.round(0, contextlib.nullcontext)
+    assert len(outcomes) == len(suite.commands(0, "")) and all(o.ok for o in outcomes)
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),

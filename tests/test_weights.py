@@ -207,3 +207,15 @@ def test_blocks_csv():
     csv = b.to_csv()
     assert "k,n_k,g_nk" in csv
     assert "3,8,8.0" in csv
+
+
+def test_weight_takes_only_its_own_parameters():
+    assert make_weight("power", 1.0, math.e) == make_weight("power", 1.0)
+    for build in (lambda: make_weight("power", 1.0, 3.0),
+                  lambda: parse_weight_spec("power:1:3"),
+                  lambda: weight_from_json({"family": "power", "alpha": 1.0, "log_base": 3.0}),
+                  lambda: weight_from_json({"family": "power", "alpha": 1.0, "foo": 1}),
+                  lambda: weight_from_json({"family": "table", "xs": [1], "gs": [1], "alpha": 3})):
+        with pytest.raises(GrowthLabError) as ei:
+            build()
+        assert ei.value.code == "CONFIG_INVALID"

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import GrowthLabError
 from .weights import (Weight, BlockSequence, make_weight, table_weight,
-                      bloch_reciprocal, eval_g, eval_v, eval_w, doubling_audit,
+                      eval_g, eval_v, eval_w, doubling_audit,
                       block_sequence, weight_to_json, weight_from_json,
                       parse_weight_spec)
 from .randomness import (RandomModel, SeedSpec, make_model, sample_vector,
@@ -19,7 +19,7 @@ from .randomness import (RandomModel, SeedSpec, make_model, sample_vector,
 from .schemes import (CoefficientScheme, NuSequence, uniform_block_scheme,
                       loglog_energy_scheme, riesz_lacunary_scheme,
                       saturating_scheme, rudin_shapiro_signs, rudin_shapiro_scheme,
-                      hadamard_lacunary_scheme, scheme_from_csv,
+                      hadamard_lacunary_scheme, radial_derivative, scheme_from_csv,
                       G_OVER_N, G_OVER_SQRT_NLOGN, G_OVER_SQRT_N)
 from .disk import (RandomizedSeries, SupBracket, randomize, unit_series,
                    evaluate_at, evaluate_circle, sup_bracket, partial_sum,

@@ -2,8 +2,7 @@
 
 liminf_profile tracks the running minimum over j of the normalized magnitude
 
-    growth form:  |a_j| sqrt(n_k(j)) / g(j)
-    Bloch form:   |a_j| j w(1 - 1/j) sqrt(n_k(j))
+    |a_j| sqrt(n_k(j)) / g(j)
 
 with k(j) the block containing j; a finite-range liminf proxy is the final
 running minimum, reported together with dyadic checkpoints (no asymptotic
@@ -14,17 +13,19 @@ lacunary examples drive it to zero through their empty blocks.
 coefficient_census counts, for thresholds p_j increasing to infinity, how
 many indices j <= n satisfy
 
-    growth form:  |a_j| <= p_j g(j) / sqrt(j)
-    Bloch form:   |a_j| <= p_j / (j w(1 - 1/j) sqrt(j))
+    |a_j| <= p_j g(j) / sqrt(j)
 
 and reports N(n)/n at dyadic n.  Indices start at 1 so the fraction stays
 in [0, 1].
+
+The Bloch form for a Bloch-type weight w is either diagnostic applied to
+schemes.radial_derivative(scheme), coefficients j a_j, against the growth
+weight g = 1/w(1 - 1/x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,8 +50,8 @@ class LiminfReport:
     range_hi: int
 
 
-def liminf_profile(scheme: CoefficientScheme, blocks: BlockSequence, weight: Weight,
-                   bloch_w: Optional[Weight] = None) -> LiminfReport:
+def liminf_profile(scheme: CoefficientScheme, blocks: BlockSequence,
+                   weight: Weight) -> LiminfReport:
     """Running minimum of the normalized magnitude over j in (n_0, n_kmax]."""
     if blocks.n[-1] < scheme.max_degree:
         fail("BLOCKS_TOO_SHORT",
@@ -63,11 +64,7 @@ def liminf_profile(scheme: CoefficientScheme, blocks: BlockSequence, weight: Wei
     j = np.arange(lo, hi + 1, dtype=np.int64)
     edges = np.asarray(blocks.n, dtype=np.int64)
     nk = edges[np.searchsorted(edges, j, side="left")].astype(float)
-    if bloch_w is None:
-        vals = mags * np.sqrt(nk) / eval_g(weight, j.astype(float))
-    else:
-        # j * w(1 - 1/j) = j / g_w(j) for the reciprocal growth weight
-        vals = mags * j.astype(float) * np.sqrt(nk) / eval_g(bloch_w, j.astype(float))
+    vals = mags * np.sqrt(nk) / eval_g(weight, j.astype(float))
     running = np.minimum.accumulate(vals)
     cps = [LiminfRow(j=int(m), value=float(vals[m - lo]), running_min=float(running[m - lo]))
            for m in _dyadic_checkpoints(hi) if m >= lo]
@@ -94,7 +91,7 @@ CENSUS_CSV_HEADER = ["n", "N_n", "fraction", "threshold_at_n"]
 
 
 def coefficient_census(scheme: CoefficientScheme, weight: Weight, p: NuSequence,
-                       n_max: int, bloch_w: Optional[Weight] = None) -> CensusReport:
+                       n_max: int) -> CensusReport:
     """Fractions N(n)/n of indices meeting the threshold, at dyadic n."""
     if n_max < 1:
         fail("EMPTY_RANGE", f"need n_max >= 1, got {n_max}")
@@ -104,10 +101,7 @@ def coefficient_census(scheme: CoefficientScheme, weight: Weight, p: NuSequence,
     if np.any(np.diff(pj) < 0) or np.any(pj <= 0):
         fail("CONFIG_INVALID", "census thresholds p_j must be positive and non-decreasing")
     jf = j.astype(float)
-    if bloch_w is None:
-        thresholds = pj * eval_g(weight, jf) / np.sqrt(jf)
-    else:
-        thresholds = pj * eval_g(bloch_w, jf) / (jf * np.sqrt(jf))
+    thresholds = pj * eval_g(weight, jf) / np.sqrt(jf)
     ok = np.cumsum(mags <= thresholds)
     return CensusReport(rows=tuple(
         CensusRow(n=int(m), count=int(ok[m - 1]), fraction=float(ok[m - 1] / m),

@@ -10,7 +10,7 @@ Subcommands map onto the library's statement families:
   probe-sz      normalized top-block maxima distribution
   probe-riesz   certified lower bounds for shifted 4-power cosine combs
   cap           sphere cap fractions for random combinations
-  bloch         blockwise Bloch-form scores with target columns
+  bloch         blockwise scores of the radial derivative against 1/w
   analytic      growth ensemble in the analytic flavor
   run           dispatch any of the above from a JSON config
 
@@ -44,11 +44,10 @@ from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzR
 from .randomness import SeedSpec, make_model
 from .reporting import config_hash, write_csv, write_json, write_records, write_text
 from .schemes import (SCHEMES, NuSequence, blocks_from_provenance, blocks_provenance,
-                      scheme_fields)
+                      radial_derivative, scheme_fields)
 from .sphere import (CAP_CSV_HEADER, MAX_BASIS_DEGREE, build_basis, cap_fraction,
                      default_covering, random_degree_combination)
-from .weights import (block_sequence, bloch_reciprocal, doubling_audit, make_weight,
-                      parse_weight_spec)
+from .weights import block_sequence, doubling_audit, make_weight, parse_weight_spec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,10 +321,9 @@ def _cap(args, run):
 
 
 def _bloch(args, run):
-    prov, scheme, blocks = _block_scheme(args, run, "bloch scoring", own=("weight",))
-    w = parse_weight_spec(args.weight)
-    bw = bloch_reciprocal(parse_weight_spec(args.w_weight))
-    rep = score_blockwise(scheme, blocks, w, m_weighted=True, bloch_w=bw)
+    # f is in the Bloch-type space of w when r d/dr f is in the growth space of 1/w
+    prov, scheme, blocks = _block_scheme(args, run, "bloch scoring")
+    rep = score_blockwise(radial_derivative(scheme), blocks, parse_weight_spec(args.w_weight))
     run.start({"scheme": prov, "weight": args.weight, "w_weight": args.w_weight})
     write_json(run.path("bloch_score.json"), rep.to_json())
     write_records(run.path("bloch_targets.csv"), BlockRow, rep.rows, comments=run.notes)

@@ -19,8 +19,9 @@ Block kinds aggregate square-sums S_k over blocks n_{k-1} < j <= n_k:
     block_sum   max_k  sum_{i<=k} sqrt(S_i log n_i) / target(n_k)
     blockwise   max_k  sqrt(S_k log n_k) / target(n_k)
 
-where target(n_k) is g(n_k), or 1/w(1 - 1/n_k) for a Bloch weight w passed
-as its reciprocal growth weight; the Bloch forms weight S_k by m^2.
+where target(n_k) is g(n_k).  A Bloch-type weight w is scored as the growth
+weight g = 1/w(1 - 1/x) of the radial derivative: pass
+schemes.radial_derivative(scheme), whose square-sums weight |a_j|^2 by j^2.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def score_sup_ratio(kind: str, scheme: CoefficientScheme, weight: GrowthFn,
 class BlockRow:
     k: int
     n_k: int
-    block_l2: float      # sqrt(S_k), m^2-weighted when Bloch form
-    target: float        # g(n_k) or 1/w(1 - 1/n_k)
+    block_l2: float      # sqrt(S_k)
+    target: float        # g(n_k)
     rhs: float           # target / sqrt(log n_k): the blockwise bound column
     ratio: float
 
@@ -149,27 +150,19 @@ class BlockScoreReport:
                 "rows": [asdict(r) for r in self.rows]}
 
 
-def _block_sums(scheme: CoefficientScheme, blocks: BlockSequence, m_weighted: bool):
+def _score_blocks(criterion: str, prefix: bool, scheme: CoefficientScheme,
+                  blocks: BlockSequence, weight: Weight) -> BlockScoreReport:
     if blocks.n[-1] < scheme.max_degree:
         fail("BLOCKS_TOO_SHORT",
              f"blocks reach {blocks.n[-1]} but the scheme has degree {scheme.max_degree}")
-    mags2 = scheme.magnitudes() ** 2
-    if m_weighted:
-        mags2 = mags2 * scheme.support.astype(float) ** 2
     edges = np.asarray(blocks.n, dtype=np.int64)
     ks = np.searchsorted(edges, scheme.support, side="left")
     inside = scheme.support > edges[0]
     sums = np.zeros(len(edges))
-    np.add.at(sums, ks[inside], mags2[inside])
-    return sums[1:]        # S_k for k = 1..k_max
-
-
-def _score_blocks(criterion: str, prefix: bool, scheme: CoefficientScheme,
-                  blocks: BlockSequence, weight: Weight, m_weighted: bool,
-                  bloch_w: Optional[Weight]) -> BlockScoreReport:
-    S = _block_sums(scheme, blocks, m_weighted or bloch_w is not None)
+    np.add.at(sums, ks[inside], scheme.magnitudes()[inside] ** 2)
+    S = sums[1:]           # S_k for k = 1..k_max
     nk = np.asarray(blocks.n[1:], dtype=float)
-    targets = eval_g(bloch_w if bloch_w is not None else weight, nk)
+    targets = eval_g(weight, nk)
     logs = clamped_log(nk)
     terms = np.sqrt(S * logs)
     ratios = (np.cumsum(terms) if prefix else terms) / targets
@@ -183,16 +176,16 @@ def _score_blocks(criterion: str, prefix: bool, scheme: CoefficientScheme,
                             witness=i + 1, c1_hat=c1, rows=rows)
 
 
-def score_block_sum(scheme: CoefficientScheme, blocks: BlockSequence, weight: Weight,
-                    m_weighted: bool = False, bloch_w: Optional[Weight] = None) -> BlockScoreReport:
-    """Prefix sums of sqrt(S_j log n_j) against the target at each block end."""
-    return _score_blocks("block_sum", True, scheme, blocks, weight, m_weighted, bloch_w)
+def score_block_sum(scheme: CoefficientScheme, blocks: BlockSequence,
+                    weight: Weight) -> BlockScoreReport:
+    """Prefix sums of sqrt(S_j log n_j) against g at each block end."""
+    return _score_blocks("block_sum", True, scheme, blocks, weight)
 
 
-def score_blockwise(scheme: CoefficientScheme, blocks: BlockSequence, weight: Weight,
-                    m_weighted: bool = False, bloch_w: Optional[Weight] = None) -> BlockScoreReport:
-    """Per-block sqrt(S_k log n_k) against the target, no prefix sum."""
-    return _score_blocks("blockwise", False, scheme, blocks, weight, m_weighted, bloch_w)
+def score_blockwise(scheme: CoefficientScheme, blocks: BlockSequence,
+                    weight: Weight) -> BlockScoreReport:
+    """Per-block sqrt(S_k log n_k) against g, no prefix sum."""
+    return _score_blocks("blockwise", False, scheme, blocks, weight)
 
 
 CESARO = "cesaro"

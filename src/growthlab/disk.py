@@ -275,10 +275,6 @@ class SupBracket:
     degree: int
 
 
-def _next_pow2(x: float) -> int:
-    return 1 << max(3, int(math.ceil(math.log2(max(2.0, x)))))
-
-
 FLOAT_GUARD = 1e-12  # absorbs FFT/summation roundoff of a few ulps
 TAIL_RTOL = 1e-12    # relative l1 mass a bracket may drop from its coefficient tail
 MAX_GRID = 2**24     # circle grid limit, 4x the largest in use (2^22 at degree 65536)
@@ -299,7 +295,8 @@ def secant_upper(gmax: float, n: int, M: int) -> float:
 def grid_size(n: int, oversample: float) -> int:
     """M of a degree-n bracket: the power of two above oversample * pi * n, refused
     with BUDGET_EXCEEDED above MAX_GRID."""
-    M = _next_pow2(min(oversample * max(n, 1) * math.pi, 2.0 * MAX_GRID))
+    x = min(oversample * max(n, 1) * math.pi, 2.0 * MAX_GRID)
+    M = 1 << max(3, math.ceil(math.log2(max(2.0, x))))
     if M > MAX_GRID:
         fail("BUDGET_EXCEEDED", f"oversample {oversample:g} at degree {n} needs a "
              f"circle grid above MAX_GRID = {MAX_GRID} points")

@@ -136,17 +136,21 @@ class ExperimentConfig:
         need(self.flavor in (REAL_HARMONIC, ANALYTIC), "flavor",
              f"{REAL_HARMONIC!r} or {ANALYTIC!r}")
         need(isinstance(self.scheme, dict), "scheme", "a JSON object")
-        scheme_from_provenance(self.scheme)
-        if model_from_json(self.model).is_complex and self.flavor == REAL_HARMONIC:
+        # scheme and model as their builds record them, so equal runs hash equal
+        object.__setattr__(self, "scheme", scheme_from_provenance(self.scheme).provenance)
+        model = model_from_json(self.model)
+        object.__setattr__(self, "model", model.to_json())
+        if model.is_complex and self.flavor == REAL_HARMONIC:
             fail("FLAVOR_MISMATCH", "complex steinhaus signs require the analytic flavor")
         if isinstance(self.radii, str) and self.radii == "block":
             return
         need(isinstance(self.radii, (list, tuple)) and self.radii
              and all(_is_number(r, numbers.Real) for r in self.radii),
              "radii", '"block" or a non-empty list of numbers')
-        if not all(0.0 <= float(r) < 1.0 for r in self.radii):
+        object.__setattr__(self, "radii", [float(r) for r in self.radii])
+        if not all(0.0 <= r < 1.0 for r in self.radii):
             fail("RADIUS_OUT_OF_RANGE",
-                 f"ensemble radii need a finite 0 <= r < 1, got {list(self.radii)}")
+                 f"ensemble radii need a finite 0 <= r < 1, got {self.radii}")
 
     to_json = record_json             # every field, tuples as lists
 
@@ -212,7 +216,7 @@ def _resolve_radii(cfg: ExperimentConfig):
         else:
             fail("CONFIG_INVALID", "radii rule 'block' needs a block-based scheme")
         return [1.0 - 1.0 / n for n in ns if n >= 2]
-    return [float(r) for r in cfg.radii]
+    return cfg.radii
 
 
 def _estimate_evals(cfg, scheme, radii) -> float:

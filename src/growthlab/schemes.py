@@ -21,6 +21,11 @@ Constructors, with n_{k-1} < j <= n_k denoting block k of a BlockSequence:
                           signs, so partial sums stay O(g(n)) in sup norm
   hadamard_lacunary_scheme  a_{n_k} = g(n_k), zero elsewhere
 
+radial_derivative maps a scheme to that of r d/dr u, coefficients j a_j; a
+function lies in the Bloch-type space of w when its radial derivative lies
+in the growth space of 1/w, so Bloch-type conditions score this scheme.
+It is not in SCHEMES; its provenance keeps the base scheme's under "base".
+
 Logs are natural and clamped to max(1, log n_k); nu sequences are evaluated
 at 0-based block positions (the first randomized block gets nu.at(0)).
 """
@@ -341,6 +346,15 @@ def hadamard_lacunary_scheme(blocks: BlockSequence) -> CoefficientScheme:
     prov = {"name": "hadamard", "blocks": blocks_provenance(blocks)}
     return scheme_from_arrays(support, vals, np.zeros_like(vals),
                               blocks.n[-1], prov)
+
+
+def radial_derivative(scheme: CoefficientScheme) -> CoefficientScheme:
+    """The scheme of r d/dr u: j a_j at degree j, support and max_degree kept."""
+    j = scheme.support.astype(float)
+    return CoefficientScheme(support=scheme.support, cos_coeffs=j * scheme.cos_coeffs,
+                             sin_coeffs=j * scheme.sin_coeffs, max_degree=scheme.max_degree,
+                             provenance={"name": "radial_derivative",
+                                         "base": dict(scheme.provenance)})
 
 
 def blocks_from_provenance(d: dict) -> BlockSequence:

@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import FLOAT_GUARD, SupBracket, _next_pow2, secant_upper
+from .disk import FLOAT_GUARD, SupBracket, grid_size, secant_upper
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, sample_vector
 
@@ -121,7 +121,7 @@ def build_basis(N: int) -> SphericalBasis:
         fail("DOMAIN", f"N must be >= 0, got {N}")
     if N > MAX_BASIS_DEGREE:
         fail("DEGREE_BUDGET", f"basis degree capped at {MAX_BASIS_DEGREE}, got {N}")
-    M = _next_pow2(PROFILE_OVERSAMPLE * max(N, 1) * math.pi)
+    M = grid_size(N, PROFILE_OVERSAMPLE)
     # |profiles| are even around theta = 0 and pi, so half the grid suffices
     theta = np.linspace(0.0, math.pi, M // 2 + 1)
     z, st = np.cos(theta), np.sin(theta)

@@ -28,7 +28,6 @@ N_BUDGET = 2**53  # block indices stay integers that floats hold exactly
 
 POWER = "power"
 LOGPOWER = "logpower"
-BLOCH_RECIPROCAL = "bloch_reciprocal"
 TABLE = "table"
 
 
@@ -39,7 +38,6 @@ class Weight:
     family: str
     alpha: Optional[float] = None
     log_base: float = math.e
-    inner: Optional["Weight"] = None
     xs: Optional[tuple] = None
     gs: Optional[tuple] = None
     domain_min: float = 1.0
@@ -49,16 +47,12 @@ class Weight:
         """Analytic doubling constant where a closed form exists."""
         if self.family == POWER:
             return 2.0 ** self.alpha
-        if self.family == BLOCH_RECIPROCAL:
-            return self.inner.known_doubling
         return None
 
     def label(self) -> str:
         if self.family in (POWER, LOGPOWER):
             base = "" if self.log_base == math.e else f":{self.log_base:g}"
             return f"{self.family}:{self.alpha:g}{base}"
-        if self.family == BLOCH_RECIPROCAL:
-            return f"bloch_reciprocal({self.inner.label()})"
         return f"table[{len(self.xs)}]"
 
 
@@ -96,15 +90,6 @@ def table_weight(xs, gs) -> Weight:
     return Weight(family=TABLE, xs=xs, gs=gs, domain_min=xs[0])
 
 
-def bloch_reciprocal(inner: Weight) -> Weight:
-    """Growth weight 1/w of a Bloch-type weight w, tagged for Bloch scoring.
-
-    A decreasing Bloch weight w with w -> 0 is carried around as the growth
-    weight g = 1/w(1 - 1/x); w itself is recovered via eval_w.
-    """
-    return Weight(family=BLOCH_RECIPROCAL, inner=inner, domain_min=inner.domain_min)
-
-
 def eval_g(weight: Weight, x):
     """Evaluate g at x >= 1 (scalar or array)."""
     arr = np.asarray(x, dtype=float)
@@ -120,8 +105,6 @@ def _g(weight: Weight, x: np.ndarray) -> np.ndarray:
     if weight.family == LOGPOWER:
         lx = np.log(x) / math.log(weight.log_base)
         return np.maximum(1.0, lx ** weight.alpha)
-    if weight.family == BLOCH_RECIPROCAL:
-        return _g(weight.inner, x)
     if weight.family == TABLE:
         return np.interp(x, weight.xs, weight.gs)
     raise AssertionError(f"unhandled family {weight.family}")
@@ -173,7 +156,6 @@ class BlockSequence:
     weight: Weight
     ratio_a: float
     n: tuple
-    require_doubling_growth: bool = False
 
     def __len__(self):
         return len(self.n)
@@ -245,8 +227,7 @@ def block_sequence(weight: Weight, A: float, n0: int, k_max: int,
                 "RATIO_TOO_SMALL",
                 f"n_{k + 1} = {nxt} < 2 n_{k} = {2 * cur}; increase A")
         n.append(nxt)
-    return BlockSequence(weight=weight, ratio_a=float(A), n=tuple(n),
-                         require_doubling_growth=require_doubling_growth)
+    return BlockSequence(weight=weight, ratio_a=float(A), n=tuple(n))
 
 
 # -- serialization -----------------------------------------------------------
@@ -257,8 +238,6 @@ def weight_to_json(weight: Weight) -> dict:
         if weight.log_base != math.e:
             d["log_base"] = weight.log_base
         return d
-    if weight.family == BLOCH_RECIPROCAL:
-        return {"family": BLOCH_RECIPROCAL, "inner": weight_to_json(weight.inner)}
     return {"family": TABLE, "xs": list(weight.xs), "gs": list(weight.gs)}
 
 
@@ -267,9 +246,6 @@ def weight_from_json(d: dict) -> Weight:
     if fam in (POWER, LOGPOWER):
         refuse_unread(d, ("family", "alpha", "log_base"), f"a {fam} weight")
         return make_weight(fam, d["alpha"], d.get("log_base", math.e))
-    if fam == BLOCH_RECIPROCAL:
-        refuse_unread(d, ("family", "inner"), f"a {fam} weight")
-        return bloch_reciprocal(weight_from_json(d["inner"]))
     if fam == TABLE:
         refuse_unread(d, ("family", "xs", "gs"), f"a {fam} weight")
         return table_weight(d["xs"], d["gs"])

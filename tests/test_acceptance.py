@@ -261,10 +261,9 @@ def test_11_census_and_liminf():
 def test_12_bloch_presets():
     t0 = time.monotonic()
     alpha = 1.0
-    bw = gl.bloch_reciprocal(gl.make_weight("power", alpha))
+    g = gl.make_weight("power", alpha)     # the growth weight 1/w
     blocks = gl.block_sequence(W1, 2.0, 1, 12)
-    rep = gl.score_blockwise(gl.rudin_shapiro_scheme(blocks), blocks, W1,
-                             m_weighted=True, bloch_w=bw)
+    rep = gl.score_blockwise(gl.radial_derivative(gl.rudin_shapiro_scheme(blocks)), blocks, g)
     consts = [r.rhs * math.sqrt(r.k * math.log(2.0)) / 2.0 ** (alpha * r.k)
               for r in rep.rows if r.n_k >= 3]
     targets_ok = bool(np.allclose(consts, consts[0], rtol=1e-12))
@@ -275,7 +274,7 @@ def test_12_bloch_presets():
     worst = 0.0
     for r in (0.0, 0.3, 0.6, 0.9):
         b = gl.gradient_sup_bracket(ser, r)
-        w_r = gl.eval_w(bw, r)
+        w_r = gl.eval_w(g, r)
         lo, hi = b.lower * w_r, b.upper * w_r
         grad_ok &= lo <= w_r <= hi
         worst = max(worst, abs(lo / w_r - 1.0), abs(hi / w_r - 1.0))

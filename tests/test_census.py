@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from growthlab import (GrowthLabError, L1_SQRT, NuSequence, block_sequence,
-                       bloch_reciprocal, coefficient_census, doubling_audit,
-                       hadamard_lacunary_scheme, liminf_profile, make_weight,
+                       coefficient_census, doubling_audit, hadamard_lacunary_scheme,
+                       liminf_profile, make_weight, radial_derivative,
                        rudin_shapiro_scheme, score_sup_ratio, uniform_block_scheme,
                        G_OVER_SQRT_NLOGN)
 from growthlab.schemes import scheme_from_arrays
@@ -62,10 +62,10 @@ def test_liminf_blocks_too_short():
 def test_liminf_bloch_form():
     b = blocks_pow2(8)
     s = rudin_shapiro_scheme(b)
-    bw = bloch_reciprocal(make_weight("power", 1.0))
-    rep = liminf_profile(s, b, W1, bloch_w=bw)
-    # with w = (1-r): j w(1-1/j) = 1, so the value is |a_j| sqrt(n_k); the
-    # running min sits in block 1 at |a_2| sqrt(n_1) = 2 sqrt(2)
+    # w = (1-r) is scored as the growth weight 1/w = power:1 of the derivative
+    rep = liminf_profile(radial_derivative(s), b, W1)
+    # j w(1-1/j) = 1, so the value is |a_j| sqrt(n_k); the running min sits
+    # in block 1 at |a_2| sqrt(n_1) = 2 sqrt(2)
     assert rep.proxy == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
 
@@ -122,11 +122,12 @@ def test_census_block_bound_mirror():
 
 
 def test_census_bloch_form_threshold():
-    # bloch threshold with w = (1-r)^1: p_j g(j) / (j sqrt(j)) = p_j / sqrt(j)
+    # bloch threshold with w = (1-r)^1 bounds j |a_j| by p_j g(j) / sqrt(j), with
+    # g = 1/w = power:1: N times the bound p_j g(j) / (j sqrt(j)) on |a_j|
     N = 256
     j = np.arange(1, N + 1)
     s = scheme_from_arrays(j, np.full(len(j), 0.01), np.zeros(len(j)), N, {"name": "c"})
-    bw = bloch_reciprocal(make_weight("power", 1.0))
-    rep = coefficient_census(s, W1, NuSequence("log"), N, bloch_w=bw)
-    expect = math.log(N + 2.0) * N / (N * math.sqrt(N))
+    rep = coefficient_census(radial_derivative(s), W1, NuSequence("log"), N)
+    expect = math.log(N + 2.0) * N / math.sqrt(N)
     assert rep.rows[-1].threshold_at_n == pytest.approx(expect, rel=1e-12)
+    assert [r.fraction for r in rep.rows] == [1.0] * len(rep.rows)

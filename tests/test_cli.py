@@ -327,6 +327,18 @@ def test_malformed_config_file_rejected_before_manifest(tmp_path, capsys, cfg):
     assert not out.exists()
 
 
+def test_bloch_reciprocal_weight_family_refused(tmp_path, capsys):
+    blocks = {"weight": {"family": "bloch_reciprocal", "inner": {"family": "power", "alpha": 1.0}},
+              "A": 2.0, "n": [1, 2, 4]}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(dict(_EXP, scheme={"name": "hadamard", "blocks": blocks})))
+    out = tmp_path / "g"
+    code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert "bloch_reciprocal" in diag["detail"]
+    assert not out.exists()
+
+
 def test_threads_config_key_unknown(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(dict(_EXP, threads=2)))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab import (CESARO, GrowthLabError, L1_CUM, L1_SQRT, L2_CUM, L2_LOG,
-                       NuSequence, SeedSpec, block_sequence, bloch_reciprocal,
-                       doubling_audit, hadamard_lacunary_scheme, loglog_energy_scheme,
-                       make_model, make_weight, operator_norm_profile, randomize,
+                       NuSequence, SeedSpec, block_sequence, doubling_audit,
+                       hadamard_lacunary_scheme, loglog_energy_scheme, make_model,
+                       make_weight, operator_norm_profile, radial_derivative, randomize,
                        riesz_lacunary_scheme, rudin_shapiro_scheme, saturating_scheme,
                        score_block_sum, score_blockwise, score_sup_ratio,
                        uniform_block_scheme, unit_series, G_OVER_SQRT_NLOGN)
@@ -140,10 +140,10 @@ def test_blockwise_saturating_exact_row_values():
 def test_bloch_preset_target_column():
     # w(r) = (1-r)^alpha: blockwise bound column is proportional to 2^(alpha k)/sqrt(k)
     alpha = 1.0
-    bw = bloch_reciprocal(make_weight("power", alpha))
+    g = make_weight("power", alpha)     # the growth weight 1/w
     b = blocks_pow2(12)
     s = rudin_shapiro_scheme(b)
-    rep = score_blockwise(s, b, W1, m_weighted=True, bloch_w=bw)
+    rep = score_blockwise(radial_derivative(s), b, g)
     # the log clamp max(1, ln n_k) only bites at n_k <= 2, so start at k = 2
     consts = [r.rhs * math.sqrt(r.k * math.log(2.0)) / 2.0 ** (alpha * r.k)
               for r in rep.rows if r.n_k >= 3]

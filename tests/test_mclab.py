@@ -170,6 +170,19 @@ def test_config_stores_numbers_as_floats():
     assert cfg.hash == small_config().hash
 
 
+def test_equal_configs_hash_equal():
+    blocks = {"weight": {"family": "power", "alpha": 1}, "A": 2, "n": [1, 2, 4, 8]}
+    uniform = {"name": "uniform", "rule": "g_over_n", "blocks": blocks}
+    recorded = mclab.scheme_from_provenance(uniform).provenance
+    for a, b in (({"model": {"kind": "gaussian"}}, {"model": {"kind": "gaussian", "sigma": 1.0}}),
+                 ({"scheme": uniform}, {"scheme": recorded}),
+                 ({"radii": [0, 0.5]}, {"radii": [0.0, 0.5]})):
+        ca, cb = small_config(**a), small_config(**b)
+        assert ca == cb and ca.hash == cb.hash
+    assert small_config(model={"kind": "gaussian", "sigma": 0.5}).model == {"kind": "gaussian",
+                                                                           "sigma": 0.5}
+
+
 def test_config_json_holds_compared_fields():
     cfg = small_config()
     assert set(cfg.to_json()) == {f.name for f in fields(cfg)} and len(fields(cfg)) == 10

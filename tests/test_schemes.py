@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from growthlab import (G_OVER_N, G_OVER_SQRT_N, G_OVER_SQRT_NLOGN, GrowthLabError,
                        NuSequence, block_sequence, hadamard_lacunary_scheme,
-                       loglog_energy_scheme, make_weight, riesz_lacunary_scheme,
+                       loglog_energy_scheme, make_weight, radial_derivative,
+                       riesz_lacunary_scheme,
                        rudin_shapiro_scheme, rudin_shapiro_signs, saturating_scheme,
                        scheme_from_csv, uniform_block_scheme)
 from growthlab import schemes
@@ -387,3 +388,14 @@ def test_nested_objects_take_only_their_own_keys():
         with pytest.raises(GrowthLabError) as ei:
             decode(d)
         assert ei.value.code == "CONFIG_INVALID"
+
+
+def test_radial_derivative_scales_by_degree():
+    base = schemes.scheme_from_arrays([0, 3, 7], [2.0, 0.5, -1.0], [1.0, 0.0, 0.25], 9,
+                                      {"name": "base"})
+    d = radial_derivative(base)
+    assert np.array_equal(d.support, base.support) and d.max_degree == 9
+    assert d.cos_coeffs.tolist() == [0.0, 1.5, -7.0]       # j a_j0, 0 at j = 0
+    assert d.sin_coeffs.tolist() == [0.0, 0.0, 1.75]       # j a_j1
+    assert d.provenance == {"name": "radial_derivative", "base": {"name": "base"}}
+    assert "radial_derivative" not in SCHEMES

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from growthlab import (GrowthLabError, block_sequence, bloch_reciprocal,
+from growthlab import (GrowthLabError, block_sequence,
                        doubling_audit, eval_g, eval_v, eval_w, make_weight,
                        parse_weight_spec, table_weight, weight_from_json,
                        weight_to_json)
+from growthlab.schemes import blocks_from_provenance, blocks_provenance
 
 
 def test_power_weight_basics():
@@ -124,6 +125,11 @@ def test_block_sequence_ratio_too_small():
     assert "n_" in str(ei.value)  # names the offending index
 
 
+def test_doubling_checked_sequence_equals_its_rebuild():
+    b = block_sequence(make_weight("power", 1.0), 2.0, 1, 6, require_doubling_growth=True)
+    assert blocks_from_provenance(blocks_provenance(b)) == b
+
+
 def test_block_sequence_overflow():
     w = make_weight("logpower", 1.0)
     with pytest.raises(GrowthLabError) as ei:
@@ -175,21 +181,26 @@ def test_table_weight_validation_and_interp():
     assert eval_g(t, 1000.0) == 9.0            # constant extrapolation
 
 
-def test_bloch_reciprocal_wraps_growth():
-    inner = make_weight("power", 1.0)
-    bw = bloch_reciprocal(inner)
-    assert eval_g(bw, 8.0) == 8.0
+def test_eval_w_is_reciprocal_of_growth():
+    g = make_weight("power", 1.0)
+    assert eval_g(g, 8.0) == 8.0
     # w(r) = 1/v(r) = (1 - r)^alpha
-    assert eval_w(bw, 0.75) == pytest.approx(0.25)
+    assert eval_w(g, 0.75) == pytest.approx(0.25)
 
 
 def test_weight_json_round_trip():
     for w in (make_weight("power", 1.5), make_weight("logpower", 1.0, 2.0),
-              bloch_reciprocal(make_weight("power", 0.5)),
               table_weight([1.0, 4.0], [1.0, 3.0])):
         w2 = weight_from_json(weight_to_json(w))
         xs = np.geomspace(1, 100, 17)
         assert np.array_equal(eval_g(w, xs), eval_g(w2, xs))
+
+
+def test_bloch_reciprocal_family_refused():
+    with pytest.raises(GrowthLabError) as ei:
+        weight_from_json({"family": "bloch_reciprocal",
+                          "inner": {"family": "power", "alpha": 1.0}})
+    assert ei.value.code == "CONFIG_INVALID"
 
 
 def test_parse_weight_spec():

@@ -22,9 +22,8 @@ from .schemes import (CoefficientScheme, NuSequence, uniform_block_scheme,
                       hadamard_lacunary_scheme, radial_derivative, scheme_from_csv,
                       G_OVER_N, G_OVER_SQRT_NLOGN, G_OVER_SQRT_N)
 from .disk import (RandomizedSeries, SupBracket, randomize, unit_series,
-                   evaluate_at, evaluate_circle, sup_bracket, partial_sum,
-                   cesaro_mean, gradient_at, gradient_sup_bracket,
-                   REAL_HARMONIC, ANALYTIC)
+                   evaluate_at, evaluate_circle, sup_bracket, gradient_at,
+                   gradient_sup_bracket, REAL_HARMONIC, ANALYTIC)
 from .sphere import (SphericalBasis, SphereSeries, build_basis, fibonacci_covering,
                      default_covering, sup_bracket_sphere, cap_fraction,
                      random_degree_combination, laplacian_stencil)

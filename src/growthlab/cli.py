@@ -261,9 +261,17 @@ def _probe_sz(args, run):
     if args.trials < 1:
         fail("DOMAIN", f"--trials must be >= 1, got {args.trials}", pointer="/trials")
     prov, scheme, blocks = _block_scheme(args, run, "probe-sz")
+    try:
+        model = make_model(args.model)
+    except GrowthLabError as e:
+        e.pointer = "/model"
+        raise
+    if not all(1 <= N <= blocks.k_max for N in args.n_list):
+        fail("BLOCKS_TOO_SHORT", f"--n-list positions must lie in 1..{blocks.k_max}, got "
+             f"{args.n_list}", pointer="/n_list")
     run.start({"scheme": prov, "model": args.model, "trials": args.trials,
                "n_list": args.n_list, "seed": args.seed}, args.seed)
-    rep = salem_zygmund_probe(scheme, blocks, make_model(args.model), SeedSpec(args.seed),
+    rep = salem_zygmund_probe(scheme, blocks, model, SeedSpec(args.seed),
                               args.trials, args.n_list)
     write_records(run.path("sz.csv"), SzRow, rep.rows, comments=run.notes)
     print("q05 per N: " + ", ".join(f"{r.n_index}:{r.q05:.4f}" for r in rep.rows))

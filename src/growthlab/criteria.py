@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .disk import RandomizedSeries, cesaro_mean, partial_sum, sup_bracket
+from .disk import PlanSlot, RandomizedSeries, sup_brackets
 from .errors import fail
 from .schemes import CoefficientScheme, clamped_log
 from .weights import BlockSequence, Weight, eval_g
@@ -215,9 +215,9 @@ def operator_norm_profile(series: RandomizedSeries, weight: Weight,
                           oversample: float = 16.0, refine: bool = True) -> OperatorNormProfile:
     """Boundary sup-norm brackets of sigma_n u (or s_n u) divided by g(n).
 
-    The truncations are trigonometric polynomials, so the norm is the sup
-    on the unit circle; n runs over dyadic values up to degree + 1 unless
-    an explicit list (or a BlockSequence) is given.
+    s_n keeps the degrees j < n, sigma_n also scales them by 1 - j/n; both are
+    trigonometric polynomials, so the norm is the sup on the unit circle.  n
+    runs over dyadic values up to degree + 1 unless a list or BlockSequence is given.
     """
     if which not in (CESARO, PARTIAL):
         fail("CONFIG_INVALID", f"unknown operator {which!r}")
@@ -225,10 +225,15 @@ def operator_norm_profile(series: RandomizedSeries, weight: Weight,
         ns = _dyadic_checkpoints(series.degree + 1)
     elif isinstance(ns, BlockSequence):
         ns = [n for n in ns.n if n >= 1]
+    support, c = series.scheme.support, series.signed_complex_coeffs()
     rows = []
-    for n in ns:
-        op = cesaro_mean(series, int(n)) if which == CESARO else partial_sum(series, int(n))
-        b = sup_bracket(op, 1.0, oversample=oversample, refine=refine)
-        g = float(eval_g(weight, float(max(n, 1))))
-        rows.append(OperatorNormRow(n=int(n), lower=b.lower, upper=b.upper, g=g))
+    for n in map(int, ns):
+        if n < 1:
+            fail("DOMAIN", f"n must be >= 1, got {n}")
+        kept = support[support < n]
+        w = 1.0 - kept / float(n) if which == CESARO else 1.0
+        b = sup_brackets(c[None, :len(kept)] * w, PlanSlot(kept, 1.0), oversample, refine,
+                         series.flavor)[0]
+        g = float(eval_g(weight, float(n)))
+        rows.append(OperatorNormRow(n=n, lower=b.lower, upper=b.upper, g=g))
     return OperatorNormProfile(which=which, rows=tuple(rows))

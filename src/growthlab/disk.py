@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import fail
 from .randomness import RandomModel, SeedSpec, sample_vector
-from .schemes import CoefficientScheme, scheme_from_arrays
+from .schemes import CoefficientScheme
 
 REAL_HARMONIC = "real_harmonic"
 ANALYTIC = "analytic"
@@ -463,29 +463,6 @@ def sup_brackets(coeffs: np.ndarray, slot: PlanSlot, oversample: float, refine: 
     radius: row b of coeffs (B, S) holds one series' signed_complex_coeffs."""
     return _bracket_modulus(slot, coeffs * slot.radial, oversample, flavor == REAL_HARMONIC,
                             refine)
-
-
-def _truncate(series: RandomizedSeries, n: int, name: str, cesaro: bool) -> RandomizedSeries:
-    """Keep degrees j <= n - 1, scaled by 1 - j/n when cesaro is set."""
-    if n < 1:
-        fail("DOMAIN", f"n must be >= 1, got {n}")
-    sch = series.scheme
-    keep = sch.support < n
-    w = 1.0 - sch.support[keep] / float(n) if cesaro else 1.0
-    out = scheme_from_arrays(
-        sch.support[keep], sch.cos_coeffs[keep] * w, sch.sin_coeffs[keep] * w,
-        min(sch.max_degree, n - 1), {"name": name, "n": n, "base": dict(sch.provenance)})
-    return RandomizedSeries(out, series.signs[keep], series.flavor)
-
-
-def partial_sum(series: RandomizedSeries, n: int) -> RandomizedSeries:
-    """s_n: keep degrees j <= n - 1."""
-    return _truncate(series, n, "partial_sum", cesaro=False)
-
-
-def cesaro_mean(series: RandomizedSeries, n: int) -> RandomizedSeries:
-    """sigma_n: coefficient j scaled by (1 - j/n) for j < n, dropped beyond."""
-    return _truncate(series, n, "cesaro_mean", cesaro=True)
 
 
 def gradient_at(series: RandomizedSeries, x) -> np.ndarray:

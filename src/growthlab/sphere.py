@@ -30,16 +30,17 @@ profile grid certifies both sides without refinement.  Each element is
 rescaled by that upper bound, which guarantees sup <= 1, and its normalized
 sup is certified above cos(1/64) > 0.9998.
 
-General combinations are bracketed on a Fibonacci lattice covering with
-covering radius delta = 2.5/sqrt(K) (not yet certified: sampled
-nearest-point distances reach about 2.72/sqrt(K) near the poles); the
-tangential Bernstein inequality ||grad P|| <= n ||P|| turns a covering max
-into
+General combinations of degree n are bracketed on the equiangular grid of
+rings theta_j = 2 pi j / M (j = 0..M/2) and longitudes phi_k = 2 pi k / M,
+M the power of two at or above 16 n.  P on the great circle through phi_k
+and phi_k + pi, and P on any circle of latitude, is a trigonometric
+polynomial of degree <= n that the grid (or, on a latitude, the meridians
+phi_k) samples at M equispaced angles, so two secant bounds give
 
-    sup <= grid_max / (1 - n delta)        (n delta < 1).
+    grid_max <= sup <= grid_max / cos^2(pi n / M) <= 1.0396 grid_max.
 
-Cap statistics count covering points with |P| >= alpha grid_max; the lattice
-cells are equal-area, so uniform weights are the cell areas.
+Cap statistics count Fibonacci covering points with |P| >= alpha covering
+max; the lattice cells are equal-area, so uniform weights are the cell areas.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ SIN = "sin"
 
 MAX_BASIS_DEGREE = 128
 PROFILE_OVERSAMPLE = 64.0     # profile grid M >= 64 pi N: norm_lower >= cos(1/64)
+SPHERE_OVERSAMPLE = 16.0 / math.pi   # bracket grid M >= 16 n: upper / lower <= 1.0396
 POINT_BLOCK = 8192            # points per evaluation pass: ~0.8 MB of buffers fits a 2 MB L2
 
 
@@ -93,6 +95,13 @@ def _solid_harmonics(m: int, z: np.ndarray, rho2: np.ndarray):
         yield mu, f
 
 
+def _rings(M: int, N: int):
+    """(cos, sin^2, sin^mu for mu = 0..N as rows) at theta_j = 2 pi j / M, j = 0..M/2."""
+    theta = np.linspace(0.0, math.pi, M // 2 + 1)
+    z, st = np.cos(theta), np.sin(theta)
+    return z, st * st, st ** np.arange(N + 1)[:, None]
+
+
 @dataclass(frozen=True)
 class SphericalBasis:
     """Sup-normalized real solid harmonics up to max_degree."""
@@ -123,9 +132,7 @@ def build_basis(N: int) -> SphericalBasis:
         fail("DEGREE_BUDGET", f"basis degree capped at {MAX_BASIS_DEGREE}, got {N}")
     M = grid_size(N, PROFILE_OVERSAMPLE)
     # |profiles| are even around theta = 0 and pi, so half the grid suffices
-    theta = np.linspace(0.0, math.pi, M // 2 + 1)
-    z, st = np.cos(theta), np.sin(theta)
-    rho2, sin_pow = st * st, st ** np.arange(N + 1)[:, None]   # row mu: sin^mu(theta)
+    z, rho2, sin_pow = _rings(M, N)
     profile = np.empty_like(z)
     scales, norm_lower = {(0, 0): 1.0}, {(0, 0): 1.0}   # the constant profile 1, exact
     for m in range(1, N + 1):
@@ -151,17 +158,21 @@ class SphereSeries:
     def degree(self) -> int:
         return max((m for m, _, _ in self.entries), default=0)
 
-    def evaluate(self, pts) -> np.ndarray:
-        """Values at Cartesian points with |x| <= 1, vectorized over points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        weights = {}                 # m -> w_mu = scale (c_cos - i c_sin), mu = 0..m
+    def _weights(self) -> dict:
+        """m -> w_mu = scale (c_cos - i c_sin) for mu = 0..m, per degree in the entries."""
+        weights = {}
         for m, l, coeff in self.entries:
             mu, kind = element_index(m, l)
             w = weights.setdefault(m, np.zeros(m + 1, dtype=complex))
             c = coeff * self.basis.scales[(m, mu)]
             w[mu] += -1j * c if kind == SIN else c
+        return weights
+
+    def evaluate(self, pts) -> np.ndarray:
+        """Values at Cartesian points with |x| <= 1, vectorized over points."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         # Horner starts at the top nonzero weight; all-zero degrees drop out
-        degrees = [(m, w, np.flatnonzero(w)[-1]) for m, w in weights.items() if w.any()]
+        degrees = [(m, w, np.flatnonzero(w)[-1]) for m, w in self._weights().items() if w.any()]
         out = np.zeros(len(pts))
         for lo in range(0, len(pts), POINT_BLOCK):   # elementwise, so blocks change no bit
             blk, res = pts[lo:lo + POINT_BLOCK], out[lo:lo + POINT_BLOCK]
@@ -183,7 +194,7 @@ class SphereSeries:
 
 @dataclass(frozen=True)
 class Covering:
-    """Fibonacci-lattice points with an estimated covering radius (not certified)."""
+    """Fibonacci-lattice sample points in equal-area cells; the radius is an estimate."""
 
     points: np.ndarray          # (K, 3)
     radius: float               # 2.5/sqrt(K); sampled distances reach about 2.72/sqrt(K)
@@ -208,35 +219,32 @@ MIN_COVERING_POINTS = 4096
 
 
 def default_covering(degree: int) -> Covering:
-    """K = max(MIN_COVERING_POINTS, 64 n^2) makes n * delta <= 0.3125."""
+    """K = max(MIN_COVERING_POINTS, 64 n^2) points, so n * radius <= 0.3125."""
     K = max(MIN_COVERING_POINTS, int(math.ceil(64.0 * max(degree, 1) ** 2)))
     return fibonacci_covering(K)
 
 
-def _covering_modulus(series: SphereSeries, covering: Optional[Covering]):
-    """(covering, |P| on its points, their max); None means default_covering(degree)."""
-    if covering is None:
-        covering = default_covering(series.degree)
-    vals = np.abs(series.evaluate(covering.points))
-    return covering, vals, float(vals.max())
+def sup_bracket_sphere(series: SphereSeries) -> SupBracket:
+    """Certified bracket of sup |P| over the unit sphere on the equiangular grid
+    of M >= 16 n rings and longitudes (module docstring); grid_size reports M.
 
-
-def sup_bracket_sphere(series: SphereSeries, covering: Optional[Covering] = None) -> SupBracket:
-    """Sphere sup bracket via the covering and tangential Bernstein.
-
-    If every sphere point is within geodesic distance delta of a covering
-    point, |P(y*) - P(y)| <= delta n sup|P| gives sup <= grid_max/(1 - n delta);
-    the covering's delta is an estimate, so the upper side is not certified.
+    On ring theta_j, P = Re sum_mu A_mu e^{i mu phi} with A_mu = sin^mu(theta_j)
+    sum_m w_mu F_m^mu, so one batched real transform along phi gives its values.
     """
     n = series.degree
-    covering, _, gmax = _covering_modulus(series, covering)
-    nd = n * covering.radius
-    if nd >= 1.0:
-        fail("COVERING_TOO_COARSE",
-             f"degree {n} needs covering radius < {1.0 / max(n, 1):g}, got {covering.radius:g}")
-    return SupBracket(lower=gmax * (1.0 - FLOAT_GUARD),
-                      upper=gmax / (1.0 - nd) * (1.0 + FLOAT_GUARD),
-                      grid_size=covering.size, degree=n)
+    M = grid_size(n, SPHERE_OVERSAMPLE)
+    z, rho2, sin_pow = _rings(M, n)
+    rows = np.zeros((len(z), M // 2 + 1), dtype=complex)    # ring j: bin mu holds A_mu
+    spec = rows[:, :n + 1].T
+    for m, w in series._weights().items():
+        for mu, f in _solid_harmonics(m, z, rho2):
+            if w[mu]:
+                spec[mu] += w[mu] * f
+    spec *= sin_pow * np.where(np.arange(n + 1) == 0, 1.0, 0.5)[:, None]   # irfft's Re: mu >= 1 halved
+    values = np.fft.irfft(rows, n=M, norm="forward")
+    gmax = max(float(values.max()), -float(values.min()))
+    upper = secant_upper(secant_upper(gmax, n, M), n, M)
+    return SupBracket(gmax * (1.0 - FLOAT_GUARD), upper * (1.0 + FLOAT_GUARD), M, n)
 
 
 @dataclass(frozen=True)
@@ -266,7 +274,9 @@ def cap_fraction(series: SphereSeries, alpha: float,
     """
     if not (0.0 < alpha < 1.0):
         fail("DOMAIN", f"alpha must lie in (0, 1), got {alpha}")
-    covering, vals, gmax = _covering_modulus(series, covering)
+    covering = covering or default_covering(series.degree)
+    vals = np.abs(series.evaluate(covering.points))
+    gmax = float(vals.max())
     frac = 1.0 if gmax == 0.0 else float(np.mean(vals >= alpha * gmax))
     return CapReport(degree=series.degree, alpha=float(alpha), fraction=frac,
                      grid_K=covering.size)

@@ -40,7 +40,6 @@ class Weight:
     log_base: float = math.e
     xs: Optional[tuple] = None
     gs: Optional[tuple] = None
-    domain_min: float = 1.0
 
     @property
     def known_doubling(self) -> Optional[float]:
@@ -87,7 +86,7 @@ def table_weight(xs, gs) -> Weight:
         fail("CONFIG_INVALID", f"table weight values must start at >= 1 (v(0)=1), got {gs[0]}")
     if any(b < a for a, b in zip(gs, gs[1:])):
         fail("CONFIG_INVALID", "table weight values must be non-decreasing")
-    return Weight(family=TABLE, xs=xs, gs=gs, domain_min=xs[0])
+    return Weight(family=TABLE, xs=xs, gs=gs)
 
 
 def eval_g(weight: Weight, x):
@@ -137,10 +136,11 @@ DOUBLING_GRID = 2048     # log-spaced points of doubling_audit's grid
 
 
 def doubling_audit(weight: Weight, x_max: float) -> DoublingAudit:
-    """Measure max g(2x)/g(x) over a log-spaced grid on [domain_min, x_max/2]."""
+    """Measure max g(2x)/g(x) over a log-spaced grid on [lo, x_max/2], lo the
+    first abscissa of a table weight and 1 otherwise."""
     if not (2.0 <= x_max < math.inf):
         fail("DOMAIN", f"x_max must be finite and >= 2, got {x_max}")
-    lo = max(1.0, weight.domain_min)
+    lo = max(1.0, weight.xs[0]) if weight.family == TABLE else 1.0
     hi = max(lo, x_max / 2.0)
     xs = np.geomspace(lo, hi, DOUBLING_GRID) if hi > lo else np.array([lo])
     ratios = _g(weight, 2.0 * xs) / _g(weight, xs)

@@ -551,6 +551,20 @@ def test_probe_sz_without_trials_rejected_before_manifest(tmp_path, capsys, tria
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, code, pointer", [
+    (["--model", "foo"], "CONFIG_INVALID", "/model"),
+    (["--n-list", "9"], "BLOCKS_TOO_SHORT", "/n_list"),
+    (["--n-list", "4,0"], "BLOCKS_TOO_SHORT", "/n_list"),
+])
+def test_probe_sz_bad_model_or_n_list_rejected_before_manifest(tmp_path, capsys, flags, code,
+                                                               pointer):
+    out = tmp_path / "sz"
+    exit_code, diag = _diagnostic(capsys, "probe-sz", *_SAT, "--k-max", "6", "--trials", "2",
+                                  *flags, "--out", str(out))
+    assert (exit_code, diag["error"], diag["pointer"]) == (2, code, pointer)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub", ["census", "check"])
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_empty_n_max_is_empty_range(tmp_path, capsys, sub, n_max):

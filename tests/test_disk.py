@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from growthlab import (ANALYTIC, REAL_HARMONIC, GrowthLabError, SeedSpec, cesaro_mean,
-                       evaluate_at, evaluate_circle, gradient_at, gradient_sup_bracket,
-                       make_model, partial_sum, randomize, riesz_probe,
-                       rudin_shapiro_signs, sup_bracket, unit_series)
+from growthlab import (ANALYTIC, CESARO, PARTIAL, REAL_HARMONIC, GrowthLabError, SeedSpec,
+                       cesaro_domination_check, evaluate_at, evaluate_circle, gradient_at,
+                       gradient_sup_bracket, make_model, operator_norm_profile, randomize,
+                       riesz_probe, rudin_shapiro_signs, sup_bracket, unit_series)
 from growthlab import disk
 from growthlab.disk import RandomizedSeries
 from growthlab.mclab import random_scheme
@@ -839,39 +839,45 @@ def test_analytic_modulus_bracket():
 
 # -- partial sums and Cesaro means ----------------------------------------------------
 
+# u = 2 + 3 cos t + 7 cos 3t: every truncation has nonnegative cosine coefficients,
+# so each peaks at t = 0 at its coefficient sum
+SPARSE = scheme_from_arrays([0, 1, 3], [2.0, 3.0, 7.0], [0.0, 0.0, 0.0], 3, {"name": "t"})
+
+
+def truncation_peaks(which, ns):
+    return operator_norm_profile(unit_series(SPARSE), make_weight("power", 1.0), ns=ns,
+                                 which=which).rows
+
+
 def test_partial_sum_identity_below_degree():
-    sch = random_scheme(SEED, 2, 30)
-    ser = randomize(sch, make_model("rademacher"), SEED, 2)
-    trunc = partial_sum(ser, 31)
-    th = np.linspace(0, 2 * np.pi, 5)
-    assert np.allclose(evaluate_at(ser, 0.5, th), evaluate_at(trunc, 0.5, th))
+    # s_4 keeps every degree of the degree-3 series: the bracket of the series itself
+    (row,) = truncation_peaks(PARTIAL, [4])
+    full = sup_bracket(unit_series(SPARSE), 1.0)
+    assert (row.lower, row.upper) == (full.lower, full.upper)
+    assert row.lower == pytest.approx(12.0, rel=1e-9) and row.upper >= 12.0
 
 
 def test_partial_sum_convention_excludes_n():
-    sch = scheme_from_arrays([0, 5], [1.0, 1.0], [0.0, 0.0], 5, {"name": "t"})
-    trunc = partial_sum(unit_series(sch), 5)
-    assert list(trunc.scheme.support) == [0]
+    # s_3 = 2 + 3 cos t drops degree 3
+    (row,) = truncation_peaks(PARTIAL, [3])
+    assert row.lower == pytest.approx(5.0, rel=1e-9) and row.upper >= 5.0
+    with pytest.raises(GrowthLabError) as ei:        # s_0 keeps nothing: refused
+        truncation_peaks(PARTIAL, [0])
+    assert ei.value.code == "DOMAIN"
 
 
 def test_cesaro_weights():
-    sch = scheme_from_arrays([0, 1, 3], [2.0, 3.0, 7.0], [0.0, 0.0, 0.0], 3, {"name": "t"})
-    ces = cesaro_mean(unit_series(sch), 2)
-    assert list(ces.scheme.support) == [0, 1]
-    assert np.allclose(ces.scheme.cos_coeffs, [2.0, 1.5])
-    # weight at j = n - 1 is 1/n
-    ces4 = cesaro_mean(unit_series(sch), 4)
-    assert ces4.scheme.cos_coeffs[list(ces4.scheme.support).index(3)] == pytest.approx(7.0 / 4.0)
+    # sigma_2 = 2 + (3/2) cos t; sigma_4 = 2 + (9/4) cos t + (7/4) cos 3t: weight 1/n at j = n - 1
+    rows = truncation_peaks(CESARO, [2, 4])
+    for row, peak in zip(rows, (3.5, 6.0)):
+        assert row.lower == pytest.approx(peak, rel=1e-9) and row.upper >= peak
 
 
 def test_cesaro_domination_property():
-    for trial in range(20):
-        sch = random_scheme(SEED, 100 + trial, 80)
-        ser = randomize(sch, make_model("rademacher"), SEED, trial)
-        for r in (0.5, 0.95):
-            full = sup_bracket(ser, r, refine=False)
-            for n in (1, 7, 60):
-                ces = sup_bracket(cesaro_mean(ser, n), r, refine=True)
-                assert ces.lower <= full.upper * (1 + 1e-9)
+    # no sigma_n u, n in (1, 7, 60), exceeds sup|u| at the interior radii 0.5 and 0.95
+    rep = cesaro_domination_check(20, SEED, degree=80, radii=(0.5, 0.95), n_list=(1, 7, 60))
+    assert rep.cases == 20 * 2 * 3
+    assert rep.violations == 0
 
 
 # -- gradients ----------------------------------------------------------------------

@@ -1,18 +1,39 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.polynomial import legendre
 
-from growthlab import (GrowthLabError, SphereSeries, build_basis, cap_fraction,
-                       default_covering, fibonacci_covering, laplacian_stencil,
-                       make_model, random_degree_combination, sup_bracket_sphere)
+from growthlab import (SphereSeries, build_basis, cap_fraction, default_covering,
+                       fibonacci_covering, laplacian_stencil, make_model,
+                       random_degree_combination, sup_bracket_sphere)
+from growthlab.disk import FLOAT_GUARD
 from growthlab.sphere import COS, POINT_BLOCK, SIN, ZONAL, element_index
+
+# the benchmark's independent Legendre reference (numpy only, no growthlab)
+_spec = importlib.util.spec_from_file_location(
+    "sphere_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py")
+reference = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 @pytest.fixture(scope="module")
 def basis():
     return build_basis(10)
+
+
+@pytest.fixture(scope="module")
+def basis16():
+    return build_basis(16)
+
+
+@pytest.fixture(scope="module")
+def basis128():
+    return build_basis(128)
 
 
 def element(basis, m, l, coeff=1.0):
@@ -101,32 +122,86 @@ def test_harmonicity_stencil(basis):
 
 # -- sup brackets -----------------------------------------------------------------------
 
+def secant_squared(b):
+    """cos^2(pi n / M) of a sphere bracket: upper = grid max / this."""
+    return math.cos(math.pi * b.degree / b.grid_size) ** 2
+
+
 def test_sphere_bracket_vertical_coordinate(basis):
-    s = element(basis, 1, 0)
-    cov = fibonacci_covering(625)   # delta = 0.1
-    b = sup_bracket_sphere(s, cov)
-    assert b.upper <= 1.0 / 0.9 * (1 + 1e-9)
+    b = sup_bracket_sphere(element(basis, 1, 0))
+    assert (b.grid_size, b.degree) == (16, 1)
+    assert b.upper <= 1.0 / secant_squared(b) * (1 + 1e-9)
     assert b.lower >= 0.99
     assert b.lower <= 1.0 <= b.upper
 
 
 def test_sphere_bracket_constant(basis):
-    b = sup_bracket_sphere(element(basis, 0, 0, coeff=2.0), fibonacci_covering(256))
+    b = sup_bracket_sphere(element(basis, 0, 0, coeff=2.0))
     assert b.lower == pytest.approx(2.0, rel=1e-9)
     assert b.upper == pytest.approx(2.0, rel=1e-9)
 
 
 def test_sphere_bracket_normalized_element(basis):
-    s = element(basis, 7, 5)
-    cov = default_covering(7)
-    b = sup_bracket_sphere(s, cov)
-    assert b.upper <= 1.0 / (1.0 - 7 * cov.radius) * (1 + 1e-9)
+    b = sup_bracket_sphere(element(basis, 7, 5))
+    assert b.grid_size == 128          # the power of two at or above 16 n = 112
+    assert b.upper <= 1.0 / secant_squared(b) * (1 + 1e-9)
+    assert b.upper / b.lower <= 1.0396
 
 
-def test_covering_too_coarse(basis):
-    with pytest.raises(GrowthLabError) as ei:
-        sup_bracket_sphere(element(basis, 10, 0), fibonacci_covering(36))
-    assert ei.value.code == "COVERING_TOO_COARSE"
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 32, 128])
+def test_sphere_bracket_lone_elements(basis128, m):
+    # each normalized element has sup in [norm_lower, 1], and the grid holds it
+    # within the secant factor on both sides
+    for l in sorted({0, 1, 2, m, 2 * m - 1, 2 * m} & set(range(2 * m + 1))):
+        mu, _ = element_index(m, l)
+        b = sup_bracket_sphere(element(basis128, m, l))
+        assert b.grid_size >= 16 * m and b.degree == m
+        cos2 = secant_squared(b)
+        assert b.lower >= basis128.norm_lower[(m, mu)] * cos2 * (1 - FLOAT_GUARD), (m, l)
+        assert b.upper <= (1 + FLOAT_GUARD) / cos2, (m, l)
+
+
+def sphere_points(theta, phi):
+    t, p = np.meshgrid(theta, phi, indexing="ij")
+    return np.column_stack([(np.sin(t) * np.cos(p)).ravel(), (np.sin(t) * np.sin(p)).ravel(),
+                            np.cos(t).ravel()])
+
+
+def reference_values(basis, entries, pts):
+    """sum c scale / (2mu-1)!! times the Legendre reference element, on |x| = 1."""
+    out = np.zeros(len(pts))
+    for m, l, c in entries:
+        mu, kind = reference.element_kind(l)
+        const = basis.scale(m, l) / reference.double_factorial(2 * mu - 1)
+        out += c * const * reference.sphere_element(m, mu, kind, pts)
+    return out
+
+
+@st.composite
+def sphere_entries(draw):
+    n = draw(st.integers(0, 16))
+    degrees = [n] + draw(st.lists(st.integers(0, n), min_size=1, max_size=5))
+    return tuple((m, draw(st.integers(0, 2 * m)), draw(st.floats(-4.0, 4.0)))
+                 for m in degrees)
+
+
+@given(entries=sphere_entries(), seed=st.integers(0, 2**32 - 1))
+@example(entries=((0, 0, 1.0), (1, 0, -1.0)), seed=0)     # sup 2 at the south pole only
+def test_sphere_bracket_holds_reference(basis16, entries, seed):
+    # the equiangular grid of 4 M >= 64 n contains the bracket's grid of M, so its
+    # max is at least the grid max the lower bound rests on; no value anywhere
+    # exceeds the upper bound.  tol covers the reference's own rounding.
+    b = sup_bracket_sphere(SphereSeries(basis16, entries))
+    tol = 1e-12 * sum(abs(c) for _, _, c in entries)
+    fine = 4 * b.grid_size
+    grid = sphere_points(2 * math.pi * np.arange(fine // 2 + 1) / fine,
+                         2 * math.pi * np.arange(fine) / fine)
+    x = np.random.default_rng(seed).standard_normal((4096, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    on_grid = np.abs(reference_values(basis16, entries, grid))
+    assert b.lower <= on_grid.max() + tol
+    assert on_grid.max() <= b.upper + tol
+    assert np.abs(reference_values(basis16, entries, x)).max() <= b.upper + tol
 
 
 # -- caps ------------------------------------------------------------------------------
@@ -252,13 +327,12 @@ def test_origin_is_exact(basis):
             assert element(basis, m, l).evaluate(origin)[0] == 0.0
 
 
-def test_degree_128_spot_check():
+def test_degree_128_spot_check(basis128):
     # zonal and mu = 1, 2 run the downward recurrence over all 128 steps; the
     # reference's own rounding rules out middle mu at this degree.  Each spot
     # element's max over a great circle twice as dense as the profile grid,
     # through the azimuth where its trig factor is +-1, lies in [norm_lower, 1].
-    m = 128
-    basis = build_basis(m)
+    m, basis = 128, basis128
     pts = fibonacci_covering(3000).points
     theta = np.linspace(0.0, 2.0 * math.pi, 2 * basis.profile_grid, endpoint=False)
     for l in (0, 1, 2, 3, 4, 251, 252, 253, 254, 255, 256):

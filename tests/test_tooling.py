@@ -1,6 +1,7 @@
-"""The benchmark tracer, its CLI round and the experiment scripts still find
-every library name and flag they use, so a deletion or a refusal fails here
-rather than in a benchmark run; each script also runs once at a tiny size."""
+"""The benchmark tracer, its workloads and the experiment scripts still find
+every library name and flag they use and pass their checks, so a deletion, a
+refusal or a broken check fails here rather than in a benchmark run; each
+script also runs once at a tiny size."""
 
 import contextlib
 import os
@@ -14,6 +15,10 @@ import growthlab.disk
 
 ROOT = Path(__file__).resolve().parents[1]
 
+with pytest.MonkeyPatch.context() as mp:
+    mp.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
 
 def test_traced_names_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -23,15 +28,14 @@ def test_traced_names_resolve(monkeypatch):
     assert growthlab.disk.sup_bracket is original     # and installs nothing
 
 
-def test_cli_suite_round_ok(monkeypatch, tmp_path):
-    """One round of the benchmark's cli_suite: a refusal of one of its command
-    lines fails here rather than in the benchmark."""
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import workloads
-    suite = workloads.CliSuite(growthlab, 20260808, str(tmp_path / "cli"))
-    suite.build()
-    outcomes, _ = suite.round(0, contextlib.nullcontext)
-    assert len(outcomes) == len(suite.commands(0, "")) and all(o.ok for o in outcomes)
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_round_ok(tmp_path, name):
+    """One round of each benchmark workload at the benchmark's seed: every
+    operation it attempts must pass its check."""
+    work = workloads.WORKLOADS[name](growthlab, 20260808, str(tmp_path / name))
+    work.build()
+    outcomes, _ = work.round(0, contextlib.nullcontext)
+    assert outcomes and all(o.ok for o in outcomes)
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),

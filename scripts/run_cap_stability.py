@@ -12,8 +12,10 @@ import argparse
 import sys
 
 import growthlab as gl
+from growthlab.cli import coded_exit
 
 
+@coded_exit
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--degrees", default="4,8,16,32")

@@ -7,20 +7,23 @@ the median certified sups by the two candidate growth functions
 sqrt(log x) and sqrt(log x loglog x).
 
 At desk scale the sqrt(log) ratios stay within a factor-2 band while the
-lower blocks still contribute a sizable share of the chaining sum, so the
-sqrt(log loglog) ratios flatten rather than visibly decay; push --n-top
-higher (cost grows fast) to watch the turnover.
+lower blocks still hold a sizable share of the chaining sum C(r_N), so the
+sqrt(log loglog) ratios rise.  --n-top accepts 2..4 (degree 65536 at most):
+C(r_N) over sqrt(log n loglog n) turns down only from N = 6 on, and a dense
+block of degree 2^32 already needs a grid far above disk.MAX_GRID = 2^24.
 """
 
 import argparse
 import os
 import sys
 
+from growthlab.cli import coded_exit
 from growthlab.mclab import (ENSEMBLE_CSV_HEADER, ExperimentConfig, fit_growth,
                              run_growth_ensemble)
 from growthlab.reporting import write_csv, write_json
 
 
+@coded_exit
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)

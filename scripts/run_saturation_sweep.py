@@ -10,9 +10,11 @@ import argparse
 import sys
 
 import growthlab as gl
+from growthlab.cli import coded_exit
 from growthlab.mclab import ExperimentConfig, run_growth_ensemble
 
 
+@coded_exit
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)

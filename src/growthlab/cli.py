@@ -26,6 +26,7 @@ carries progress text only; results go to files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -36,11 +37,11 @@ import time
 from . import __version__
 from .census import CENSUS_CSV_HEADER, LiminfRow, coefficient_census, liminf_profile
 from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_sup_ratio
-from .disk import ANALYTIC, REAL_HARMONIC, PlanSlot, check_oversample
+from .disk import ANALYTIC, REAL_HARMONIC, PlanSlot
 from .errors import GrowthLabError, fail
-from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzRow,
-                    config_from_json, riesz_comb, riesz_probe, run_growth_ensemble,
-                    salem_zygmund_probe, scheme_from_provenance)
+from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, RIESZ_OVERSAMPLE, ExperimentConfig,
+                    SzRow, config_from_json, riesz_comb, riesz_probe, run_growth_ensemble,
+                    salem_zygmund_probe, scheme_from_provenance, sz_block)
 from .randomness import SeedSpec, make_model
 from .reporting import config_hash, write_csv, write_json, write_records, write_text
 from .schemes import (SCHEMES, NuSequence, blocks_from_provenance, blocks_provenance,
@@ -64,13 +65,31 @@ def diagnostic(code: str, detail: str, pointer: str = ""):
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
+def coded_exit(body):
+    """body, with a GrowthLabError printed as its JSON diagnostic and exit code 2."""
+    def run(*args):
+        try:
+            return body(*args)
+        except GrowthLabError as e:
+            diagnostic(e.code, str(e), e.pointer)
+            return 2
+    return run
+
+
+@contextlib.contextmanager
+def _blame(pointer):
+    """Point a GrowthLabError raised inside at the input `pointer` names."""
+    try:
+        yield
+    except GrowthLabError as e:
+        e.pointer = pointer
+        raise
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        return _dispatch(argv)
-    except GrowthLabError as e:
-        diagnostic(e.code, str(e), e.pointer)
-        return 2
+        return coded_exit(_dispatch)(argv)
     except Exception as e:  # internal error
         diagnostic("INTERNAL", f"{type(e).__name__}: {e}")
         return 1
@@ -182,12 +201,10 @@ def _scheme_provenance(args, run, own=()) -> dict:
 
 def _weights(args, run):
     w = make_weight(args.family, args.alpha, args.log_base)
-    blocks = block_sequence(w, args.ratio_A, args.n0, args.k_max,
-                            require_doubling_growth=args.require_doubling)
-    audit = doubling_audit(w, args.audit_x_max)
+    blocks = block_sequence(w, args.ratio_A, args.n0, args.k_max)
+    audit = doubling_audit(w, 1e6)             # g(2x) / g(x) on 1 <= x <= 5e5
     run.start({"family": args.family, "alpha": args.alpha, "log_base": args.log_base,
-               "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max,
-               "require_doubling": args.require_doubling, "audit_x_max": args.audit_x_max})
+               "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max})
     write_text(run.path("blocks.csv"), "".join(f"# {c}\n" for c in run.notes) + blocks.to_csv())
     write_json(run.path("audit.json"),
                {"d_hat": audit.d_hat, "worst_x": audit.worst_x,
@@ -261,14 +278,11 @@ def _probe_sz(args, run):
     if args.trials < 1:
         fail("DOMAIN", f"--trials must be >= 1, got {args.trials}", pointer="/trials")
     prov, scheme, blocks = _block_scheme(args, run, "probe-sz")
-    try:
+    with _blame("/model"):
         model = make_model(args.model)
-    except GrowthLabError as e:
-        e.pointer = "/model"
-        raise
-    if not all(1 <= N <= blocks.k_max for N in args.n_list):
-        fail("BLOCKS_TOO_SHORT", f"--n-list positions must lie in 1..{blocks.k_max}, got "
-             f"{args.n_list}", pointer="/n_list")
+    with _blame("/n_list"):          # each block exists and carries weighted mass
+        for N in args.n_list:
+            sz_block(scheme, blocks, N)
     run.start({"scheme": prov, "model": args.model, "trials": args.trials,
                "n_list": args.n_list, "seed": args.seed}, args.seed)
     rep = salem_zygmund_probe(scheme, blocks, model, SeedSpec(args.seed),
@@ -278,22 +292,17 @@ def _probe_sz(args, run):
 
 
 def _probe_riesz(args, run):
-    check_oversample(args.oversample)
-    # each comb's grid, sized as its brackets size it, fits MAX_GRID, or nothing is written
-    for pointer, offsets in (("/n_terms", [0]), ("/offsets", args.offsets)):
-        for nt, off in itertools.product(args.n_terms, offsets):
-            try:
-                comb = riesz_comb(nt, off)
-                PlanSlot(comb, 1.0).grid(int(comb[-1]), args.oversample)
-            except GrowthLabError as e:
-                e.pointer = pointer
-                raise
-    run.start({"n_terms": args.n_terms, "offsets": args.offsets, "oversample": args.oversample,
-               "signed": args.signed})
+    with _blame("/n_terms"):         # at offset 0 only n_terms can fail, and every grid fits
+        for nt in args.n_terms:
+            riesz_comb(nt, 0)
+    with _blame("/offsets"):         # each grid, sized as its brackets size it, fits MAX_GRID
+        for nt, off in itertools.product(args.n_terms, args.offsets):
+            comb = riesz_comb(nt, off)
+            PlanSlot(comb, 1.0).grid(int(comb[-1]), RIESZ_OVERSAMPLE)
+    run.start({"n_terms": args.n_terms, "offsets": args.offsets, "signed": args.signed})
     rows = []
     for nt in args.n_terms:
-        rep = riesz_probe(nt, offsets=args.offsets, theta_oversample=args.oversample,
-                          sign_patterns=args.signed)
+        rep = riesz_probe(nt, offsets=args.offsets, sign_patterns=args.signed)
         rows.extend((nt, r.offset, "".join("+" if s > 0 else "-" for s in r.pattern), r.ratio)
                     for r in rep.rows)
         print(f"n_terms={nt}: c_emp={rep.c_emp:.6f}")
@@ -408,8 +417,6 @@ SUBCOMMANDS = {
         ("--ratio-A", dict(type=float, default=2.0)),
         ("--n0", dict(type=int, default=1)),
         ("--k-max", dict(type=int, default=10)),
-        ("--require-doubling", dict(action="store_true")),
-        ("--audit-x-max", dict(type=float, default=1e6)),
     ], _weights),
     "scheme": (_SCHEME_FLAGS, _scheme),
     "check": (_SCHEME_FLAGS + [
@@ -430,7 +437,6 @@ SUBCOMMANDS = {
     "probe-riesz": ([
         ("--n-terms", dict(type=_INTS, default="2,3,4,5,6")),
         ("--offsets", dict(type=_INTS, default="0")),
-        ("--oversample", dict(type=float, default=64.0)),
         ("--signed", dict(action="store_true",
                           help="scan +- sign patterns for the nontrivial constant")),
     ], _probe_riesz),

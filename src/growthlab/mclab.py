@@ -289,7 +289,6 @@ class SzRow:
 @dataclass(frozen=True)
 class SzReport:
     rows: tuple
-    trials: int
 
     def row_for(self, n_index: int) -> SzRow:
         for r in self.rows:
@@ -298,36 +297,44 @@ class SzReport:
         raise KeyError(n_index)
 
 
+PROBE_OVERSAMPLE = 16.0   # the grid of every Salem-Zygmund and Cesaro domination bracket
+
+
+def sz_block(scheme: CoefficientScheme, blocks, N: int):
+    """The Salem-Zygmund top block h_N: support n_{N-1} < j <= n_N, coefficients
+    (1 - j/n_N) a_j r_N^j at r_N = 1 - 1/n_N, their square sum R, and n_N; refused
+    (BLOCKS_TOO_SHORT, EMPTY_BLOCKS) where no block or no weighted mass exists."""
+    if N < 1 or N > blocks.k_max:
+        fail("BLOCKS_TOO_SHORT", f"block position {N} outside 1..{blocks.k_max}")
+    lo, hi = blocks.n[N - 1], blocks.n[N]
+    r_N = 1.0 - 1.0 / hi
+    mask = (scheme.support > lo) & (scheme.support <= hi)
+    js = scheme.support[mask]
+    if len(js) == 0:
+        fail("EMPTY_BLOCKS", f"scheme has no coefficients in block {N}")
+    jf = js.astype(float)
+    b = (1.0 - jf / hi) * scheme.magnitudes()[mask] * np.power(r_N, jf)
+    big_r = float(np.sum(b * b))
+    if big_r == 0.0:
+        fail("EMPTY_BLOCKS",
+             f"block {N} carries no Cesaro-weighted mass (support only at j = n_N?)")
+    return js, b, big_r, hi
+
+
 def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
-                        seed_spec: SeedSpec, trials: int, n_list: Sequence[int],
-                        oversample: float = 16.0) -> SzReport:
+                        seed_spec: SeedSpec, trials: int, n_list: Sequence[int]) -> SzReport:
     """Distribution of the normalized top-block max.
 
-    For block position N the probe forms h_N with coefficients
-    (1 - j/n_N) a_j r_N^j over n_{N-1} < j <= n_N at r_N = 1 - 1/n_N,
+    For block position N the probe takes the top block h_N of sz_block,
     draws signs per trial, and records max_theta |h_N| / sqrt(R log n_N).
     The flatness ratio (sum b^4) n / R^2 is reported per N so callers can
     confirm the regime where such maxima concentrate.
     """
     if trials < 1:
         fail("DOMAIN", f"need at least one trial, got {trials}")
-    edges = list(blocks.n) if hasattr(blocks, "n") else list(blocks)
     rows = []
     for N in n_list:
-        if N < 1 or N >= len(edges):
-            fail("BLOCKS_TOO_SHORT", f"block position {N} outside 1..{len(edges) - 1}")
-        lo, hi = edges[N - 1], edges[N]
-        r_N = 1.0 - 1.0 / hi
-        mask = (scheme.support > lo) & (scheme.support <= hi)
-        js = scheme.support[mask]
-        if len(js) == 0:
-            fail("EMPTY_BLOCKS", f"scheme has no coefficients in block {N}")
-        jf = js.astype(float)
-        b = (1.0 - jf / hi) * scheme.magnitudes()[mask] * np.power(r_N, jf)
-        big_r = float(np.sum(b * b))
-        if big_r == 0.0:
-            fail("EMPTY_BLOCKS",
-                 f"block {N} carries no Cesaro-weighted mass (support only at j = n_N?)")
+        js, b, big_r, hi = sz_block(scheme, blocks, N)
         t4 = float(np.sum(b ** 4))
         t4_ratio = t4 * hi / big_r**2
         hsch = scheme_from_arrays(js, b, np.zeros_like(b), int(hi),
@@ -336,12 +343,12 @@ def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
         coeffs = np.stack([randomize(hsch, model, seed_spec, t, lane=int(N))
                            .signed_complex_coeffs() for t in range(trials)])
         maxima = np.array([b.lower for b in sup_brackets(coeffs, PlanSlot(hsch.support, 1.0),
-                                                         oversample, False, REAL_HARMONIC)])
+                                                         PROBE_OVERSAMPLE, False, REAL_HARMONIC)])
         normed = maxima / denom
         q05, q50, q95 = (float(np.quantile(normed, q)) for q in (0.05, 0.50, 0.95))
         rows.append(SzRow(n_index=int(N), n=int(hi), big_r=big_r, t4_ratio=t4_ratio,
                           q05=q05, q50=q50, q95=q95))
-    return SzReport(rows=tuple(rows), trials=trials)
+    return SzReport(rows=tuple(rows))
 
 
 # -- Riesz probe ------------------------------------------------------------------
@@ -355,12 +362,12 @@ class RieszRow:
 
 @dataclass(frozen=True)
 class RieszReport:
-    n_terms: int
     rows: tuple
     c_emp: float          # min ratio over all tested configurations
 
 
 RIESZ_CSV_HEADER = ["offset", "pattern", "ratio"]
+RIESZ_OVERSAMPLE = 64.0   # the grid of every Riesz comb bracket
 
 
 def riesz_comb(n_terms: int, offset: int) -> np.ndarray:
@@ -373,7 +380,6 @@ def riesz_comb(n_terms: int, offset: int) -> np.ndarray:
 
 
 def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
-                theta_oversample: float = 64.0,
                 sign_patterns: bool = False) -> RieszReport:
     """Certified lower bounds for || sum eps_j cos((N + 4^j) theta) || / n_terms.
 
@@ -392,12 +398,12 @@ def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
     signs = np.array(patterns, dtype=complex)    # the coefficients of every sign pattern
     rows = []
     for off, freqs in combs:
-        brackets = sup_brackets(signs, PlanSlot(freqs, 1.0), theta_oversample, True,
+        brackets = sup_brackets(signs, PlanSlot(freqs, 1.0), RIESZ_OVERSAMPLE, True,
                                 REAL_HARMONIC)
         rows += [RieszRow(offset=off, pattern=pat, ratio=b.lower / n_terms)
                  for pat, b in zip(patterns, brackets)]
     c_emp = min(r.ratio for r in rows)
-    return RieszReport(n_terms=n_terms, rows=tuple(rows), c_emp=c_emp)
+    return RieszReport(rows=tuple(rows), c_emp=c_emp)
 
 
 # -- Cesaro domination ---------------------------------------------------------------
@@ -414,8 +420,7 @@ DOMINATION_RTOL = 1e-9
 
 def cesaro_domination_check(trials: int, seed_spec: SeedSpec,
                             degree: int = 200, radii: Sequence[float] = (0.5, 0.9),
-                            n_list: Sequence[int] = (10, 100),
-                            oversample: float = 16.0) -> DominationReport:
+                            n_list: Sequence[int] = (10, 100)) -> DominationReport:
     """No Cesaro mean may exceed the certified sup of the function by more
     than DOMINATION_RTOL of max(1, sup)."""
     if trials < 1:
@@ -429,11 +434,11 @@ def cesaro_domination_check(trials: int, seed_spec: SeedSpec,
                        .signed_complex_coeffs() for t in range(trials)])
     margins = []
     for r in radii:
-        full = sup_brackets(coeffs, PlanSlot(support, r), oversample, False, REAL_HARMONIC)
+        full = sup_brackets(coeffs, PlanSlot(support, r), PROBE_OVERSAMPLE, False, REAL_HARMONIC)
         for n in n_list:
             kept = support[support < n]
             ces = sup_brackets(coeffs[:, :len(kept)] * (1.0 - kept / float(n)),
-                               PlanSlot(kept, r), oversample, True, REAL_HARMONIC)
+                               PlanSlot(kept, r), PROBE_OVERSAMPLE, True, REAL_HARMONIC)
             margins += [(f.upper, f.upper - c.lower) for f, c in zip(full, ces)]
     violations = sum(m < -DOMINATION_RTOL * max(1.0, up) for up, m in margins)
     return DominationReport(cases=len(margins), violations=violations,

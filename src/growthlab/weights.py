@@ -128,8 +128,6 @@ def eval_w(weight: Weight, r):
 class DoublingAudit:
     d_hat: float
     worst_x: float
-    x_max: float
-    grid_size: int
 
 
 DOUBLING_GRID = 2048     # log-spaced points of doubling_audit's grid
@@ -145,8 +143,7 @@ def doubling_audit(weight: Weight, x_max: float) -> DoublingAudit:
     xs = np.geomspace(lo, hi, DOUBLING_GRID) if hi > lo else np.array([lo])
     ratios = _g(weight, 2.0 * xs) / _g(weight, xs)
     i = int(np.argmax(ratios))
-    return DoublingAudit(d_hat=float(ratios[i]), worst_x=float(xs[i]),
-                         x_max=float(x_max), grid_size=len(xs))
+    return DoublingAudit(d_hat=float(ratios[i]), worst_x=float(xs[i]))
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,7 @@ class BlockSequence:
         return f"{self.weight.label()},A={self.ratio_a:g},n0={self.n[0]},k_max={self.k_max}"
 
 
-def block_sequence(weight: Weight, A: float, n0: int, k_max: int,
-                   require_doubling_growth: bool = False) -> BlockSequence:
+def block_sequence(weight: Weight, A: float, n0: int, k_max: int) -> BlockSequence:
     """Build the ratio-A block sequence exactly.
 
     Each step finds the minimal integer l with g(l) >= A g(n_k): gallop in
@@ -187,10 +183,9 @@ def block_sequence(weight: Weight, A: float, n0: int, k_max: int,
     bracket.  Both bounds of the exactness property hold by construction,
     g(n_{k+1}) >= A g(n_k) and g(n_{k+1} - 1) < A g(n_k).
 
-    Raises OVERFLOW when the next index would pass N_BUDGET = 2^53, beyond
-    which g, evaluated in floats, no longer sees every integer (log-power
-    weights explode doubly exponentially), and RATIO_TOO_SMALL
-    when require_doubling_growth is set but some n_{k+1} < 2 n_k.
+    Raises RATIO_TOO_SMALL unless A > 1, and OVERFLOW past N_BUDGET = 2^53,
+    where g, evaluated in floats, no longer sees every integer (log-power
+    weights explode doubly exponentially).
     """
     if not A > 1:
         fail("RATIO_TOO_SMALL", f"ratio A must exceed 1, got {A}")
@@ -221,12 +216,7 @@ def block_sequence(weight: Weight, A: float, n0: int, k_max: int,
                 hi = mid
             else:
                 lo = mid
-        nxt = hi
-        if require_doubling_growth and nxt < 2 * cur:
-            raise GrowthLabError(
-                "RATIO_TOO_SMALL",
-                f"n_{k + 1} = {nxt} < 2 n_{k} = {2 * cur}; increase A")
-        n.append(nxt)
+        n.append(hi)
     return BlockSequence(weight=weight, ratio_a=float(A), n=tuple(n))
 
 

@@ -423,41 +423,41 @@ def test_csv_headers_pinned(tmp_path, capsys):
             assert next(l for l in lines if not l.startswith("#")) == header, name
 
 
-@pytest.mark.parametrize("oversample", ["nan", "inf", "2"])
+@pytest.mark.parametrize("oversample", ["nan", "inf", "2", "64"])
 def test_probe_riesz_oversample_checked(tmp_path, capsys, oversample):
+    # the Riesz grid is fixed at mclab.RIESZ_OVERSAMPLE: any --oversample, 64 too, is refused
     out = tmp_path / "r"
     code, diag = _diagnostic(capsys, "probe-riesz", "--signed", "--n-terms", "4",
                              "--oversample", oversample, "--out", str(out))
-    assert (code, diag["error"]) == (2, "DOMAIN")
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
     assert not out.exists()
 
 
 def test_probe_riesz_grid_limit_exit_2(tmp_path, capsys, monkeypatch):
     from growthlab import disk
-    # the comb {4, 16} has period 4, so its grid is that of degree 4: 16 pi 4 -> M = 256
-    monkeypatch.setattr(disk, "MAX_GRID", 256)
-    code, _, _ = run_cli(capsys, "probe-riesz", "--n-terms", "2", "--oversample", "16",
-                         "--out", str(tmp_path / "ok"))
+    # {4, 16} has period 4, so its grid is that of degree 4: 64 pi 4 -> M = 1024; {5, 17}
+    # has none, and degree 17 needs 4096
+    monkeypatch.setattr(disk, "MAX_GRID", 1024)
+    code, _, _ = run_cli(capsys, "probe-riesz", "--n-terms", "2", "--out", str(tmp_path / "ok"))
     assert code == 0
-    code, diag = _diagnostic(capsys, "probe-riesz", "--n-terms", "2", "--oversample", "32",
+    code, diag = _diagnostic(capsys, "probe-riesz", "--n-terms", "2", "--offsets", "1",
                              "--out", str(tmp_path / "big"))
-    assert (code, diag["error"], diag["pointer"]) == (2, "BUDGET_EXCEEDED", "/n_terms")
+    assert (code, diag["error"], diag["pointer"]) == (2, "BUDGET_EXCEEDED", "/offsets")
     assert not (tmp_path / "big").exists()
 
 
 def test_probe_riesz_grid_sized_by_common_period(tmp_path, capsys):
-    # 8 terms at offset 0 have period 4: 128 pi 65540 / 4 -> 2^23 angles, within MAX_GRID
-    code, _, _ = run_cli(capsys, "probe-riesz", "--n-terms", "8", "--oversample", "128",
+    # the 8-term comb at offset 20004 has period gcd(20008, 12) = 4: 64 pi 85540 / 4 -> 2^23
+    # angles, within MAX_GRID; at 20005 it has none, and 64 pi 85541 needs 2^25
+    code, _, _ = run_cli(capsys, "probe-riesz", "--n-terms", "8", "--offsets", "20004",
                          "--out", str(tmp_path / "ok"))
     assert code == 0
     assert len((tmp_path / "ok" / "riesz.csv").read_text().splitlines()) == 3   # one row
-    for argv, pointer in ((["--oversample", "512"], "/n_terms"),     # 2^25 even reduced
-                          (["--oversample", "128", "--offsets", "1"], "/offsets")):   # g = 1
-        out = tmp_path / pointer.strip("/")
-        code, diag = _diagnostic(capsys, "probe-riesz", "--n-terms", "8", *argv,
-                                 "--out", str(out))
-        assert (code, diag["error"], diag["pointer"]) == (2, "BUDGET_EXCEEDED", pointer)
-        assert not out.exists()
+    out = tmp_path / "none"
+    code, diag = _diagnostic(capsys, "probe-riesz", "--n-terms", "8", "--offsets", "20005",
+                             "--out", str(out))
+    assert (code, diag["error"], diag["pointer"]) == (2, "BUDGET_EXCEEDED", "/offsets")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code, pointer", [
@@ -483,8 +483,8 @@ def test_riesz_script_prints_the_diagnostic(capsys, monkeypatch, offsets, code):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["--audit-x-max", "inf"], "DOMAIN"),
-    (["--audit-x-max", "nan"], "DOMAIN"),
+    (["--ratio-A", "inf"], "OVERFLOW"),
+    (["--log-base", "nan"], "CONFIG_INVALID"),
     (["--alpha", "inf"], "NON_POSITIVE_EXPONENT"),
 ])
 def test_weights_non_finite_rejected(tmp_path, capsys, argv, code):
@@ -503,19 +503,12 @@ def test_non_finite_flag_never_reaches_a_manifest(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_weights_manifest_records_audit_flags(tmp_path, capsys):
-    base = ["weights", "--family", "logpower", "--k-max", "3"]
-    mans = {}
-    for name, extra in [("a", ["--audit-x-max", "10"]), ("b", ["--audit-x-max", "1e9"]),
-                        ("c", ["--audit-x-max", "10", "--require-doubling"])]:
-        code, _, _ = run_cli(capsys, *base, *extra, "--out", str(tmp_path / name))
-        assert code == 0
-        mans[name] = json.loads((tmp_path / name / "manifest.json").read_text())
-    assert mans["a"]["config"]["audit_x_max"] == 10.0
-    assert mans["c"]["config"]["require_doubling"] is True
-    assert len({m["config_hash"] for m in mans.values()}) == 3
-    d_hat = {n: json.loads((tmp_path / n / "audit.json").read_text())["d_hat"] for n in "ab"}
-    assert d_hat["a"] != d_hat["b"]
+@pytest.mark.parametrize("flags", [["--audit-x-max", "10"], ["--require-doubling"]])
+def test_weights_removed_flags_refused(tmp_path, capsys, flags):
+    out = tmp_path / "w"
+    code, diag = _diagnostic(capsys, "weights", *flags, "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("combos", ["0", "-2"])
@@ -555,6 +548,7 @@ def test_probe_sz_without_trials_rejected_before_manifest(tmp_path, capsys, tria
     (["--model", "foo"], "CONFIG_INVALID", "/model"),
     (["--n-list", "9"], "BLOCKS_TOO_SHORT", "/n_list"),
     (["--n-list", "4,0"], "BLOCKS_TOO_SHORT", "/n_list"),
+    (["--n-list", "1"], "EMPTY_BLOCKS", "/n_list"),    # the scheme starts at j = 3
 ])
 def test_probe_sz_bad_model_or_n_list_rejected_before_manifest(tmp_path, capsys, flags, code,
                                                                pointer):

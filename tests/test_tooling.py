@@ -1,9 +1,10 @@
 """The benchmark tracer, its workloads and the experiment scripts still find
 every library name and flag they use and pass their checks, so a deletion, a
 refusal or a broken check fails here rather than in a benchmark run; each
-script also runs once at a tiny size."""
+script also runs once at a tiny size, and refuses a bad input as the CLI does."""
 
 import contextlib
+import json
 import os
 import subprocess
 import sys
@@ -38,12 +39,15 @@ def test_workload_round_ok(tmp_path, name):
     assert outcomes and all(o.ok for o in outcomes)
 
 
-@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),
-                         ids=lambda p: p.name)
-def test_script_help_exits_zero(script):
+def run_script(script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_help_exits_zero(script):
+    proc = run_script(script, ["--help"])
     assert proc.returncode == 0, proc.stderr
 
 
@@ -56,8 +60,17 @@ def test_script_help_exits_zero(script):
     ("run_cap_stability.py", ["--degrees", "2,4", "--combos", "2"], "      4 "),
 ]])
 def test_script_tiny_run(script, args, last):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(last), proc.stdout
+
+
+@pytest.mark.parametrize("script, args, code", [pytest.param(*case, id=case[0]) for case in [
+    ("run_cap_stability.py", ["--degrees", "200"], "DEGREE_BUDGET"),
+    ("run_growth_separation.py", ["--trials", "0"], "DOMAIN"),
+    ("run_saturation_sweep.py", ["--n-list", "30"], "DEGREE_BUDGET"),
+]])
+def test_script_refuses_like_the_cli(script, args, code):
+    proc = run_script(script, args)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == code

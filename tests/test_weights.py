@@ -8,7 +8,6 @@ from growthlab import (GrowthLabError, block_sequence,
                        doubling_audit, eval_g, eval_v, eval_w, make_weight,
                        parse_weight_spec, table_weight, weight_from_json,
                        weight_to_json)
-from growthlab.schemes import blocks_from_provenance, blocks_provenance
 
 
 def test_power_weight_basics():
@@ -119,15 +118,10 @@ def test_block_sequence_tower():
 
 def test_block_sequence_ratio_too_small():
     w = make_weight("power", 1.0)
-    with pytest.raises(GrowthLabError) as ei:
-        block_sequence(w, 1.1, 1, 10, require_doubling_growth=True)
-    assert ei.value.code == "RATIO_TOO_SMALL"
-    assert "n_" in str(ei.value)  # names the offending index
-
-
-def test_doubling_checked_sequence_equals_its_rebuild():
-    b = block_sequence(make_weight("power", 1.0), 2.0, 1, 6, require_doubling_growth=True)
-    assert blocks_from_provenance(blocks_provenance(b)) == b
+    for A in (1.0, 0.5, math.nan):
+        with pytest.raises(GrowthLabError) as ei:
+            block_sequence(w, A, 1, 10)
+        assert ei.value.code == "RATIO_TOO_SMALL"
 
 
 def test_block_sequence_overflow():

@@ -11,25 +11,24 @@ lower blocks still hold a sizable share of the chaining sum C(r_N), so the
 sqrt(log loglog) ratios rise.  --n-top accepts 2..4 (degree 65536 at most):
 C(r_N) over sqrt(log n loglog n) turns down only from N = 6 on, and a dense
 block of degree 2^32 already needs a grid far above disk.MAX_GRID = 2^24.
+
+The run writes no files; `growthlab growth --scheme loglog --k-max 4 --radii
+0.9375,0.99609375,0.9999847412109375 --out DIR` runs the same ensemble and
+saves its report.json and quantiles.csv with a manifest.
 """
 
-import argparse
-import os
 import sys
 
-from growthlab.cli import coded_exit
-from growthlab.mclab import (ENSEMBLE_CSV_HEADER, ExperimentConfig, fit_growth,
-                             run_growth_ensemble)
-from growthlab.reporting import write_csv, write_json
+from growthlab.cli import _Parser, coded_exit
+from growthlab.mclab import ExperimentConfig, fit_growth, run_growth_ensemble
 
 
 @coded_exit
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=20260808)
     ap.add_argument("--n-top", type=int, default=4, choices=range(2, 5))
-    ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
     radii = [1.0 - 1.0 / 2.0 ** (2**n) for n in range(2, args.n_top + 1)]
@@ -51,12 +50,6 @@ def main():
         fit = fit_growth(rep)
         print("flatness ranking:", ", ".join(f"{r.name} (slope {r.slope:+.4f})"
                                              for r in fit.rows))
-    if args.out:
-        write_json(os.path.join(args.out, "report.json"), rep.to_json())
-        write_csv(os.path.join(args.out, "quantiles.csv"), ENSEMBLE_CSV_HEADER,
-                  rep.quantile_rows(), comments=[f"seed: {args.seed}",
-                                                 f"config_hash: {rep.config_hash}"])
-        print(f"report.json and quantiles.csv written to {args.out}")
     return 0
 
 

@@ -6,28 +6,27 @@ square-sum criterion is exceeded by exactly nu_k, and the measured median
 sup at r_N = 1 - 1/n_N tracks nu_N g(n_N) inside a narrow band.
 """
 
-import argparse
 import sys
 
 import growthlab as gl
-from growthlab.cli import coded_exit
+from growthlab.cli import _INTS, _Parser, coded_exit
 from growthlab.mclab import ExperimentConfig, run_growth_ensemble
 
 
 @coded_exit
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=20260808)
     ap.add_argument("--nu", default="sqrt", choices=("constant", "log", "sqrt"))
-    ap.add_argument("--n-list", default="6,8,10")
+    ap.add_argument("--n-list", type=_INTS, default="6,8,10")
     args = ap.parse_args()
 
     w = gl.make_weight("power", 1.0)
     nu = gl.NuSequence(args.nu)
     print(f"{'N':>3} {'n_N':>6} {'nu_N':>7} {'median':>10} {'med/(nu g)':>11} "
           f"{'blockwise':>10}")
-    for N in (int(x) for x in args.n_list.split(",")):
+    for N in args.n_list:
         blocks = gl.block_sequence(w, 2.0, 1, N)
         sat = gl.saturating_scheme(blocks, nu)
         cfg = ExperimentConfig(scheme=sat.provenance, model={"kind": "rademacher"},

@@ -20,7 +20,7 @@ for the runs that draw no random numbers, which take no --seed.  It is written
 as "running" before the work starts and rewritten at the end as "complete",
 or as "failed" with the error code.  Exit codes: 0 success, 2 validation
 error (line-delimited JSON diagnostic on stderr), 1 internal error.  stdout
-carries progress text only; results go to files.
+carries progress and summary text only; results go to files.
 """
 
 from __future__ import annotations
@@ -303,9 +303,13 @@ def _probe_riesz(args, run):
     rows = []
     for nt in args.n_terms:
         rep = riesz_probe(nt, offsets=args.offsets, sign_patterns=args.signed)
-        rows.extend((nt, r.offset, "".join("+" if s > 0 else "-" for s in r.pattern), r.ratio)
-                    for r in rep.rows)
-        print(f"n_terms={nt}: c_emp={rep.c_emp:.6f}")
+        own = [(nt, r.offset, "".join("+" if s > 0 else "-" for s in r.pattern), r.ratio)
+               for r in rep.rows]
+        _, offset, worst, _ = min(own, key=lambda row: row[-1])   # the first minimum in row order
+        print(f"n_terms={nt}: c_emp={rep.c_emp:.6f}, patterns {len(own)}, "
+              f"worst {worst} @ N={offset}")
+        rows += own
+    print(f"conservative empirical constant: {min(row[-1] for row in rows):.5f}")
     write_csv(run.path("riesz.csv"), ["n_terms"] + RIESZ_CSV_HEADER, rows, comments=run.notes)
 
 
@@ -324,16 +328,20 @@ def _cap(args, run):
     basis = build_basis(max(args.degrees))
     model = make_model("rademacher")
     seed = SeedSpec(args.seed)
-    rows = []
+    rows, reference = [], None
     for n in args.degrees:
         cov = default_covering(n)
-        fracs = []
-        for t in range(args.combos):
-            series = random_degree_combination(basis, n, model, seed, t, lane=n)
-            rep = cap_fraction(series, args.alpha, cov)
-            rows.append(rep.row())
-            fracs.append(rep.fraction)
-        print(f"degree {n}: min c_implied = {min(f * n * n for f in fracs):.4f}")
+        reps = [cap_fraction(random_degree_combination(basis, n, model, seed, t, lane=n),
+                             args.alpha, cov) for t in range(args.combos)]
+        rows.extend(rep.row() for rep in reps)
+        cs = sorted(rep.c_implied for rep in reps)
+        print(f"degree {n}: min c_implied = {cs[0]:.4f}, median {cs[len(cs) // 2]:.4f}, "
+              f"max {cs[-1]:.4f}, grid_K {cov.size}")
+        # stability: no degree falls below half the first degree's min
+        if reference is None:
+            reference = cs[0]
+        elif cs[0] < reference / 2.0:
+            print(f"  warning: degree {n} fell below half the reference {reference:.4f}")
     write_csv(run.path("cap.csv"), CAP_CSV_HEADER, rows, comments=run.notes)
 
 

@@ -45,31 +45,49 @@ def run_script(script, args):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+
+# script -> (tiny-size arguments, start of the last stdout line)
+TINY_RUNS = {
+    "run_growth_separation.py": (["--trials", "2", "--n-top", "4"], "flatness ranking: "),
+    "run_saturation_sweep.py": (["--trials", "2", "--n-list", "4,6"],
+                                "while the blockwise score column grows like nu itself."),
+}
+
+# (script, bad arguments, error code); the first case of a script keeps its bare name as id
+REFUSALS = [
+    pytest.param("run_growth_separation.py", ["--trials", "0"], "DOMAIN",
+                 id="run_growth_separation.py"),
+    pytest.param("run_growth_separation.py", ["--trials", "x"], "CONFIG_INVALID",
+                 id="run_growth_separation.py-CONFIG_INVALID"),
+    pytest.param("run_saturation_sweep.py", ["--n-list", "30"], "DEGREE_BUDGET",
+                 id="run_saturation_sweep.py"),
+    pytest.param("run_saturation_sweep.py", ["--n-list", "x"], "CONFIG_INVALID",
+                 id="run_saturation_sweep.py-CONFIG_INVALID"),
+]
+
+
+def test_every_script_runs_and_refuses():
+    """No script escapes the tiny run or the coded-refusal check."""
+    assert sorted(TINY_RUNS) == SCRIPTS
+    assert sorted({case.values[0] for case in REFUSALS}) == SCRIPTS
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_script_help_exits_zero(script):
     proc = run_script(script, ["--help"])
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("script, args, last", [pytest.param(*case, id=case[0]) for case in [
-    ("run_growth_separation.py", ["--trials", "2", "--n-top", "4"], "flatness ranking: "),
-    ("run_saturation_sweep.py", ["--trials", "2", "--n-list", "4,6"],
-     "while the blockwise score column grows like nu itself."),
-    ("estimate_riesz_constant.py", ["--n-terms", "2,3", "--offsets", "0,1"],
-     "conservative empirical constant: "),
-    ("run_cap_stability.py", ["--degrees", "2,4", "--combos", "2"], "      4 "),
-]])
-def test_script_tiny_run(script, args, last):
+@pytest.mark.parametrize("script", sorted(TINY_RUNS))
+def test_script_tiny_run(script):
+    args, last = TINY_RUNS[script]
     proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(last), proc.stdout
 
 
-@pytest.mark.parametrize("script, args, code", [pytest.param(*case, id=case[0]) for case in [
-    ("run_cap_stability.py", ["--degrees", "200"], "DEGREE_BUDGET"),
-    ("run_growth_separation.py", ["--trials", "0"], "DOMAIN"),
-    ("run_saturation_sweep.py", ["--n-list", "30"], "DEGREE_BUDGET"),
-]])
+@pytest.mark.parametrize("script, args, code", REFUSALS)
 def test_script_refuses_like_the_cli(script, args, code):
     proc = run_script(script, args)
     assert proc.returncode == 2, proc.stderr

@@ -39,9 +39,16 @@ def test_workload_round_ok(tmp_path, name):
     assert outcomes and all(o.ok for o in outcomes)
 
 
+# retired script -> the growthlab command that replaced it, which its refusal cases now run
+RETIRED = {"run_cap_stability.py": ["cap"],
+           "estimate_riesz_constant.py": ["probe-riesz", "--signed"]}
+
+
 def run_script(script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], env=env,
+    command = (["-m", "growthlab.cli", *RETIRED[script]] if script in RETIRED
+               else [str(ROOT / "scripts" / script)])
+    return subprocess.run([sys.executable, *command, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -56,6 +63,10 @@ TINY_RUNS = {
 
 # (script, bad arguments, error code); the first case of a script keeps its bare name as id
 REFUSALS = [
+    pytest.param("run_cap_stability.py", ["--degrees", "200"], "DEGREE_BUDGET",
+                 id="run_cap_stability.py"),
+    pytest.param("estimate_riesz_constant.py", ["--n-terms", "2", "--offsets", "-10"], "DOMAIN",
+                 id="estimate_riesz_constant.py"),
     pytest.param("run_growth_separation.py", ["--trials", "0"], "DOMAIN",
                  id="run_growth_separation.py"),
     pytest.param("run_growth_separation.py", ["--trials", "x"], "CONFIG_INVALID",
@@ -68,9 +79,12 @@ REFUSALS = [
 
 
 def test_every_script_runs_and_refuses():
-    """No script escapes the tiny run or the coded-refusal check."""
+    """No script escapes the tiny run or the coded-refusal check, and no retired
+    script is back in scripts/."""
     assert sorted(TINY_RUNS) == SCRIPTS
-    assert sorted({case.values[0] for case in REFUSALS}) == SCRIPTS
+    refused = {case.values[0] for case in REFUSALS}
+    assert sorted(refused - set(RETIRED)) == SCRIPTS
+    assert set(RETIRED) <= refused and not set(RETIRED) & set(SCRIPTS)
 
 
 @pytest.mark.parametrize("script", SCRIPTS)

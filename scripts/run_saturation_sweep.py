@@ -9,16 +9,17 @@ sup at r_N = 1 - 1/n_N tracks nu_N g(n_N) inside a narrow band.
 import sys
 
 import growthlab as gl
-from growthlab.cli import _INTS, _Parser, coded_exit
+from growthlab.cli import _INTS, _SEED, _TRIALS, _Parser, coded_exit
 from growthlab.mclab import ExperimentConfig, run_growth_ensemble
+from growthlab.schemes import NU_KINDS
 
 
 @coded_exit
 def main():
     ap = _Parser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=20260808)
-    ap.add_argument("--nu", default="sqrt", choices=("constant", "log", "sqrt"))
+    for flag, spec in _TRIALS + _SEED:
+        ap.add_argument(flag, **spec)
+    ap.add_argument("--nu", default="sqrt", choices=NU_KINDS)
     ap.add_argument("--n-list", type=_INTS, default="6,8,10")
     args = ap.parse_args()
 

@@ -40,12 +40,12 @@ from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_
 from .disk import ANALYTIC, REAL_HARMONIC, PlanSlot
 from .errors import GrowthLabError, fail
 from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, RIESZ_OVERSAMPLE, ExperimentConfig,
-                    SzRow, config_from_json, riesz_comb, riesz_probe, run_growth_ensemble,
-                    salem_zygmund_probe, scheme_from_provenance, sz_block)
+                    SzRow, config_from_json, fit_growth, riesz_comb, riesz_probe,
+                    run_growth_ensemble, salem_zygmund_probe, scheme_from_provenance, sz_block)
 from .randomness import SeedSpec, make_model
 from .reporting import config_hash, write_csv, write_json, write_records, write_text
-from .schemes import (SCHEMES, NuSequence, blocks_from_provenance, blocks_provenance,
-                      radial_derivative, scheme_fields)
+from .schemes import (NU_KINDS, SCHEMES, NuSequence, blocks_from_provenance,
+                      blocks_provenance, radial_derivative, scheme_fields)
 from .sphere import (CAP_CSV_HEADER, MAX_BASIS_DEGREE, build_basis, cap_fraction,
                      default_covering, random_degree_combination)
 from .weights import block_sequence, doubling_audit, make_weight, parse_weight_spec
@@ -265,6 +265,16 @@ def _ensemble(flavor, args, run):
               [(name, r, v) for name, vals in sorted(rep.candidate_ratios.items())
                for r, v in zip(rep.radii, vals)], comments=run.notes)
     print(f"wrote {run.out}/report.json ({len(rep.radii)} radii, wall {rep.wall_time:.1f}s)")
+    print(f"trials={cfg.trials} seed={cfg.seed} hash={rep.config_hash[:12]}")
+    print(f"{'r':>12} {'n(r)':>10} {'median':>9} {'q10':>9} {'q90':>9} "
+          + " ".join(f"{'/' + name:>10}" for name in cfg.candidates))
+    for i, r in enumerate(rep.radii):
+        print(f"{r:12.8f} {rep.n_of_r[i]:10.0f} {rep.lower_med[i]:9.4f} "
+              f"{rep.lower_q10[i]:9.4f} {rep.lower_q90[i]:9.4f} "
+              + " ".join(f"{rep.candidate_ratios[name][i]:10.4f}" for name in cfg.candidates))
+    if len(rep.radii) >= 3:
+        print("flatness ranking:", ", ".join(f"{row.name} (slope {row.slope:+.4f})"
+                                             for row in fit_growth(rep).rows))
 
 
 def _block_scheme(args, run, what, own=()):
@@ -318,10 +328,10 @@ def _cap(args, run):
         fail("DOMAIN", f"--combos must be >= 1, got {args.combos}", pointer="/combos")
     if args.alpha <= 0.0 or args.alpha >= 1.0:   # NaN passes: run.start refuses it, NON_FINITE
         fail("DOMAIN", f"--alpha must lie in (0, 1), got {args.alpha}", pointer="/alpha")
-    for n in args.degrees:
-        if not 0 <= n <= MAX_BASIS_DEGREE:
-            fail("DOMAIN" if n < 0 else "DEGREE_BUDGET",
-                 f"--degrees entries must lie in 0..{MAX_BASIS_DEGREE}, got {n}",
+    for n in args.degrees:     # c_implied = fraction * n^2 means nothing at n = 0
+        if not 1 <= n <= MAX_BASIS_DEGREE:
+            fail("DOMAIN" if n < 1 else "DEGREE_BUDGET",
+                 f"--degrees entries must lie in 1..{MAX_BASIS_DEGREE}, got {n}",
                  pointer="/degrees")
     run.start({"degrees": args.degrees, "alpha": args.alpha, "combos": args.combos,
                "seed": args.seed}, args.seed)
@@ -388,17 +398,22 @@ def _radii(text):
     return text if text == "block" else _FLOATS(text)
 
 
-# only the runs that draw random numbers take a seed
+# only the runs that draw random numbers take a seed; scripts reuse these specs
 _SEED = [("--seed", dict(type=int, default=20260808))]
+_TRIALS = [("--trials", dict(type=int, default=200))]
+
+_BLOCK_FLAGS = [
+    ("--ratio-A", dict(type=float, default=2.0)),
+    ("--n0", dict(type=int, default=1)),
+    ("--k-max", dict(type=int, default=10)),
+]
 
 _SCHEME_FLAGS = [
     ("--scheme", dict(default=None, help=f"one of {', '.join(SCHEMES)}")),
     ("--weight", dict(default="power:1", help="weight spec, e.g. power:1")),
-    ("--ratio-A", dict(type=float, default=2.0)),
-    ("--n0", dict(type=int, default=1)),
-    ("--k-max", dict(type=int, default=10)),
+    *_BLOCK_FLAGS,
     ("--rule", dict(default="g_over_sqrt_nlogn", help="magnitude rule for the uniform scheme")),
-    ("--nu", dict(default="constant", help="constant | log | sqrt")),
+    ("--nu", dict(default="constant", help=" | ".join(NU_KINDS))),
 ]
 
 
@@ -406,12 +421,12 @@ def _ensemble_flags(model):
     return _SCHEME_FLAGS + _SEED + [
         ("--config", dict(default=None, help="ExperimentConfig JSON used instead of the flags")),
         ("--model", dict(default=model)),
-        ("--trials", dict(type=int, default=200)),
-        ("--radii", dict(type=_radii, default="block",
+        *_TRIALS,
+        ("--radii", dict(type=_radii, default=ExperimentConfig.radii,
                          help="'block' or comma-separated list")),
-        ("--oversample", dict(type=float, default=16.0)),
+        ("--oversample", dict(type=float, default=ExperimentConfig.oversample)),
         ("--refine", dict(action="store_true")),
-        ("--candidates", dict(default="sqrt_log,sqrt_log_loglog")),
+        ("--candidates", dict(default=",".join(ExperimentConfig.candidates))),
     ]
 
 
@@ -422,9 +437,7 @@ SUBCOMMANDS = {
         ("--family", dict(default="power")),
         ("--alpha", dict(type=float, default=1.0)),
         ("--log-base", dict(type=float, default=math.e)),
-        ("--ratio-A", dict(type=float, default=2.0)),
-        ("--n0", dict(type=int, default=1)),
-        ("--k-max", dict(type=int, default=10)),
+        *_BLOCK_FLAGS,
     ], _weights),
     "scheme": (_SCHEME_FLAGS, _scheme),
     "check": (_SCHEME_FLAGS + [
@@ -432,7 +445,7 @@ SUBCOMMANDS = {
         ("--n-max", dict(type=int, default=None)),
     ], _check),
     "census": (_SCHEME_FLAGS + [
-        ("--p", dict(default="log", help="threshold sequence: constant | log | sqrt")),
+        ("--p", dict(default="log", help="threshold sequence: " + " | ".join(NU_KINDS))),
         ("--n-max", dict(type=int, default=None)),
     ], _census),
     "growth": (_ensemble_flags("rademacher"),

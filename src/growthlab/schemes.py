@@ -58,6 +58,9 @@ def clamped_log(x) -> np.ndarray:
     return np.maximum(1.0, np.log(np.asarray(x, dtype=float)))
 
 
+NU_KINDS = ("constant", "log", "sqrt")
+
+
 @dataclass(frozen=True)
 class NuSequence:
     """Positive non-decreasing multipliers, indexed from 0.
@@ -68,15 +71,18 @@ class NuSequence:
     kind: str
     c: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in NU_KINDS:
+            fail("CONFIG_INVALID", f"unknown nu sequence {self.kind!r}; "
+                 f"expected one of {', '.join(NU_KINDS)}")
+
     def at(self, i) -> np.ndarray:
         i = np.asarray(i, dtype=float)
         if self.kind == "constant":
             return np.full_like(i, self.c)
         if self.kind == "log":
             return np.log(i + 2.0)
-        if self.kind == "sqrt":
-            return np.sqrt(i + 1.0)
-        fail("CONFIG_INVALID", f"unknown nu sequence {self.kind!r}")
+        return np.sqrt(i + 1.0)
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}

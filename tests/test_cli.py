@@ -4,6 +4,7 @@ import pytest
 
 from growthlab import schemes
 from growthlab.cli import main
+from growthlab.mclab import EnsembleReport, fit_growth
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +138,35 @@ def test_cap_summary_matches_csv(tmp_path, capsys):
         assert len(cs) == 3 and len(grid) == 1
         assert (f"degree {n}: min c_implied = {cs[0]:.4f}, median {cs[1]:.4f}, "
                 f"max {cs[2]:.4f}, grid_K {grid.pop()}") in text.splitlines()
+
+
+@pytest.mark.parametrize("radii", ["0.9375,0.99609375,0.9999847412109375", "0.5,0.9"],
+                         ids=["three_radii", "two_radii"])
+def test_growth_summary_matches_report(tmp_path, capsys, radii):
+    out = tmp_path / "g"
+    code, text, _ = run_cli(capsys, "growth", "--scheme", "loglog", "--k-max", "4",
+                            "--radii", radii, "--trials", "4", "--out", str(out))
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    lines = text.splitlines()
+    start = lines.index(f"trials=4 seed=20260808 hash={rep['config_hash'][:12]}")
+    assert lines[start + 1].split() == ["r", "n(r)", "median", "q10", "q90",
+                                        "/sqrt_log", "/sqrt_log_loglog"]
+    rows = [line.split() for line in lines[start + 2:start + 2 + len(rep["radii"])]]
+    ratios = rep["candidate_ratios"]
+    assert rows == [[f"{r:.8f}", f"{n:.0f}", f"{med:.4f}", f"{q10:.4f}", f"{q90:.4f}",
+                     f"{ratios['sqrt_log'][i]:.4f}", f"{ratios['sqrt_log_loglog'][i]:.4f}"]
+                    for i, (r, n, med, q10, q90) in enumerate(zip(
+                        rep["radii"], rep["n_of_r"], rep["lower_med"], rep["lower_q10"],
+                        rep["lower_q90"]))]
+    ranking = [line for line in lines if line.startswith("flatness ranking:")]
+    if len(rep["radii"]) < 3:
+        assert ranking == []
+        return
+    report = EnsembleReport(**{k: v for k, v in rep.items() if k != "wall_time"})
+    assert ranking == ["flatness ranking: " + ", ".join(
+        f"{row.name} (slope {row.slope:+.4f})" for row in fit_growth(report).rows)]
+    assert ranking == [lines[-1]]
 
 
 def test_probe_riesz_summary_matches_csv(tmp_path, capsys):
@@ -559,6 +589,7 @@ def test_cap_without_combos_rejected_before_manifest(tmp_path, capsys, combos):
     (["--degrees", "200"], "DEGREE_BUDGET", "/degrees"),
     (["--degrees", "4,-3"], "DOMAIN", "/degrees"),
     (["--degrees", "-3"], "DOMAIN", "/degrees"),
+    (["--degrees", "4,0"], "DOMAIN", "/degrees"),       # c/n^2 is not defined at n = 0
 ])
 def test_cap_bad_alpha_or_degrees_rejected_before_manifest(tmp_path, capsys, flags, code,
                                                            pointer):

@@ -290,6 +290,12 @@ def test_nu_sequences():
     assert np.all(np.diff(vals) > 0)
 
 
+def test_unknown_nu_kind_refused_when_built():
+    with pytest.raises(GrowthLabError) as e:
+        NuSequence("foo")
+    assert e.value.code == "CONFIG_INVALID"
+
+
 def test_riesz_degenerate_blocks_empty_support():
     from growthlab.weights import BlockSequence
     trivial = BlockSequence(weight=W1, ratio_a=4.0, n=(2,))

@@ -41,14 +41,16 @@ def test_workload_round_ok(tmp_path, name):
 
 # retired script -> the growthlab command that replaced it, which its refusal cases now run
 RETIRED = {"run_cap_stability.py": ["cap"],
-           "estimate_riesz_constant.py": ["probe-riesz", "--signed"]}
+           "estimate_riesz_constant.py": ["probe-riesz", "--signed"],
+           "run_growth_separation.py": ["growth", "--scheme", "loglog", "--k-max", "4", "--radii",
+                                        "0.9375,0.99609375,0.9999847412109375"]}
 
 
-def run_script(script, args):
+def run_script(script, args, cwd=None):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     command = (["-m", "growthlab.cli", *RETIRED[script]] if script in RETIRED
                else [str(ROOT / "scripts" / script)])
-    return subprocess.run([sys.executable, *command, *args], env=env,
+    return subprocess.run([sys.executable, *command, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -56,19 +58,18 @@ SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 
 # script -> (tiny-size arguments, start of the last stdout line)
 TINY_RUNS = {
-    "run_growth_separation.py": (["--trials", "2", "--n-top", "4"], "flatness ranking: "),
     "run_saturation_sweep.py": (["--trials", "2", "--n-list", "4,6"],
                                 "while the blockwise score column grows like nu itself."),
 }
 
-# (script, bad arguments, error code); the first case of a script keeps its bare name as id
+# (script, bad arguments, error code); a script's first case has its bare name as id and the
+# others add their code.  The growth script's first case, --trials 0, went: it fails after the
+# manifest is written, which test_cli::test_failed_run_marks_manifest covers.
 REFUSALS = [
     pytest.param("run_cap_stability.py", ["--degrees", "200"], "DEGREE_BUDGET",
                  id="run_cap_stability.py"),
     pytest.param("estimate_riesz_constant.py", ["--n-terms", "2", "--offsets", "-10"], "DOMAIN",
                  id="estimate_riesz_constant.py"),
-    pytest.param("run_growth_separation.py", ["--trials", "0"], "DOMAIN",
-                 id="run_growth_separation.py"),
     pytest.param("run_growth_separation.py", ["--trials", "x"], "CONFIG_INVALID",
                  id="run_growth_separation.py-CONFIG_INVALID"),
     pytest.param("run_saturation_sweep.py", ["--n-list", "30"], "DEGREE_BUDGET",
@@ -102,7 +103,8 @@ def test_script_tiny_run(script):
 
 
 @pytest.mark.parametrize("script, args, code", REFUSALS)
-def test_script_refuses_like_the_cli(script, args, code):
-    proc = run_script(script, args)
+def test_script_refuses_like_the_cli(tmp_path, script, args, code):
+    proc = run_script(script, args, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == code
+    assert not any(tmp_path.iterdir())      # refused before any output directory

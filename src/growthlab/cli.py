@@ -21,12 +21,17 @@ as "running" before the work starts and rewritten at the end as "complete",
 or as "failed" with the error code.  Exit codes: 0 success, 2 validation
 error (line-delimited JSON diagnostic on stderr), 1 internal error.  stdout
 carries progress and summary text only; results go to files.
+
+Each subcommand's parser is built once per process, at its first run, and
+every later run in the process (a `run` dispatch too) reuses it; parsing
+changes no parser, so nothing carries from one run to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -134,16 +139,14 @@ def _dispatch(argv) -> int:
     if cmd not in SUBCOMMANDS:
         fail("UNKNOWN_SUBCOMMAND", f"unknown subcommand {cmd!r}; "
              f"expected one of {', '.join(SUBCOMMANDS)}")
-    flags, body = SUBCOMMANDS[cmd]
-    p = _Parser(prog=f"growthlab {cmd}")
-    p.add_argument("--out", default=None, help="output directory")
-    for flag, spec in flags:
-        p.add_argument(flag, **spec)
-    args = p.parse_args(argv[1:])
-    # the flags given on the command line: a reparse with marker defaults
+    _, body = SUBCOMMANDS[cmd]
+    parser = _parser(cmd)
+    args = parser.parse_args(argv[1:])
+    # the flags given on the command line: argparse fills in no default for a name
+    # the namespace already holds, so a reparse into a namespace of markers keeps them
     unset = object()
-    p.set_defaults(**dict.fromkeys(vars(args), unset))
-    given = [k for k, v in vars(p.parse_args(argv[1:])).items() if v is not unset and k != "out"]
+    marked = parser.parse_args(argv[1:], argparse.Namespace(**dict.fromkeys(vars(args), unset)))
+    given = [k for k, v in vars(marked).items() if v is not unset and k != "out"]
     others = [k for k in given if k != "config"]
     if "config" in given and others:        # --config replaces every flag but --out
         fail("CONFIG_INVALID", "--config replaces the other flags; also given: "
@@ -159,6 +162,16 @@ def _dispatch(argv) -> int:
     if run.manifest is not None:
         run.finish("complete", wall_time=time.monotonic() - run.started)
     return code or 0
+
+
+@functools.cache
+def _parser(cmd):
+    """The subcommand's parser, built once per process; parsing leaves it as it was."""
+    p = _Parser(prog=f"growthlab {cmd}")
+    p.add_argument("--out", default=None, help="output directory")
+    for flag, spec in SUBCOMMANDS[cmd][0]:
+        p.add_argument(flag, **spec)
+    return p
 
 
 def _load_config(path) -> dict:
@@ -266,12 +279,13 @@ def _ensemble(flavor, args, run):
                for r, v in zip(rep.radii, vals)], comments=run.notes)
     print(f"wrote {run.out}/report.json ({len(rep.radii)} radii, wall {rep.wall_time:.1f}s)")
     print(f"trials={cfg.trials} seed={cfg.seed} hash={rep.config_hash[:12]}")
+    columns = [(name, max(10, len(name) + 1)) for name in cfg.candidates]   # "/" + name fits
     print(f"{'r':>12} {'n(r)':>10} {'median':>9} {'q10':>9} {'q90':>9} "
-          + " ".join(f"{'/' + name:>10}" for name in cfg.candidates))
+          + " ".join(f"{'/' + name:>{w}}" for name, w in columns))
     for i, r in enumerate(rep.radii):
         print(f"{r:12.8f} {rep.n_of_r[i]:10.0f} {rep.lower_med[i]:9.4f} "
               f"{rep.lower_q10[i]:9.4f} {rep.lower_q90[i]:9.4f} "
-              + " ".join(f"{rep.candidate_ratios[name][i]:10.4f}" for name in cfg.candidates))
+              + " ".join(f"{rep.candidate_ratios[name][i]:{w}.4f}" for name, w in columns))
     if len(rep.radii) >= 3:
         print("flatness ranking:", ", ".join(f"{row.name} (slope {row.slope:+.4f})"
                                              for row in fit_growth(rep).rows))

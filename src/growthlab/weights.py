@@ -194,25 +194,29 @@ def block_sequence(weight: Weight, A: float, n0: int, k_max: int) -> BlockSequen
     if k_max < 1:
         fail("DOMAIN", f"k_max must be >= 1, got {k_max}")
 
+    def g(x):      # every probe is an integer >= n0 >= 1, so eval_g's check is spent
+        return _g(weight, np.asarray(float(x)))
+
+    g_budget = g(N_BUDGET)
     n = [int(n0)]
     for k in range(k_max):
         cur = n[-1]
-        target = A * eval_g(weight, cur)
-        if eval_g(weight, float(N_BUDGET)) < target:
+        target = A * g(cur)
+        if g_budget < target:
             raise GrowthLabError(
                 "OVERFLOW",
                 f"no index up to 2^53 reaches g >= {target:g} (after k={k})")
         # gallop: find hi with g(hi) >= target
         lo, hi = cur, cur + 1
         step = 1
-        while eval_g(weight, hi) < target:
+        while g(hi) < target:
             lo = hi
             step *= 2
             hi = min(cur + step, N_BUDGET)
         # binary search for the minimal qualifying index in (lo, hi]
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if eval_g(weight, mid) >= target:
+            if g(mid) >= target:
                 hi = mid
             else:
                 lo = mid
@@ -249,6 +253,8 @@ def parse_weight_spec(spec: str) -> Weight:
     if fam in (POWER, LOGPOWER):
         if len(parts) < 2:
             fail("CONFIG_INVALID", f"weight spec {spec!r} needs an exponent")
+        if len(parts) > 3:
+            fail("CONFIG_INVALID", f"weight spec {spec!r} has fields past the log base")
         try:
             alpha = float(parts[1])
             base = float(parts[2]) if len(parts) > 2 else math.e

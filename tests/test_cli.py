@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 
 from growthlab import schemes
 from growthlab.cli import main
-from growthlab.mclab import EnsembleReport, fit_growth
+from growthlab.mclab import EnsembleReport, ExperimentConfig, fit_growth
 
 
 def run_cli(capsys, *argv):
@@ -13,15 +14,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _block_rows(out):
+    return [l for l in (out / "blocks.csv").read_text().splitlines()
+            if l and not l.startswith("#") and not l.startswith("k,")]
+
+
 def test_weights_blocks_csv(tmp_path, capsys):
     out = tmp_path / "w"
     code, _, err = run_cli(capsys, "weights", "--family", "power", "--alpha", "1",
                            "--ratio-A", "2", "--n0", "1", "--k-max", "10",
                            "--out", str(out))
     assert code == 0 and err == ""
-    lines = [l for l in (out / "blocks.csv").read_text().splitlines()
-             if l and not l.startswith("#") and not l.startswith("k,")]
-    ns = [int(l.split(",")[1]) for l in lines]
+    ns = [int(l.split(",")[1]) for l in _block_rows(out)]
     assert ns == [2**k for k in range(11)]
     man = json.loads((out / "manifest.json").read_text())
     assert man["status"] == "complete"
@@ -140,25 +144,33 @@ def test_cap_summary_matches_csv(tmp_path, capsys):
                 f"max {cs[2]:.4f}, grid_K {grid.pop()}") in text.splitlines()
 
 
-@pytest.mark.parametrize("radii", ["0.9375,0.99609375,0.9999847412109375", "0.5,0.9"],
-                         ids=["three_radii", "two_radii"])
-def test_growth_summary_matches_report(tmp_path, capsys, radii):
+@pytest.mark.parametrize("radii, candidates", [
+    ("0.9375,0.99609375,0.9999847412109375", None),
+    ("0.5,0.9", None),
+    ("0.9,0.99,0.999", "sqrt_log,sqrt_log_loglog,power:0.25"),
+], ids=["three_radii", "two_radii", "long_labels"])
+def test_growth_summary_matches_report(tmp_path, capsys, radii, candidates):
     out = tmp_path / "g"
+    picked = [] if candidates is None else ["--candidates", candidates]
     code, text, _ = run_cli(capsys, "growth", "--scheme", "loglog", "--k-max", "4",
-                            "--radii", radii, "--trials", "4", "--out", str(out))
+                            "--radii", radii, *picked, "--trials", "4", "--out", str(out))
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
+    names = ExperimentConfig.candidates if candidates is None else candidates.split(",")
     lines = text.splitlines()
     start = lines.index(f"trials=4 seed=20260808 hash={rep['config_hash'][:12]}")
-    assert lines[start + 1].split() == ["r", "n(r)", "median", "q10", "q90",
-                                        "/sqrt_log", "/sqrt_log_loglog"]
-    rows = [line.split() for line in lines[start + 2:start + 2 + len(rep["radii"])]]
+    table = lines[start + 1:start + 2 + len(rep["radii"])]
+    assert table[0].split() == ["r", "n(r)", "median", "q10", "q90"] + ["/" + n for n in names]
+    rows = [line.split() for line in table[1:]]
     ratios = rep["candidate_ratios"]
-    assert rows == [[f"{r:.8f}", f"{n:.0f}", f"{med:.4f}", f"{q10:.4f}", f"{q90:.4f}",
-                     f"{ratios['sqrt_log'][i]:.4f}", f"{ratios['sqrt_log_loglog'][i]:.4f}"]
+    assert rows == [[f"{r:.8f}", f"{n:.0f}", f"{med:.4f}", f"{q10:.4f}", f"{q90:.4f}"]
+                    + [f"{ratios[name][i]:.4f}" for name in names]
                     for i, (r, n, med, q10, q90) in enumerate(zip(
                         rep["radii"], rep["n_of_r"], rep["lower_med"], rep["lower_q10"],
                         rep["lower_q90"]))]
+    # every column is right-aligned under its header, however long the label
+    ends = [[m.end() for m in re.finditer(r"\S+", line)] for line in table]
+    assert all(e == ends[0] for e in ends)
     ranking = [line for line in lines if line.startswith("flatness ranking:")]
     if len(rep["radii"]) < 3:
         assert ranking == []
@@ -714,3 +726,53 @@ def test_weights_power_refuses_log_base(tmp_path, capsys):
     assert not out.exists()
     assert run_cli(capsys, "weights", "--family", "logpower", "--log-base", "3",
                    "--k-max", "3", "--out", str(out))[0] == 0
+
+
+# -- one process, many runs: each subcommand's parser is built once and shared --
+
+def test_defaults_do_not_carry_between_runs(tmp_path, capsys):
+    assert run_cli(capsys, "weights", "--k-max", "3", "--out", str(tmp_path / "a"))[0] == 0
+    assert run_cli(capsys, "weights", "--out", str(tmp_path / "b"))[0] == 0
+    assert len(_block_rows(tmp_path / "a")) == 4
+    assert len(_block_rows(tmp_path / "b")) == 11         # the default --k-max of 10
+
+
+def test_config_still_replaces_flags_after_a_flag_run(tmp_path, capsys):
+    # the flag run sets --trials 3, so a parser that kept it as the default would
+    # no longer see --trials 3 as given beside --config
+    assert run_cli(capsys, "growth", "--scheme", "loglog", "--k-max", "2", "--trials", "3",
+                   "--radii", "0.5", "--out", str(tmp_path / "flags"))[0] == 0
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"scheme": {"name": "loglog", "k_max": 2},
+                                "model": {"kind": "rademacher"}, "seed": 5, "trials": 2,
+                                "radii": [0.5]}))
+    out = tmp_path / "refused"
+    code, diag = _diagnostic(capsys, "growth", "--config", str(path), "--trials", "3",
+                             "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert diag["detail"].endswith("also given: --trials")
+    assert not out.exists()
+    out = tmp_path / "config"
+    assert run_cli(capsys, "growth", "--config", str(path), "--out", str(out))[0] == 0
+    assert json.loads((out / "report.json").read_text())["config"]["trials"] == 2
+
+
+def test_run_config_redispatches_after_other_runs(tmp_path, capsys):
+    assert run_cli(capsys, "weights", "--k-max", "2", "--out", str(tmp_path / "w"))[0] == 0
+    for name, argv, rows in (("short", ["--k-max", "3"], 4), ("default", [], 11)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"subcommand": "weights", "argv": argv}))
+        out = tmp_path / name
+        assert run_cli(capsys, "run", "--config", str(path), "--out", str(out))[0] == 0
+        assert json.loads((out / "manifest.json").read_text())["subcommand"] == "weights"
+        assert len(_block_rows(out)) == rows
+
+
+def test_weight_spec_trailing_fields_rejected_before_manifest(tmp_path, capsys):
+    out = tmp_path / "c"
+    code, diag = _diagnostic(capsys, "check", "--scheme", "saturating", "--weight",
+                             "logpower:1:2:junk", "--nu", "sqrt", "--k-max", "4",
+                             "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert "logpower:1:2:junk" in diag["detail"]
+    assert not out.exists()

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from growthlab import (GrowthLabError, block_sequence,
                        doubling_audit, eval_g, eval_v, eval_w, make_weight,
                        parse_weight_spec, table_weight, weight_from_json,
                        weight_to_json)
+from growthlab.weights import N_BUDGET
 
 
 def test_power_weight_basics():
@@ -152,6 +153,55 @@ def test_block_sequence_exact_minimality(alpha, a, n0, k_max):
             assert eval_g(w, b.n[k] - 1) < target
 
 
+def _reference_blocks(weight, A, n0, k_max):
+    """The block search with a validated eval_g per probe: the indices, or the refusal's code."""
+    if not A > 1:
+        return "RATIO_TOO_SMALL"
+    n = [n0]
+    for _ in range(k_max):
+        cur = n[-1]
+        target = A * eval_g(weight, cur)
+        if eval_g(weight, float(N_BUDGET)) < target:
+            return "OVERFLOW"
+        lo, hi, step = cur, cur + 1, 1
+        while eval_g(weight, hi) < target:
+            lo, step = hi, step * 2
+            hi = min(cur + step, N_BUDGET)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if eval_g(weight, mid) >= target:
+                hi = mid
+            else:
+                lo = mid
+        n.append(hi)
+    return tuple(n)
+
+
+_TABLES = st.lists(st.tuples(st.floats(0.01, 1e4), st.floats(0.0, 50.0)), min_size=2,
+                   max_size=8).map(lambda steps: table_weight(
+                       np.cumsum([1.0] + [dx for dx, _ in steps[1:]]),
+                       np.cumsum([1.0 + dg for _, dg in steps])))
+
+
+@settings(max_examples=150)
+@given(case=st.one_of(   # (weight, n0, k_max): tables saturate, so they take few steps
+    st.tuples(st.builds(make_weight, st.just("power"), st.floats(0.05, 4.0)),
+              st.integers(1, 10**6), st.integers(1, 40)),
+    st.tuples(st.builds(make_weight, st.just("logpower"), st.floats(0.1, 3.0),
+                        st.one_of(st.just(math.e), st.floats(1.1, 16.0))),
+              st.integers(1, 10**6), st.integers(1, 8)),
+    st.tuples(_TABLES, st.integers(1, 100), st.integers(1, 4))),
+    a=st.one_of(st.floats(1.01, 8.0), st.floats(1.01, 8.0), st.floats(1.01, 8.0),  # 1 in 4 refused
+                st.sampled_from([1.0, 0.5, math.nan])))
+def test_block_sequence_matches_reference(case, a):
+    w, n0, k_max = case
+    try:
+        got = block_sequence(w, a, n0, k_max).n
+    except GrowthLabError as e:
+        got = e.code
+    assert got == _reference_blocks(w, a, n0, k_max)
+
+
 @pytest.mark.parametrize("w", [make_weight("power", 0.7), make_weight("power", 2.0),
                                make_weight("logpower", 1.0),
                                make_weight("logpower", 0.5, 2.0)])
@@ -200,7 +250,7 @@ def test_bloch_reciprocal_family_refused():
 def test_parse_weight_spec():
     w = parse_weight_spec("logpower:1:2")
     assert eval_g(w, 65536.0) == pytest.approx(16.0)
-    for spec in ("nope:1", "power:x", "logpower:1:e"):
+    for spec in ("nope:1", "power:x", "logpower:1:e", "logpower:1:2:junk"):
         with pytest.raises(GrowthLabError) as ei:
             parse_weight_spec(spec)
         assert ei.value.code == "CONFIG_INVALID"

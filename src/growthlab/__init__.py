@@ -10,8 +10,7 @@ reproducing the separation and sharpness phenomena by seeded Monte Carlo.
 __version__ = "0.1.0"
 
 from .errors import GrowthLabError
-from .weights import (Weight, BlockSequence, make_weight, table_weight,
-                      eval_g, eval_v, eval_w, doubling_audit,
+from .weights import (Weight, BlockSequence, make_weight, eval_g, eval_v, eval_w, doubling_audit,
                       block_sequence, weight_to_json, weight_from_json,
                       parse_weight_spec)
 from .randomness import (RandomModel, SeedSpec, make_model, sample_vector,

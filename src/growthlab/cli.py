@@ -43,7 +43,7 @@ from . import __version__
 from .census import CENSUS_CSV_HEADER, LiminfRow, coefficient_census, liminf_profile
 from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_sup_ratio
 from .disk import ANALYTIC, REAL_HARMONIC, PlanSlot
-from .errors import GrowthLabError, fail
+from .errors import GrowthLabError, fail, refuse_unread
 from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, RIESZ_OVERSAMPLE, ExperimentConfig,
                     SzRow, config_from_json, fit_growth, riesz_comb, riesz_probe,
                     run_growth_ensemble, salem_zygmund_probe, scheme_from_provenance, sz_block)
@@ -381,15 +381,18 @@ def _bloch(args, run):
 
 def _run_config(args, run) -> int:
     cfg = _load_config(args.config)
+    if not isinstance(cfg, dict):
+        fail("CONFIG_INVALID", f"a run config must be a JSON object, got {type(cfg).__name__}")
+    refuse_unread(cfg, ("subcommand", "argv"), "a run config")
     sub = cfg.get("subcommand")
-    if sub not in SUBCOMMANDS or sub == "run":
+    if not isinstance(sub, str) or sub not in SUBCOMMANDS or sub == "run":
         others = ", ".join(name for name in SUBCOMMANDS if name != "run")
         fail("CONFIG_INVALID", f"config must name a subcommand among {others}",
              pointer="/subcommand")
-    flags = list(cfg.get("argv", []))
-    if args.out:
-        flags += ["--out", args.out]
-    return _dispatch([sub] + flags)
+    flags = cfg.get("argv", [])
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        fail("CONFIG_INVALID", f"argv must be a list of strings, got {flags!r}", pointer="/argv")
+    return _dispatch([sub] + flags + (["--out", args.out] if args.out else []))
 
 
 # -- the subcommand table ---------------------------------------------------------

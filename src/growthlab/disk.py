@@ -43,10 +43,11 @@ untruncated coefficients and their derivatives at exact grid phases plus
 an offset.
 
 A bracket kernel takes a stack of coefficient rows on one support and
-radius (sup_brackets; sup_bracket is a stack of one).  Each row keeps its
-own truncation, rows sharing a plan key are evaluated together, and every
-transform call or wave product takes as many (series, row) pairs as fit in
-BLOCK_BYTES; the refinement's top rows and Newton columns are chunked alike.
+radius (sup_brackets; sup_bracket and gradient_sup_bracket are stacks of
+one).  Each row keeps its own truncation, rows sharing a plan key are
+evaluated together, and every transform call or wave product takes as many
+(series, row) pairs as fit in BLOCK_BYTES; the refinement's top rows and
+Newton columns are chunked alike.
 """
 
 from __future__ import annotations
@@ -343,10 +344,12 @@ def _blocks(n: int, per: int):
     return [slice(i, i + per) for i in range(0, n, per)]
 
 
-def _bracket_modulus(slot: "PlanSlot", coeffs: np.ndarray, oversample: float, real: bool,
-                     refine: bool) -> list:
-    """Certified brackets of sup_t |Re sum_j c_j e^{ijt}| (real) or
-    sup_t |sum_j c_j e^{ijt}|, one per row c of coeffs (B, S) on the slot's support.
+def sup_brackets(coeffs: np.ndarray, slot: "PlanSlot", oversample: float, refine: bool,
+                 flavor: str) -> list:
+    """sup_bracket of each series in a stack on the slot's support, at the slot's
+    radius: row b of coeffs (B, S) holds one series' signed_complex_coeffs, and
+    its bracket is of sup_t |Re sum_j c_j r^j e^{ijt}| (real flavor) or of
+    sup_t |sum_j c_j r^j e^{ijt}| (analytic).
 
     Each row truncates its coefficient tail once the exact l1 mass drops below
     TAIL_RTOL of its total; the discarded mass widens both bracket sides, as
@@ -358,6 +361,8 @@ def _bracket_modulus(slot: "PlanSlot", coeffs: np.ndarray, oversample: float, re
     fit in BLOCK_BYTES.  Refinement runs on the untruncated coefficients.
     """
     check_oversample(oversample)
+    real = flavor == REAL_HARMONIC
+    coeffs = coeffs * slot.radial
     out = [SupBracket(0.0, 0.0, 1, 0)] * len(coeffs)     # what a zero row gets
     mags = np.abs(coeffs)
     l1 = mags.sum(1)
@@ -457,14 +462,6 @@ def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
                         series.flavor)[0]
 
 
-def sup_brackets(coeffs: np.ndarray, slot: PlanSlot, oversample: float, refine: bool,
-                 flavor: str) -> list:
-    """sup_bracket of each series in a stack on the slot's support, at the slot's
-    radius: row b of coeffs (B, S) holds one series' signed_complex_coeffs."""
-    return _bracket_modulus(slot, coeffs * slot.radial, oversample, flavor == REAL_HARMONIC,
-                            refine)
-
-
 def gradient_at(series: RandomizedSeries, x) -> np.ndarray:
     """Exact Cartesian gradient at an interior point.
 
@@ -487,12 +484,11 @@ def gradient_at(series: RandomizedSeries, x) -> np.ndarray:
 
 def gradient_sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
                          refine: bool = True) -> SupBracket:
-    """Certified bracket of sup over the circle of |grad u| = |f'|, with
-    f' = sum j c_j z^(j-1) bracketed like an analytic series."""
+    """Certified bracket of sup over the circle of |grad u| = |f'|: a stack of one
+    analytic series f' = sum j c_j z^(j-1) on the support j - 1."""
     if series.flavor != REAL_HARMONIC:
         fail("FLAVOR_MISMATCH", "gradient brackets apply to real harmonic series")
     j = series.scheme.support
     pos = j >= 1
-    slot = PlanSlot(j[pos] - 1, r)
-    cd = series.signed_complex_coeffs()[pos] * j[pos].astype(float) * slot.radial
-    return _bracket_modulus(slot, cd[None], oversample, False, refine)[0]
+    cd = series.signed_complex_coeffs()[pos] * j[pos].astype(float)
+    return sup_brackets(cd[None], PlanSlot(j[pos] - 1, r), oversample, refine, ANALYTIC)[0]

@@ -27,7 +27,7 @@ import math
 import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,9 +54,6 @@ def _sqrt_log_loglog(x):
 GROWTH_CANDIDATES: dict = {
     "sqrt_log": _sqrt_log,
     "sqrt_log_loglog": _sqrt_log_loglog,
-    "log": lambda x: np.maximum(1.0, np.log(x)),
-    "identity": lambda x: np.asarray(x, dtype=float),
-    "sqrt": lambda x: np.sqrt(np.asarray(x, dtype=float)),
 }
 
 
@@ -228,6 +225,17 @@ def _estimate_evals(cfg, scheme, radii) -> float:
     return total * cfg.trials
 
 
+def _trial_chunks(scheme: CoefficientScheme, model: RandomModel, seed_spec: SeedSpec,
+                  trials: int, **draw):
+    """(rows, coeffs) per chunk of consecutive trials: their slice of trial ids and
+    their signed_complex_coeffs stacked, about BLOCK_BYTES and one trial at least."""
+    per = max(1, BLOCK_BYTES // (16 * max(scheme.size, 1)))
+    for first in range(0, trials, per):
+        rows = slice(first, first + per)
+        yield rows, np.stack([randomize(scheme, model, seed_spec, t, **draw)
+                              .signed_complex_coeffs() for t in range(trials)[rows]])
+
+
 def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
     """Randomize, bracket and aggregate; deterministic given the config."""
     if config.trials < 1:
@@ -244,12 +252,7 @@ def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
     slots = [PlanSlot(scheme.support, r) for r in radii]   # chunks share r^j and plans
     lowers = np.empty((config.trials, len(radii)))
     uppers = np.empty((config.trials, len(radii)))
-    # a chunk of trials holds about BLOCK_BYTES of coefficients, and one trial at least
-    per = max(1, BLOCK_BYTES // (16 * max(scheme.size, 1)))
-    for first in range(0, config.trials, per):
-        rows = slice(first, first + per)
-        coeffs = np.stack([randomize(scheme, model, seed, t, flavor=config.flavor)
-                           .signed_complex_coeffs() for t in range(config.trials)[rows]])
+    for rows, coeffs in _trial_chunks(scheme, model, seed, config.trials, flavor=config.flavor):
         for i, slot in enumerate(slots):
             brackets = sup_brackets(coeffs, slot, config.oversample, config.refine,
                                     config.flavor)
@@ -303,7 +306,8 @@ PROBE_OVERSAMPLE = 16.0   # the grid of every Salem-Zygmund and Cesaro dominatio
 def sz_block(scheme: CoefficientScheme, blocks, N: int):
     """The Salem-Zygmund top block h_N: support n_{N-1} < j <= n_N, coefficients
     (1 - j/n_N) a_j r_N^j at r_N = 1 - 1/n_N, their square sum R, and n_N; refused
-    (BLOCKS_TOO_SHORT, EMPTY_BLOCKS) where no block or no weighted mass exists."""
+    (BLOCKS_TOO_SHORT, EMPTY_BLOCKS) where no block or no weighted mass exists, and
+    (BUDGET_EXCEEDED) where the probe's grid at the top nonzero degree passes MAX_GRID."""
     if N < 1 or N > blocks.k_max:
         fail("BLOCKS_TOO_SHORT", f"block position {N} outside 1..{blocks.k_max}")
     lo, hi = blocks.n[N - 1], blocks.n[N]
@@ -318,6 +322,7 @@ def sz_block(scheme: CoefficientScheme, blocks, N: int):
     if big_r == 0.0:
         fail("EMPTY_BLOCKS",
              f"block {N} carries no Cesaro-weighted mass (support only at j = n_N?)")
+    PlanSlot(js, 1.0).grid(int(js[b != 0][-1]), PROBE_OVERSAMPLE)
     return js, b, big_r, hi
 
 
@@ -340,10 +345,10 @@ def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
         hsch = scheme_from_arrays(js, b, np.zeros_like(b), int(hi),
                                   {"name": "sz_block", "N": int(N)})
         denom = math.sqrt(big_r * float(clamped_log(hi)))
-        coeffs = np.stack([randomize(hsch, model, seed_spec, t, lane=int(N))
-                           .signed_complex_coeffs() for t in range(trials)])
-        maxima = np.array([b.lower for b in sup_brackets(coeffs, PlanSlot(hsch.support, 1.0),
-                                                         PROBE_OVERSAMPLE, False, REAL_HARMONIC)])
+        slot, maxima = PlanSlot(hsch.support, 1.0), np.empty(trials)
+        for chunk, coeffs in _trial_chunks(hsch, model, seed_spec, trials, lane=int(N)):
+            maxima[chunk] = [b.lower for b in sup_brackets(coeffs, slot, PROBE_OVERSAMPLE,
+                                                          False, REAL_HARMONIC)]
         normed = maxima / denom
         q05, q50, q95 = (float(np.quantile(normed, q)) for q in (0.05, 0.50, 0.95))
         rows.append(SzRow(n_index=int(N), n=int(hi), big_r=big_r, t4_ratio=t4_ratio,
@@ -462,19 +467,14 @@ class FitResult:
         return self.rows[0].name
 
 
-def fit_growth(report: EnsembleReport, candidates: Optional[Sequence[str]] = None) -> FitResult:
-    """Rank candidates by |slope| of log(median ratio) against checkpoint index."""
-    names = list(candidates) if candidates is not None else list(report.candidate_ratios)
+def fit_growth(report: EnsembleReport) -> FitResult:
+    """Rank the report's candidates by |slope| of log(median ratio) over checkpoints."""
     if len(report.radii) < 3:
         fail("INSUFFICIENT_RADII", f"need >= 3 radii, got {len(report.radii)}")
     idx = np.arange(len(report.radii), dtype=float)
     rows = []
-    for name in names:
-        if name in report.candidate_ratios:
-            ratios = np.asarray(report.candidate_ratios[name], dtype=float)
-        else:
-            fn = resolve_candidate(name)
-            ratios = np.asarray(report.lower_med) / fn(np.asarray(report.n_of_r))
+    for name, ratios in report.candidate_ratios.items():
+        ratios = np.asarray(ratios, dtype=float)
         if np.any(ratios <= 0):
             slope = math.inf
         else:

@@ -41,8 +41,11 @@ def write_text(path, text: str):
         f.write(text)
 
 
-def write_json(path, obj, indent=2):
-    write_text(path, _dumps(obj, indent=indent) + "\n")
+JSON_INDENT = 2     # the indent of every JSON file written
+
+
+def write_json(path, obj):
+    write_text(path, _dumps(obj, indent=JSON_INDENT) + "\n")
 
 
 def format_csv(header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:

@@ -91,9 +91,7 @@ class NuSequence:
         return d
 
 
-def nu_from_json(d) -> "NuSequence":
-    if isinstance(d, str):
-        return NuSequence(kind=d)
+def nu_from_json(d: dict) -> "NuSequence":
     refuse_unread(d, ("kind", "c") if d.get("kind") == "constant" else ("kind",),
                   f"nu sequence {d.get('kind')!r}")
     return NuSequence(kind=d["kind"], c=d.get("c", 1.0))
@@ -366,7 +364,11 @@ def radial_derivative(scheme: CoefficientScheme) -> CoefficientScheme:
 def blocks_from_provenance(d: dict) -> BlockSequence:
     refuse_unread(d, ("weight", "A", "n"), "a block sequence")
     w = weight_from_json(d["weight"])
-    return BlockSequence(weight=w, ratio_a=float(d["A"]), n=tuple(int(x) for x in d["n"]))
+    n = tuple(int(x) for x in d["n"])
+    if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
+        fail("CONFIG_INVALID", f"block indices {list(n)} are malformed: they must be "
+             "non-empty and strictly increasing from n_0 >= 1")
+    return BlockSequence(weight=w, ratio_a=float(d["A"]), n=n)
 
 
 # -- registry -------------------------------------------------------------------

@@ -28,7 +28,6 @@ N_BUDGET = 2**53  # block indices stay integers that floats hold exactly
 
 POWER = "power"
 LOGPOWER = "logpower"
-TABLE = "table"
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,8 @@ class Weight:
     """Immutable doubling weight; evaluate through eval_g / eval_v / eval_w."""
 
     family: str
-    alpha: Optional[float] = None
+    alpha: float
     log_base: float = math.e
-    xs: Optional[tuple] = None
-    gs: Optional[tuple] = None
 
     @property
     def known_doubling(self) -> Optional[float]:
@@ -49,10 +46,8 @@ class Weight:
         return None
 
     def label(self) -> str:
-        if self.family in (POWER, LOGPOWER):
-            base = "" if self.log_base == math.e else f":{self.log_base:g}"
-            return f"{self.family}:{self.alpha:g}{base}"
-        return f"table[{len(self.xs)}]"
+        base = "" if self.log_base == math.e else f":{self.log_base:g}"
+        return f"{self.family}:{self.alpha:g}{base}"
 
 
 def make_weight(family: str, alpha: float, log_base: float = math.e) -> Weight:
@@ -72,23 +67,6 @@ def make_weight(family: str, alpha: float, log_base: float = math.e) -> Weight:
     return Weight(family=family, alpha=float(alpha), log_base=float(log_base))
 
 
-def table_weight(xs, gs) -> Weight:
-    """Weight from sampled monotone values; validates rather than sorts."""
-    xs = tuple(float(x) for x in xs)
-    gs = tuple(float(g) for g in gs)
-    if len(xs) != len(gs) or not xs:
-        fail("CONFIG_INVALID", "table weight needs equally many xs and gs, at least one")
-    if xs[0] < 1.0:
-        fail("DOMAIN", f"table weight abscissae must start at >= 1, got {xs[0]}")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        fail("CONFIG_INVALID", "table weight abscissae must be strictly increasing")
-    if gs[0] < 1.0:
-        fail("CONFIG_INVALID", f"table weight values must start at >= 1 (v(0)=1), got {gs[0]}")
-    if any(b < a for a, b in zip(gs, gs[1:])):
-        fail("CONFIG_INVALID", "table weight values must be non-decreasing")
-    return Weight(family=TABLE, xs=xs, gs=gs)
-
-
 def eval_g(weight: Weight, x):
     """Evaluate g at x >= 1 (scalar or array)."""
     arr = np.asarray(x, dtype=float)
@@ -101,12 +79,8 @@ def eval_g(weight: Weight, x):
 def _g(weight: Weight, x: np.ndarray) -> np.ndarray:
     if weight.family == POWER:
         return x ** weight.alpha
-    if weight.family == LOGPOWER:
-        lx = np.log(x) / math.log(weight.log_base)
-        return np.maximum(1.0, lx ** weight.alpha)
-    if weight.family == TABLE:
-        return np.interp(x, weight.xs, weight.gs)
-    raise AssertionError(f"unhandled family {weight.family}")
+    lx = np.log(x) / math.log(weight.log_base)
+    return np.maximum(1.0, lx ** weight.alpha)
 
 
 def eval_v(weight: Weight, r):
@@ -134,13 +108,10 @@ DOUBLING_GRID = 2048     # log-spaced points of doubling_audit's grid
 
 
 def doubling_audit(weight: Weight, x_max: float) -> DoublingAudit:
-    """Measure max g(2x)/g(x) over a log-spaced grid on [lo, x_max/2], lo the
-    first abscissa of a table weight and 1 otherwise."""
+    """Measure max g(2x)/g(x) over a log-spaced grid on [1, x_max/2]."""
     if not (2.0 <= x_max < math.inf):
         fail("DOMAIN", f"x_max must be finite and >= 2, got {x_max}")
-    lo = max(1.0, weight.xs[0]) if weight.family == TABLE else 1.0
-    hi = max(lo, x_max / 2.0)
-    xs = np.geomspace(lo, hi, DOUBLING_GRID) if hi > lo else np.array([lo])
+    xs = np.geomspace(1.0, x_max / 2.0, DOUBLING_GRID)
     ratios = _g(weight, 2.0 * xs) / _g(weight, xs)
     i = int(np.argmax(ratios))
     return DoublingAudit(d_hat=float(ratios[i]), worst_x=float(xs[i]))
@@ -227,12 +198,10 @@ def block_sequence(weight: Weight, A: float, n0: int, k_max: int) -> BlockSequen
 # -- serialization -----------------------------------------------------------
 
 def weight_to_json(weight: Weight) -> dict:
-    if weight.family in (POWER, LOGPOWER):
-        d = {"family": weight.family, "alpha": weight.alpha}
-        if weight.log_base != math.e:
-            d["log_base"] = weight.log_base
-        return d
-    return {"family": TABLE, "xs": list(weight.xs), "gs": list(weight.gs)}
+    d = {"family": weight.family, "alpha": weight.alpha}
+    if weight.log_base != math.e:
+        d["log_base"] = weight.log_base
+    return d
 
 
 def weight_from_json(d: dict) -> Weight:
@@ -240,9 +209,6 @@ def weight_from_json(d: dict) -> Weight:
     if fam in (POWER, LOGPOWER):
         refuse_unread(d, ("family", "alpha", "log_base"), f"a {fam} weight")
         return make_weight(fam, d["alpha"], d.get("log_base", math.e))
-    if fam == TABLE:
-        refuse_unread(d, ("family", "xs", "gs"), f"a {fam} weight")
-        return table_weight(d["xs"], d["gs"])
     fail("CONFIG_INVALID", f"unknown weight family {fam!r}")
 
 

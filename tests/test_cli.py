@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from growthlab import schemes
+from growthlab import disk, mclab, schemes
 from growthlab.cli import main
 from growthlab.mclab import EnsembleReport, ExperimentConfig, fit_growth
 
@@ -214,6 +214,22 @@ def test_stderr_is_line_delimited_json(capsys, tmp_path):
         json.loads(line)
 
 
+@pytest.mark.parametrize("cfg, pointer", [
+    ({"subcommand": "scheme", "argv": 5}, "/argv"),
+    ({"subcommand": "scheme", "argv": [1, 2]}, "/argv"),
+    ([1], None),
+    ({"subcommand": "weights", "argv": [], "out": "elsewhere"}, None),   # a key it never reads
+    ({"subcommand": ["weights"]}, "/subcommand"),
+], ids=["argv_not_list", "argv_not_strings", "not_object", "unread_key", "subcommand_list"])
+def test_run_config_malformed_rejected_before_manifest(tmp_path, capsys, cfg, pointer):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    code, diag = _diagnostic(capsys, "run", "--config", str(path), "--out", str(out))
+    assert (code, diag["error"], diag.get("pointer")) == (2, "CONFIG_INVALID", pointer)
+    assert not out.exists()
+
+
 def test_run_config_pointer_diagnostic(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"subcommand": "run"}))
@@ -403,6 +419,17 @@ def test_malformed_config_file_rejected_before_manifest(tmp_path, capsys, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["identity", "log", "sqrt"])
+def test_retired_candidate_names_refused_before_manifest(tmp_path, capsys, name):
+    # power:1, logpower:1 and power:0.5 give the same ratios
+    out = tmp_path / "g"
+    code, diag = _diagnostic(capsys, "growth", "--scheme", "loglog", "--k-max", "2",
+                             "--trials", "2", "--candidates", name, "--out", str(out))
+    assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert repr(name) in diag["detail"]
+    assert not out.exists()
+
+
 def test_bloch_reciprocal_weight_family_refused(tmp_path, capsys):
     blocks = {"weight": {"family": "bloch_reciprocal", "inner": {"family": "power", "alpha": 1.0}},
               "A": 2.0, "n": [1, 2, 4]}
@@ -451,11 +478,21 @@ def test_config_scheme_missing_field(tmp_path, capsys, scheme):
     assert not out.exists()
 
 
+def _blocks(n):
+    return {"weight": {"family": "power", "alpha": 1.0}, "A": 2.0, "n": n}
+
+
 @pytest.mark.parametrize("scheme", [
     {"name": "loglog", "k_max": "x"},
     {"name": "loglog", "k_max": 2.5},
     {"name": "random"},                   # random schemes are not rebuilt from provenance
-    {"name": "saturating", "blocks": {}, "nu": "sqrt"},
+    {"name": "saturating", "blocks": {}, "nu": {"kind": "sqrt"}},
+    {"name": "saturating", "blocks": _blocks([]), "nu": {"kind": "sqrt"}},
+    {"name": "hadamard", "blocks": _blocks([])},
+    {"name": "saturating", "blocks": _blocks([4, 2, 1]), "nu": {"kind": "sqrt"}},
+    {"name": "saturating", "blocks": _blocks([1, 2, 2]), "nu": {"kind": "sqrt"}},
+    {"name": "saturating", "blocks": _blocks([0, 1, 2]), "nu": {"kind": "sqrt"}},
+    {"name": "saturating", "blocks": _blocks([1, 2, 4]), "nu": "sqrt"},   # nu is an object
 ])
 def test_config_scheme_malformed_rejected_before_manifest(tmp_path, capsys, scheme):
     path = tmp_path / "exp.json"
@@ -618,6 +655,39 @@ def test_probe_sz_without_trials_rejected_before_manifest(tmp_path, capsys, tria
                              "--trials", trials, "--out", str(out))
     assert (code, diag["error"], diag["pointer"]) == (2, "DOMAIN", "/trials")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("patch, k_max", [(2**12, "8"), (None, "20")], ids=["patched", "full"])
+def test_probe_sz_grid_limit_rejected_before_manifest(tmp_path, capsys, monkeypatch, patch,
+                                                      k_max):
+    # block 8 (j = 129..256) needs 2^14 grid points; block 20 (2^19 terms) needs 2^26, and
+    # its 500 trials' coefficient rows would take 4.2 GB if drawn before the grid is sized
+    if patch:
+        monkeypatch.setattr(disk, "MAX_GRID", patch)
+    monkeypatch.setattr(mclab, "randomize", lambda *a, **k: pytest.fail("drew a trial"))
+    out = tmp_path / "sz"
+    code, diag = _diagnostic(capsys, "probe-sz", *_SAT, "--k-max", k_max, "--n-list", k_max,
+                             "--out", str(out))
+    assert (code, diag["error"], diag["pointer"]) == (2, "BUDGET_EXCEEDED", "/n_list")
+    assert not out.exists()
+
+
+def test_probe_sz_csv_does_not_depend_on_trial_chunks(tmp_path, capsys, monkeypatch):
+    argv = ["probe-sz", *_SAT, "--k-max", "8", "--n-list", "6,8", "--trials", "20"]
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "one"))[0] == 0
+    seen, stacked = [], mclab.sup_brackets
+
+    def counted(coeffs, *args):
+        seen.append(len(coeffs))
+        return stacked(coeffs, *args)
+
+    monkeypatch.setattr(mclab, "sup_brackets", counted)
+    # a chunk holds 12 trials of block 6 (32 terms) or 3 of block 8 (128 terms)
+    monkeypatch.setattr(mclab, "BLOCK_BYTES", 16 * 128 * 3)
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "chunked"))[0] == 0
+    assert seen == [12, 8] + [3] * 6 + [2]
+    assert ((tmp_path / "one" / "sz.csv").read_bytes()
+            == (tmp_path / "chunked" / "sz.csv").read_bytes())
 
 
 @pytest.mark.parametrize("flags, code, pointer", [

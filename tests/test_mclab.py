@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -301,6 +302,38 @@ def test_sz_probe_rejects_massless_block():
     assert ei.value.code == "EMPTY_BLOCKS" 
 
 
+def _sz_peak(scheme, blocks, trials):
+    """The traced peak of one Salem-Zygmund probe of block 8, and its error code."""
+    tracemalloc.start()
+    try:
+        salem_zygmund_probe(scheme, blocks, make_model("rademacher"), SeedSpec(4),
+                            trials=trials, n_list=[8])
+        code = None
+    except GrowthLabError as e:
+        code = e.code
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, code
+
+
+def test_sz_probe_sizes_the_grid_before_drawing(sat_scheme, monkeypatch):
+    scheme, blocks = sat_scheme
+    monkeypatch.setattr(disk, "MAX_GRID", 2**12)     # block 8 needs 2^14 grid points
+    monkeypatch.setattr(mclab, "randomize", lambda *a, **k: pytest.fail("drew a trial"))
+    (few, code_few), (many, code_many) = (_sz_peak(scheme, blocks, t) for t in (50, 5000))
+    assert code_few == code_many == "BUDGET_EXCEEDED"
+    assert many < few + 4096
+
+
+def test_sz_probe_memory_does_not_grow_with_trials(sat_scheme, monkeypatch):
+    # block 8 holds 128 terms: 10 trials a chunk, where one stack of 1000 would be 2 MB
+    scheme, blocks = sat_scheme
+    monkeypatch.setattr(mclab, "BLOCK_BYTES", 16 * 128 * 10)
+    (few, _), (many, _) = (_sz_peak(scheme, blocks, t) for t in (50, 1000))
+    assert many < few + 1000 * 64
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_sz_probe_rejects_no_trials(sat_scheme, trials):
     scheme, blocks = sat_scheme
@@ -399,35 +432,58 @@ def test_domination_batch():
 
 # -- fit_growth ---------------------------------------------------------------------------
 
-def synthetic_report(medians, radii):
+def synthetic_report(medians, radii, candidates):
+    """A report of the given medians whose candidate_ratios hold each candidate's
+    median ratios, as run_growth_ensemble computes them."""
     m = tuple(medians)
-    return EnsembleReport(config={}, config_hash="x", radii=tuple(radii),
-                          n_of_r=tuple(1.0 / (1.0 - r) for r in radii),
+    n_of_r = tuple(1.0 / (1.0 - r) for r in radii)
+    ratios = {name: tuple(np.asarray(m) / mclab.resolve_candidate(name)(np.asarray(n_of_r)))
+              for name in candidates}
+    return EnsembleReport(config={}, config_hash="x", radii=tuple(radii), n_of_r=n_of_r,
                           lower_q10=m, lower_med=m, lower_q90=m,
                           upper_q10=m, upper_med=m, upper_q90=m,
-                          candidate_ratios={})
+                          candidate_ratios=ratios)
 
 
 def test_fit_growth_exact_candidate_wins():
     radii = [0.9, 0.99, 0.999, 0.9999]
     xs = [1.0 / (1.0 - r) for r in radii]
     meds = [3.0 * math.sqrt(max(1.0, math.log(x))) for x in xs]
-    rep = synthetic_report(meds, radii)
-    fit = fit_growth(rep, ["sqrt_log", "identity", "sqrt"])
+    rep = synthetic_report(meds, radii, ["power:1", "sqrt_log", "power:0.5"])
+    fit = fit_growth(rep)
     assert fit.best == "sqrt_log"
     assert abs(fit.rows[0].slope) < 1e-12
+    assert [row.name for row in fit.rows[1:]] == ["power:0.5", "power:1"]
 
 
 def test_fit_growth_single_candidate():
-    rep = synthetic_report([1.0, 2.0, 4.0], [0.5, 0.9, 0.99])
-    fit = fit_growth(rep, ["identity"])
-    assert fit.best == "identity"
+    rep = synthetic_report([1.0, 2.0, 4.0], [0.5, 0.9, 0.99], ["power:1"])
+    fit = fit_growth(rep)
+    assert fit.best == "power:1"
     assert len(fit.rows) == 1
 
 
 def test_fit_growth_needs_radii():
-    rep = synthetic_report([1.0, 2.0], [0.5, 0.9])
+    rep = synthetic_report([1.0, 2.0], [0.5, 0.9], ["power:1"])
     with pytest.raises(GrowthLabError) as ei:
-        fit_growth(rep, ["identity"])
+        fit_growth(rep)
     assert ei.value.code == "INSUFFICIENT_RADII"
 
+
+def test_spec_candidates_match_the_retired_names():
+    # log, identity and sqrt, written out: logpower:1, power:1 and power:0.5 give their ratios
+    retired = {"logpower:1": lambda x: np.maximum(1.0, np.log(x)),
+               "power:1": lambda x: np.asarray(x, dtype=float),
+               "power:0.5": lambda x: np.sqrt(np.asarray(x, dtype=float))}
+    xs = np.concatenate([[1.0, 2.0, math.e, 3.0], np.geomspace(1.0, 1e300, 20001)])
+    for spec, formula in retired.items():
+        assert np.array_equal(mclab.resolve_candidate(spec)(xs), formula(xs))
+    rep = run_growth_ensemble(small_config(candidates=tuple(retired), radii=[0.5, 0.9, 0.99]))
+    med, n_of_r = np.asarray(rep.lower_med), np.asarray(rep.n_of_r)
+    for spec, formula in retired.items():
+        assert rep.candidate_ratios[spec] == tuple(float(v) for v in med / formula(n_of_r))
+    for name in ("log", "identity", "sqrt"):
+        assert name not in mclab.GROWTH_CANDIDATES
+        with pytest.raises(GrowthLabError) as ei:
+            mclab.resolve_candidate(name)
+        assert ei.value.code == "CONFIG_INVALID"

@@ -6,12 +6,14 @@ script also runs once at a tiny size, and refuses a bad input as the CLI does.""
 import contextlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import growthlab.cli
 import growthlab.disk
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +29,17 @@ def test_traced_names_resolve(monkeypatch):
     original = growthlab.disk.sup_bracket
     tracing.Tracer()          # resolves every TARGETS entry with getattr
     assert growthlab.disk.sup_bracket is original     # and installs nothing
+
+
+def test_readme_examples_parse():
+    """Every `growthlab ...` example line of the README parses with its subcommand's
+    parser, so a retired or renamed flag in the docs fails here; each subcommand has one."""
+    lines = [l for l in (ROOT / "README.md").read_text().splitlines()
+             if l.startswith("growthlab ")]
+    for line in lines:
+        cmd, *argv = shlex.split(line, comments=True)[1:]
+        growthlab.cli._parser(cmd).parse_args(argv)
+    assert {l.split()[1] for l in lines} == set(growthlab.cli.SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

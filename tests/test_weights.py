@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from growthlab import (GrowthLabError, block_sequence,
                        doubling_audit, eval_g, eval_v, eval_w, make_weight,
-                       parse_weight_spec, table_weight, weight_from_json,
-                       weight_to_json)
+                       parse_weight_spec, weight_from_json, weight_to_json)
 from growthlab.weights import N_BUDGET
 
 
@@ -177,20 +176,13 @@ def _reference_blocks(weight, A, n0, k_max):
     return tuple(n)
 
 
-_TABLES = st.lists(st.tuples(st.floats(0.01, 1e4), st.floats(0.0, 50.0)), min_size=2,
-                   max_size=8).map(lambda steps: table_weight(
-                       np.cumsum([1.0] + [dx for dx, _ in steps[1:]]),
-                       np.cumsum([1.0 + dg for _, dg in steps])))
-
-
 @settings(max_examples=150)
-@given(case=st.one_of(   # (weight, n0, k_max): tables saturate, so they take few steps
+@given(case=st.one_of(   # (weight, n0, k_max)
     st.tuples(st.builds(make_weight, st.just("power"), st.floats(0.05, 4.0)),
               st.integers(1, 10**6), st.integers(1, 40)),
     st.tuples(st.builds(make_weight, st.just("logpower"), st.floats(0.1, 3.0),
                         st.one_of(st.just(math.e), st.floats(1.1, 16.0))),
-              st.integers(1, 10**6), st.integers(1, 8)),
-    st.tuples(_TABLES, st.integers(1, 100), st.integers(1, 4))),
+              st.integers(1, 10**6), st.integers(1, 8))),
     a=st.one_of(st.floats(1.01, 8.0), st.floats(1.01, 8.0), st.floats(1.01, 8.0),  # 1 in 4 refused
                 st.sampled_from([1.0, 0.5, math.nan])))
 def test_block_sequence_matches_reference(case, a):
@@ -214,17 +206,6 @@ def test_monotone_and_doubling_on_log_grid(w):
     assert np.all(eval_g(w, 2 * xs) <= aud.d_hat * g * (1 + 5e-3))
 
 
-def test_table_weight_validation_and_interp():
-    with pytest.raises(GrowthLabError):
-        table_weight([1.0, 2.0], [3.0, 2.0])   # decreasing values
-    with pytest.raises(GrowthLabError):
-        table_weight([2.0, 1.5], [1.0, 2.0])   # non-increasing xs
-    t = table_weight([1.0, 10.0, 100.0], [1.0, 5.0, 9.0])
-    assert eval_g(t, 10.0) == 5.0
-    assert eval_g(t, 55.0) == pytest.approx(7.0)
-    assert eval_g(t, 1000.0) == 9.0            # constant extrapolation
-
-
 def test_eval_w_is_reciprocal_of_growth():
     g = make_weight("power", 1.0)
     assert eval_g(g, 8.0) == 8.0
@@ -233,18 +214,21 @@ def test_eval_w_is_reciprocal_of_growth():
 
 
 def test_weight_json_round_trip():
-    for w in (make_weight("power", 1.5), make_weight("logpower", 1.0, 2.0),
-              table_weight([1.0, 4.0], [1.0, 3.0])):
+    for w in (make_weight("power", 1.5), make_weight("logpower", 1.0, 2.0)):
         w2 = weight_from_json(weight_to_json(w))
         xs = np.geomspace(1, 100, 17)
         assert np.array_equal(eval_g(w, xs), eval_g(w2, xs))
 
 
-def test_bloch_reciprocal_family_refused():
+@pytest.mark.parametrize("d", [
+    {"family": "bloch_reciprocal", "inner": {"family": "power", "alpha": 1.0}},
+    {"family": "table", "xs": [1.0, 4.0], "gs": [1.0, 3.0]},
+], ids=["bloch_reciprocal", "table"])
+def test_bloch_reciprocal_family_refused(d):
     with pytest.raises(GrowthLabError) as ei:
-        weight_from_json({"family": "bloch_reciprocal",
-                          "inner": {"family": "power", "alpha": 1.0}})
+        weight_from_json(d)
     assert ei.value.code == "CONFIG_INVALID"
+    assert "unknown weight family" in str(ei.value)
 
 
 def test_parse_weight_spec():
@@ -270,7 +254,7 @@ def test_weight_takes_only_its_own_parameters():
                   lambda: parse_weight_spec("power:1:3"),
                   lambda: weight_from_json({"family": "power", "alpha": 1.0, "log_base": 3.0}),
                   lambda: weight_from_json({"family": "power", "alpha": 1.0, "foo": 1}),
-                  lambda: weight_from_json({"family": "table", "xs": [1], "gs": [1], "alpha": 3})):
+                  lambda: weight_from_json({"family": "logpower", "alpha": 1.0, "xs": [1]})):
         with pytest.raises(GrowthLabError) as ei:
             build()
         assert ei.value.code == "CONFIG_INVALID"

@@ -42,11 +42,11 @@ import time
 from . import __version__
 from .census import CENSUS_CSV_HEADER, LiminfRow, coefficient_census, liminf_profile
 from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_sup_ratio
-from .disk import ANALYTIC, REAL_HARMONIC, PlanSlot
+from .disk import ANALYTIC, REAL_HARMONIC
 from .errors import GrowthLabError, fail, refuse_unread
-from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, RIESZ_OVERSAMPLE, ExperimentConfig,
-                    SzRow, config_from_json, fit_growth, riesz_comb, riesz_probe,
-                    run_growth_ensemble, salem_zygmund_probe, scheme_from_provenance, sz_block)
+from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzRow,
+                    config_from_json, fit_growth, riesz_comb, riesz_probe, run_growth_ensemble,
+                    salem_zygmund_probe, scheme_from_provenance, sz_block)
 from .randomness import SeedSpec, make_model
 from .reporting import config_hash, write_csv, write_json, write_records, write_text
 from .schemes import (NU_KINDS, SCHEMES, NuSequence, blocks_from_provenance,
@@ -319,10 +319,9 @@ def _probe_riesz(args, run):
     with _blame("/n_terms"):         # at offset 0 only n_terms can fail, and every grid fits
         for nt in args.n_terms:
             riesz_comb(nt, 0)
-    with _blame("/offsets"):         # each grid, sized as its brackets size it, fits MAX_GRID
+    with _blame("/offsets"):         # each frequency fits int64 and each grid MAX_GRID
         for nt, off in itertools.product(args.n_terms, args.offsets):
-            comb = riesz_comb(nt, off)
-            PlanSlot(comb, 1.0).grid(int(comb[-1]), RIESZ_OVERSAMPLE)
+            riesz_comb(nt, off)
     run.start({"n_terms": args.n_terms, "offsets": args.offsets, "signed": args.signed})
     rows = []
     for nt in args.n_terms:

@@ -190,6 +190,7 @@ def score_blockwise(scheme: CoefficientScheme, blocks: BlockSequence,
 
 CESARO = "cesaro"
 PARTIAL = "partial"
+PROFILE_OVERSAMPLE = 16.0     # the grid of every operator-norm bracket
 
 
 @dataclass(frozen=True)
@@ -210,9 +211,8 @@ class OperatorNormProfile:
     rows: tuple
 
 
-def operator_norm_profile(series: RandomizedSeries, weight: Weight,
-                          ns=None, which: str = CESARO,
-                          oversample: float = 16.0, refine: bool = True) -> OperatorNormProfile:
+def operator_norm_profile(series: RandomizedSeries, weight: Weight, ns=None,
+                          which: str = CESARO, refine: bool = True) -> OperatorNormProfile:
     """Boundary sup-norm brackets of sigma_n u (or s_n u) divided by g(n).
 
     s_n keeps the degrees j < n, sigma_n also scales them by 1 - j/n; both are
@@ -232,8 +232,8 @@ def operator_norm_profile(series: RandomizedSeries, weight: Weight,
             fail("DOMAIN", f"n must be >= 1, got {n}")
         kept = support[support < n]
         w = 1.0 - kept / float(n) if which == CESARO else 1.0
-        b = sup_brackets(c[None, :len(kept)] * w, PlanSlot(kept, 1.0), oversample, refine,
-                         series.flavor)[0]
+        b = sup_brackets(c[None, :len(kept)] * w, PlanSlot(kept, 1.0), PROFILE_OVERSAMPLE,
+                         refine, series.flavor)[0]
         g = float(eval_g(weight, float(n)))
         rows.append(OperatorNormRow(n=n, lower=b.lower, upper=b.upper, g=g))
     return OperatorNormProfile(which=which, rows=tuple(rows))

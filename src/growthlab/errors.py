@@ -24,3 +24,8 @@ def refuse_unread(d: dict, allowed, what: str):
     unread = [str(k) for k in d if k not in allowed]
     if unread:
         fail("CONFIG_INVALID", f"{what} does not read {', '.join(unread)}")
+
+
+def is_number(value, kind) -> bool:
+    """isinstance(value, kind), a bool aside: JSON's true is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)

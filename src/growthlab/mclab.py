@@ -33,7 +33,7 @@ import numpy as np
 
 from .disk import (ANALYTIC, BLOCK_BYTES, REAL_HARMONIC, PlanSlot, check_oversample,
                    randomize, sup_brackets)
-from .errors import fail
+from .errors import fail, is_number
 from .randomness import RandomModel, SeedSpec, make_model, model_from_json
 from .reporting import canonical_json, config_hash, record_json
 from . import schemes
@@ -73,24 +73,21 @@ RANDOM_SCHEME_LANE = 7    # the Philox lane of random_scheme's draws
 
 
 def random_scheme(seed_spec: SeedSpec, trial: int, degree: int,
-                  density: float = 1.0, both: bool = True) -> CoefficientScheme:
-    """Gaussian random scheme for the Cesaro check and property tests; its
-    provenance records the draw, but scheme_from_provenance does not rebuild it."""
+                  both: bool = True) -> CoefficientScheme:
+    """Gaussian random scheme on 0..degree for the Cesaro check and property tests;
+    its provenance records the draw, but scheme_from_provenance does not rebuild it."""
     rng = seed_spec.generator(trial, RANDOM_SCHEME_LANE)
-    n_entries = max(1, int(round(density * (degree + 1))))
-    support = np.sort(rng.choice(degree + 1, size=n_entries, replace=False))
+    n_entries = degree + 1
+    # the support is all of 0..degree; its draw stays, since the coefficients follow it
+    support = np.sort(rng.choice(n_entries, size=n_entries, replace=False))
     cos = rng.standard_normal(n_entries)
     sin = rng.standard_normal(n_entries) if both else np.zeros(n_entries)
     prov = {"name": "random", "seed": seed_spec.master_seed, "trial": trial,
-            "degree": degree, "density": density, "both": both}
+            "degree": degree, "both": both}
     return scheme_from_arrays(support, cos, sin, degree, prov)
 
 
 # -- growth ensembles -----------------------------------------------------------
-
-def _is_number(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -118,15 +115,18 @@ class ExperimentConfig:
                 fail("CONFIG_INVALID", f"{name} must be {what}, got {getattr(self, name)!r}")
 
         for name in ("seed", "trials"):
-            need(_is_number(getattr(self, name), numbers.Integral), name, "an integer")
+            need(is_number(getattr(self, name), numbers.Integral), name, "an integer")
+        if self.trials < 1:
+            fail("DOMAIN", f"need at least one trial, got {self.trials}")
         for name in ("oversample", "max_evals"):
-            need(_is_number(getattr(self, name), numbers.Real), name, "a number")
+            need(is_number(getattr(self, name), numbers.Real), name, "a number")
             object.__setattr__(self, name, float(getattr(self, name)))
         check_oversample(self.oversample)
         need(isinstance(self.refine, bool), "refine", "true or false")
         need(isinstance(self.candidates, (list, tuple)) and self.candidates
-             and all(isinstance(c, str) for c in self.candidates),
-             "candidates", "a non-empty list of names")
+             and all(isinstance(c, str) for c in self.candidates)
+             and len(set(self.candidates)) == len(self.candidates),
+             "candidates", "a non-empty list of distinct names")
         object.__setattr__(self, "candidates", tuple(self.candidates))
         for name in self.candidates:
             resolve_candidate(name)
@@ -142,7 +142,7 @@ class ExperimentConfig:
         if isinstance(self.radii, str) and self.radii == "block":
             return
         need(isinstance(self.radii, (list, tuple)) and self.radii
-             and all(_is_number(r, numbers.Real) for r in self.radii),
+             and all(is_number(r, numbers.Real) for r in self.radii),
              "radii", '"block" or a non-empty list of numbers')
         object.__setattr__(self, "radii", [float(r) for r in self.radii])
         if not all(0.0 <= r < 1.0 for r in self.radii):
@@ -238,8 +238,6 @@ def _trial_chunks(scheme: CoefficientScheme, model: RandomModel, seed_spec: Seed
 
 def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
     """Randomize, bracket and aggregate; deterministic given the config."""
-    if config.trials < 1:
-        fail("DOMAIN", f"need at least one trial, got {config.trials}")
     scheme = scheme_from_provenance(config.scheme)
     radii = _resolve_radii(config)
     model = model_from_json(config.model)
@@ -376,12 +374,19 @@ RIESZ_OVERSAMPLE = 64.0   # the grid of every Riesz comb bracket
 
 
 def riesz_comb(n_terms: int, offset: int) -> np.ndarray:
-    """The frequencies N + 4^j, j = 1..n_terms, of the comb at offset N >= -4."""
+    """The frequencies N + 4^j, j = 1..n_terms, of the comb at offset N >= -4; refused
+    (DOMAIN) where one is negative or above int64, and (BUDGET_EXCEEDED) where the
+    grid of its brackets, sized as they size it, passes MAX_GRID."""
     if not (1 <= n_terms <= 8):
         fail("DOMAIN", f"n_terms must lie in 1..8, got {n_terms}")
     if offset < -4:
         fail("DOMAIN", f"offset must be >= -4 so that every frequency is >= 0, got {offset}")
-    return 4 ** np.arange(1, n_terms + 1, dtype=np.int64) + int(offset)
+    freqs = [4 ** j + int(offset) for j in range(1, n_terms + 1)]     # Python ints: no wrap
+    if freqs[-1] > np.iinfo(np.int64).max:
+        fail("DOMAIN", f"offset {offset} puts the top frequency {freqs[-1]} above int64")
+    comb = np.array(freqs, dtype=np.int64)
+    PlanSlot(comb, 1.0).grid(freqs[-1], RIESZ_OVERSAMPLE)
+    return comb
 
 
 def riesz_probe(n_terms: int, offsets: Sequence[int] = (0,),
@@ -433,7 +438,7 @@ def cesaro_domination_check(trials: int, seed_spec: SeedSpec,
     if degree < 0:
         fail("DOMAIN", f"degree must be >= 0, got {degree}")
     model = make_model("rademacher")
-    support = np.arange(degree + 1)     # every trial's, as random_scheme runs at density 1
+    support = np.arange(degree + 1)     # every trial's: random_scheme fills 0..degree
     # one row of signed coefficients c_j per trial; sigma_n u has c_j (1 - j/n), j < n
     coeffs = np.stack([randomize(random_scheme(seed_spec, t, degree), model, seed_spec, t)
                        .signed_complex_coeffs() for t in range(trials)])

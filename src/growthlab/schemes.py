@@ -33,12 +33,13 @@ at 0-based block positions (the first randomized block gets nu.at(0)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import GrowthLabError, fail, refuse_unread
+from .errors import GrowthLabError, fail, is_number, refuse_unread
 from .reporting import canonical_json, format_csv, write_text
 from .weights import BlockSequence, weight_from_json, weight_to_json
 
@@ -65,11 +66,10 @@ NU_KINDS = ("constant", "log", "sqrt")
 class NuSequence:
     """Positive non-decreasing multipliers, indexed from 0.
 
-    constant: c        log: log(i + 2)        sqrt: sqrt(i + 1)
+    constant: 1        log: log(i + 2)        sqrt: sqrt(i + 1)
     """
 
     kind: str
-    c: float = 1.0
 
     def __post_init__(self):
         if self.kind not in NU_KINDS:
@@ -79,22 +79,18 @@ class NuSequence:
     def at(self, i) -> np.ndarray:
         i = np.asarray(i, dtype=float)
         if self.kind == "constant":
-            return np.full_like(i, self.c)
+            return np.ones_like(i)
         if self.kind == "log":
             return np.log(i + 2.0)
         return np.sqrt(i + 1.0)
 
     def to_json(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "constant" and self.c != 1.0:
-            d["c"] = self.c
-        return d
+        return {"kind": self.kind}
 
 
 def nu_from_json(d: dict) -> "NuSequence":
-    refuse_unread(d, ("kind", "c") if d.get("kind") == "constant" else ("kind",),
-                  f"nu sequence {d.get('kind')!r}")
-    return NuSequence(kind=d["kind"], c=d.get("c", 1.0))
+    refuse_unread(d, ("kind",), f"nu sequence {d.get('kind')!r}")
+    return NuSequence(kind=d["kind"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,11 +360,15 @@ def radial_derivative(scheme: CoefficientScheme) -> CoefficientScheme:
 def blocks_from_provenance(d: dict) -> BlockSequence:
     refuse_unread(d, ("weight", "A", "n"), "a block sequence")
     w = weight_from_json(d["weight"])
-    n = tuple(int(x) for x in d["n"])
-    if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
-        fail("CONFIG_INVALID", f"block indices {list(n)} are malformed: they must be "
-             "non-empty and strictly increasing from n_0 >= 1")
-    return BlockSequence(weight=w, ratio_a=float(d["A"]), n=n)
+    n, ratio = d["n"], d["A"]
+    if not (isinstance(n, (list, tuple)) and n and all(is_number(x, numbers.Integral) for x in n)
+            and n[0] >= 1 and all(b > a for a, b in zip(n, n[1:]))):
+        fail("CONFIG_INVALID", f"block indices {n!r} are malformed: they must be a non-empty, "
+             "strictly increasing list of integers from n_0 >= 1")
+    if not (is_number(ratio, numbers.Real) and 1.0 < ratio < math.inf):
+        fail("CONFIG_INVALID", f"block ratio A {ratio!r} is malformed: it must be a number "
+             "above 1")
+    return BlockSequence(weight=w, ratio_a=float(ratio), n=tuple(int(x) for x in n))
 
 
 # -- registry -------------------------------------------------------------------

@@ -292,16 +292,14 @@ def random_degree_combination(basis: SphericalBasis, m: int, model: RandomModel,
     return SphereSeries(basis=basis, entries=entries)
 
 
-def laplacian_stencil(series: SphereSeries, x, h: Optional[float] = None) -> float:
+def laplacian_stencil(series: SphereSeries, x) -> float:
     """Six-point second-difference Laplacian at an interior point.
 
-    The step defaults to 2.5e-4 / max(degree, 1), balancing truncation
-    against rounding for normalized elements at |x| <= 0.7.
+    The step h = 2.5e-4 / max(degree, 1) balances truncation against rounding
+    for normalized elements at |x| <= 0.7.
     """
     x = np.asarray(x, dtype=float)
-    n = series.degree
-    if h is None:
-        h = 2.5e-4 / max(n, 1)
+    h = 2.5e-4 / max(series.degree, 1)
     pts = [x]
     for i in range(3):
         for sgn in (+1.0, -1.0):

@@ -308,14 +308,28 @@ def test_nan_radius_rejected_before_report(tmp_path, capsys):
 
 
 def test_failed_run_marks_manifest(tmp_path, capsys):
+    # the evaluation budget is checked by the run, after the manifest is written
     out = tmp_path / "g"
-    code, _, err = run_cli(capsys, "growth", "--scheme", "loglog", "--k-max", "2",
-                           "--trials", "0", "--radii", "0.5", "--out", str(out))
+    code, _, err = run_cli(capsys, "growth", "--scheme", "loglog", "--k-max", "4",
+                           "--trials", "5000", "--out", str(out))
     assert code == 2
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "DOMAIN"
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "BUDGET_EXCEEDED"
     man = json.loads((out / "manifest.json").read_text())
     assert man["status"] == "failed"
-    assert man["error"] == "DOMAIN"
+    assert man["error"] == "BUDGET_EXCEEDED"
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--trials", "0"], "DOMAIN"),
+    (["--trials", "-3"], "DOMAIN"),
+    (["--candidates", "sqrt_log,sqrt_log"], "CONFIG_INVALID"),
+])
+def test_ensemble_config_refused_before_output(tmp_path, capsys, flags, code):
+    out = tmp_path / "g"
+    exit_code, diag = _diagnostic(capsys, "growth", "--scheme", "loglog", "--k-max", "2",
+                                  *flags, "--out", str(out))
+    assert (exit_code, diag["error"]) == (2, code)
+    assert not out.exists()
 
 
 def _diagnostic(capsys, *argv):
@@ -409,6 +423,11 @@ _EXP = {"scheme": {"name": "loglog", "k_max": 2}, "model": {"kind": "rademacher"
     # blocks a loglog scheme never reads, which once set the "block" radii
     dict(_EXP, radii="block", scheme={"name": "loglog", "k_max": 3, "blocks": {
         "weight": {"family": "power", "alpha": 1.0}, "A": 2.0, "n": [1, 2, 4, 8]}}),
+    dict(_EXP, model={"kind": "gaussian", "sigma": 1.0}),       # no model reads sigma
+    dict(_EXP, model={"kind": "gaussian", "sigma": 0.5}),
+    dict(_EXP, radii=[0.5], scheme={"name": "saturating", "nu": {"kind": "constant", "c": 2.5},
+                                    "blocks": {"weight": {"family": "power", "alpha": 1.0},
+                                               "A": 2.0, "n": [1, 2, 4, 8]}}),
 ])
 def test_malformed_config_file_rejected_before_manifest(tmp_path, capsys, cfg):
     path = tmp_path / "exp.json"
@@ -493,6 +512,11 @@ def _blocks(n):
     {"name": "saturating", "blocks": _blocks([1, 2, 2]), "nu": {"kind": "sqrt"}},
     {"name": "saturating", "blocks": _blocks([0, 1, 2]), "nu": {"kind": "sqrt"}},
     {"name": "saturating", "blocks": _blocks([1, 2, 4]), "nu": "sqrt"},   # nu is an object
+    # block provenances are checked, not coerced to int and float
+    {"name": "hadamard", "blocks": _blocks([1.9, 2.5, 4.7])},
+    {"name": "hadamard", "blocks": _blocks(["1", "2", "4"])},
+    {"name": "hadamard", "blocks": dict(_blocks([1, 2, 4]), A="2")},
+    {"name": "hadamard", "blocks": dict(_blocks([1, 2, 4]), A=-3.0)},
 ])
 def test_config_scheme_malformed_rejected_before_manifest(tmp_path, capsys, scheme):
     path = tmp_path / "exp.json"
@@ -543,6 +567,16 @@ def test_probe_riesz_oversample_checked(tmp_path, capsys, oversample):
     code, diag = _diagnostic(capsys, "probe-riesz", "--signed", "--n-terms", "4",
                              "--oversample", oversample, "--out", str(out))
     assert (code, diag["error"]) == (2, "CONFIG_INVALID")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("offset", ["9223372036854775807", "99999999999999999999"])
+def test_probe_riesz_offset_past_int64_refused(tmp_path, capsys, offset):
+    # the first once wrapped to negative frequencies and exited 0, the second ended INTERNAL
+    out = tmp_path / "r"
+    code, diag = _diagnostic(capsys, "probe-riesz", "--n-terms", "3", "--offsets", offset,
+                             "--signed", "--out", str(out))
+    assert (code, diag["error"], diag["pointer"]) == (2, "DOMAIN", "/offsets")
     assert not out.exists()
 
 

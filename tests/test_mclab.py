@@ -145,6 +145,10 @@ def test_ensemble_block_radii_rule():
     (dict(model={}), "CONFIG_INVALID"),
     (dict(model={"kind": "gaussian", "sigma": "x"}), "CONFIG_INVALID"),
     (dict(model={"kind": "steinhaus"}), "FLAVOR_MISMATCH"),
+    (dict(trials=0), "DOMAIN"),
+    (dict(trials=-3), "DOMAIN"),
+    (dict(candidates=["sqrt_log", "power:1", "sqrt_log"]), "CONFIG_INVALID"),
+    (dict(model={"kind": "gaussian", "sigma": 1.0}), "CONFIG_INVALID"),
 ])
 def test_config_checked_when_built(kw, code):
     with pytest.raises(GrowthLabError) as ei:
@@ -175,13 +179,10 @@ def test_equal_configs_hash_equal():
     blocks = {"weight": {"family": "power", "alpha": 1}, "A": 2, "n": [1, 2, 4, 8]}
     uniform = {"name": "uniform", "rule": "g_over_n", "blocks": blocks}
     recorded = mclab.scheme_from_provenance(uniform).provenance
-    for a, b in (({"model": {"kind": "gaussian"}}, {"model": {"kind": "gaussian", "sigma": 1.0}}),
-                 ({"scheme": uniform}, {"scheme": recorded}),
+    for a, b in (({"scheme": uniform}, {"scheme": recorded}),
                  ({"radii": [0, 0.5]}, {"radii": [0.0, 0.5]})):
         ca, cb = small_config(**a), small_config(**b)
         assert ca == cb and ca.hash == cb.hash
-    assert small_config(model={"kind": "gaussian", "sigma": 0.5}).model == {"kind": "gaussian",
-                                                                           "sigma": 0.5}
 
 
 def test_config_json_holds_compared_fields():

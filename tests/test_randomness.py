@@ -49,12 +49,6 @@ def test_gaussian_variance_concentration():
     assert v.var() == pytest.approx(1.0, rel=0.01)
 
 
-def test_bad_sigma():
-    with pytest.raises(GrowthLabError) as ei:
-        make_model("gaussian", sigma=1.5)
-    assert ei.value.code == "BAD_SIGMA"
-
-
 def test_mgf_audit_rademacher_at_one(seed_spec):
     audit = mgf_audit(make_model("rademacher"), [1.0], 10**6, seed_spec)
     row = audit.rows[0]
@@ -89,9 +83,10 @@ def test_mgf_audit_needs_enough_samples(seed_spec):
 
 def test_model_json_takes_only_its_own_keys():
     from growthlab.randomness import model_from_json
-    assert model_from_json({"kind": "gaussian", "sigma": 0.25}).sigma == 0.25
+    assert model_from_json({"kind": "gaussian"}) == make_model("gaussian")
+    # no model reads sigma: the gaussian one is standard normal
     for d in ({"kind": "rademacher", "sigma": 0.25}, {"kind": "rademacher", "foo": 1},
-              {"kind": "gaussian", "sigma": 0.5, "foo": 1}):
+              {"kind": "gaussian", "sigma": 0.5}, {"kind": "gaussian", "sigma": 1.0}):
         with pytest.raises(GrowthLabError) as ei:
             model_from_json(d)
         assert ei.value.code == "CONFIG_INVALID"

@@ -220,7 +220,7 @@ PROVENANCE_CASES = [
     lambda: rudin_shapiro_scheme(blocks_pow2(6)),
     lambda: hadamard_lacunary_scheme(blocks_pow2(6)),
     lambda: uniform_block_scheme(blocks_pow2(5), G_OVER_N, fill_both=True),
-    lambda: saturating_scheme(blocks_pow2(5), NuSequence("constant", c=2.5)),
+    lambda: saturating_scheme(blocks_pow2(5), NuSequence("constant")),
     lambda: uniform_block_scheme(blocks_pow2(7, n0=3), G_OVER_SQRT_N),
 ]
 
@@ -285,7 +285,7 @@ def test_nu_sequences():
     assert nu.at(0) == 1.0
     assert nu.at(3) == 2.0
     assert NuSequence("log").at(0) == pytest.approx(math.log(2.0))
-    assert NuSequence("constant", c=2.5).at(7) == 2.5
+    assert NuSequence("constant").at(7) == 1.0
     vals = NuSequence("log").at(np.arange(50))
     assert np.all(np.diff(vals) > 0)
 
@@ -385,15 +385,35 @@ def test_provenance_unread_fields_rejected(prov, unread):
 
 
 def test_nested_objects_take_only_their_own_keys():
-    assert schemes.nu_from_json({"kind": "constant", "c": 2.0}).at(0) == 2.0
+    assert schemes.nu_from_json({"kind": "constant"}).at(0) == 1.0
     good = uniform_block_scheme(blocks_pow2(3), G_OVER_N).provenance["blocks"]
     assert schemes.blocks_from_provenance(good).n == (1, 2, 4, 8)
     for decode, d in ((schemes.nu_from_json, {"kind": "log", "c": 2}),
+                      (schemes.nu_from_json, {"kind": "constant", "c": 2.5}),
                       (schemes.nu_from_json, {"kind": "sqrt", "foo": 1}),
                       (schemes.blocks_from_provenance, dict(good, k_max=3))):
         with pytest.raises(GrowthLabError) as ei:
             decode(d)
         assert ei.value.code == "CONFIG_INVALID"
+
+
+@pytest.mark.parametrize("change", [
+    dict(n=[1.9, 2.5, 4.7]), dict(n=["1", "2", "4"]), dict(n=[True, 2, 4]), dict(n="1248"),
+    dict(A="2"), dict(A=-3.0), dict(A=1.0), dict(A=True), dict(A=math.inf),
+])
+def test_block_provenance_checked_not_coerced(change):
+    good = uniform_block_scheme(blocks_pow2(3), G_OVER_N).provenance["blocks"]
+    with pytest.raises(GrowthLabError) as ei:
+        schemes.blocks_from_provenance(dict(good, **change))
+    assert ei.value.code == "CONFIG_INVALID" and "malformed" in str(ei.value)
+
+
+def test_block_provenance_takes_numpy_numbers():
+    good = uniform_block_scheme(blocks_pow2(3), G_OVER_N).provenance["blocks"]
+    blocks = schemes.blocks_from_provenance(
+        dict(good, n=list(np.array([1, 2, 4, 8], dtype=np.int64)), A=np.float64(2.0)))
+    assert blocks == schemes.blocks_from_provenance(good)
+    assert all(type(n) is int for n in blocks.n) and type(blocks.ratio_a) is float
 
 
 def test_radial_derivative_scales_by_degree():

@@ -76,8 +76,8 @@ TINY_RUNS = {
 }
 
 # (script, bad arguments, error code); a script's first case has its bare name as id and the
-# others add their code.  The growth script's first case, --trials 0, went: it fails after the
-# manifest is written, which test_cli::test_failed_run_marks_manifest covers.
+# others add their code.  The growth script's first case, --trials 0, went: it failed after the
+# manifest was written; test_cli::test_ensemble_config_refused_before_output now covers it.
 REFUSALS = [
     pytest.param("run_cap_stability.py", ["--degrees", "200"], "DEGREE_BUDGET",
                  id="run_cap_stability.py"),

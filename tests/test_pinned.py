@@ -3,8 +3,9 @@
 Each case runs `growthlab <argv> --out DIR` in process, at the default seed, and
 compares what it writes with tests/pinned/<case>/.  Text, integers and hashes must
 match exactly and other numbers to a relative 1e-12, since the wave-table product
-goes through BLAS, whose summation order can differ across CPUs.  The keys
-wall_time, output_dir and config_path are not pinned, nor the output directory and
+goes through BLAS, whose summation order can differ across CPUs.  JSON files are
+compared as written, so their layout is pinned too; only the values of the keys
+wall_time, output_dir and config_path are blanked, and the output directory and
 wall time that stdout names.
 
 A change that alters an output on purpose rewrites every pin with
@@ -28,10 +29,11 @@ from pathlib import Path
 
 import pytest
 
-from growthlab import cli
+from growthlab import cli, reporting
 
 PINNED = Path(__file__).parent / "pinned"
-UNPINNED = ("wall_time", "output_dir", "config_path")
+# the value of an unpinned key, on its own line as write_json puts it
+UNPINNED = re.compile(r'^(\s*"(?:wall_time|output_dir|config_path)": ).*?(,?)$', re.M)
 RTOL = 1e-12
 
 # the dispatch file of the "run" case: a gaussian ensemble on a constant-nu scheme
@@ -65,12 +67,6 @@ CASES = {
 NUMBER = re.compile(r"(?<![\w.])([-+]?\d+\.?\d*(?:[eE][-+]?\d+)?)(?![\w.])")
 
 
-def _drop_unpinned(obj):
-    if isinstance(obj, dict):
-        return {k: _drop_unpinned(v) for k, v in obj.items() if k not in UNPINNED}
-    return [_drop_unpinned(v) for v in obj] if isinstance(obj, list) else obj
-
-
 def run_case(name, work: Path) -> dict:
     """{file name: normalized text} of the case's outputs, stdout as stdout.txt."""
     config = work / "run.json"
@@ -85,9 +81,7 @@ def run_case(name, work: Path) -> dict:
                                   stdout.getvalue().replace(str(out), "<out>"))}
     for path in sorted(out.iterdir()):
         text = path.read_text()
-        if path.suffix == ".json":
-            text = json.dumps(_drop_unpinned(json.loads(text)), indent=2, sort_keys=True) + "\n"
-        files[path.name] = text
+        files[path.name] = UNPINNED.sub(r"\1*\2", text) if path.suffix == ".json" else text
     return files
 
 
@@ -133,6 +127,19 @@ def test_outputs_match_pins(name, tmp_path):
 ])
 def test_comparison_rules(got, want, same):
     assert (first_difference(got, want) is None) == same
+
+
+def test_json_layout_is_pinned(tmp_path, monkeypatch):
+    # the same values on one line are not the pinned file
+    monkeypatch.setattr(reporting, "JSON_INDENT", None)
+    files = run_case("weights", tmp_path)
+    assert first_difference(files["audit.json"], (PINNED / "weights" / "audit.json").read_text())
+
+
+def test_unpinned_values_blanked():
+    text = '{\n  "config_path": null,\n  "output_dir": "/a,b",\n  "wall_time": 0.5\n}\n'
+    assert UNPINNED.sub(r"\1*\2", text) == \
+        '{\n  "config_path": *,\n  "output_dir": *,\n  "wall_time": *\n}\n'
 
 
 def rewrite():

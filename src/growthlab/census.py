@@ -74,7 +74,7 @@ def liminf_profile(scheme: CoefficientScheme, blocks: BlockSequence,
 @dataclass(frozen=True)
 class CensusRow:
     n: int
-    count: int
+    N_n: int
     fraction: float
     threshold_at_n: float
 
@@ -82,12 +82,6 @@ class CensusRow:
 @dataclass(frozen=True)
 class CensusReport:
     rows: tuple
-
-    def to_rows(self):
-        return [(r.n, r.count, r.fraction, r.threshold_at_n) for r in self.rows]
-
-
-CENSUS_CSV_HEADER = ["n", "N_n", "fraction", "threshold_at_n"]
 
 
 def coefficient_census(scheme: CoefficientScheme, weight: Weight, p: NuSequence,
@@ -104,6 +98,6 @@ def coefficient_census(scheme: CoefficientScheme, weight: Weight, p: NuSequence,
     thresholds = pj * eval_g(weight, jf) / np.sqrt(jf)
     ok = np.cumsum(mags <= thresholds)
     return CensusReport(rows=tuple(
-        CensusRow(n=int(m), count=int(ok[m - 1]), fraction=float(ok[m - 1] / m),
+        CensusRow(n=int(m), N_n=int(ok[m - 1]), fraction=float(ok[m - 1] / m),
                   threshold_at_n=float(thresholds[m - 1]))
         for m in _dyadic_checkpoints(n_max)))

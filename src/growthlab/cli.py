@@ -40,7 +40,7 @@ import sys
 import time
 
 from . import __version__
-from .census import CENSUS_CSV_HEADER, LiminfRow, coefficient_census, liminf_profile
+from .census import CensusRow, LiminfRow, coefficient_census, liminf_profile
 from .criteria import RATIO_KINDS, BlockRow, Checkpoint, score_blockwise, score_sup_ratio
 from .disk import ANALYTIC, REAL_HARMONIC
 from .errors import GrowthLabError, fail, refuse_unread
@@ -48,11 +48,11 @@ from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzR
                     config_from_json, fit_growth, riesz_comb, riesz_probe, run_growth_ensemble,
                     salem_zygmund_probe, scheme_from_provenance, sz_block)
 from .randomness import SeedSpec, make_model
-from .reporting import config_hash, write_csv, write_json, write_records, write_text
+from .reporting import config_hash, write_csv, write_json, write_records
 from .schemes import (NU_KINDS, SCHEMES, NuSequence, blocks_from_provenance,
                       blocks_provenance, radial_derivative, scheme_fields)
-from .sphere import (CAP_CSV_HEADER, MAX_BASIS_DEGREE, build_basis, cap_fraction,
-                     default_covering, random_degree_combination)
+from .sphere import (MAX_BASIS_DEGREE, CapReport, build_basis, cap_fraction, default_covering,
+                     random_degree_combination)
 from .weights import block_sequence, doubling_audit, make_weight, parse_weight_spec
 
 
@@ -108,13 +108,13 @@ class _Run:
         self.out = out
         self.given = given        # dests of the flags on the command line, --out aside
         self.manifest = None      # set once the "running" manifest is on disk
+        self.started = time.monotonic()   # the manifest's wall time covers the whole run
 
     def start(self, cfg, seed=None, config_path=None):
         """Create the output directory and write the manifest as running."""
         digest = config_hash(cfg)         # fails on a non-finite value, before any write
         os.makedirs(self.out, exist_ok=True)
         self.notes = ([] if seed is None else [f"seed: {seed}"]) + [f"config_hash: {digest}"]
-        self.started = time.monotonic()
         man = {"subcommand": self.name, "config": cfg, "config_path": config_path,
                "config_hash": digest, "output_dir": os.path.abspath(self.out),
                "tool_version": __version__, "seed": seed, "status": "running"}
@@ -218,7 +218,10 @@ def _weights(args, run):
     audit = doubling_audit(w, 1e6)             # g(2x) / g(x) on 1 <= x <= 5e5
     run.start({"family": args.family, "alpha": args.alpha, "log_base": args.log_base,
                "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max})
-    write_text(run.path("blocks.csv"), "".join(f"# {c}\n" for c in run.notes) + blocks.to_csv())
+    g = blocks.g_values()
+    write_csv(run.path("blocks.csv"), ["k", "n_k", "g_nk"],
+              [(k, nk, float(g[k])) for k, nk in enumerate(blocks.n)],
+              comments=run.notes + [f"weight={blocks.label()}"])
     write_json(run.path("audit.json"),
                {"d_hat": audit.d_hat, "worst_x": audit.worst_x,
                 "known_doubling": w.known_doubling})
@@ -250,7 +253,7 @@ def _census(args, run):
     n_max = scheme.max_degree if args.n_max is None else args.n_max
     rep = coefficient_census(scheme, w, NuSequence(args.p), n_max)
     run.start({"scheme": prov, "weight": args.weight, "p": args.p, "n_max": n_max})
-    write_csv(run.path("census.csv"), CENSUS_CSV_HEADER, rep.to_rows(), comments=run.notes)
+    write_records(run.path("census.csv"), CensusRow, rep.rows, comments=run.notes)
     if "blocks" in prov:
         lim = liminf_profile(scheme, blocks_from_provenance(prov["blocks"]), w)
         write_records(run.path("liminf.csv"), LiminfRow, lim.rows, comments=run.notes)
@@ -304,6 +307,9 @@ def _probe_sz(args, run):
     prov, scheme, blocks = _block_scheme(args, run, "probe-sz")
     with _blame("/model"):
         model = make_model(args.model)
+    if model.is_complex:             # the probe brackets real harmonic series
+        fail("FLAVOR_MISMATCH", "complex steinhaus signs require the analytic flavor",
+             pointer="/model")
     with _blame("/n_list"):          # each block exists and carries weighted mass
         for N in args.n_list:
             sz_block(scheme, blocks, N)
@@ -356,7 +362,7 @@ def _cap(args, run):
         cov = default_covering(n)
         reps = [cap_fraction(random_degree_combination(basis, n, model, seed, t, lane=n),
                              args.alpha, cov) for t in range(args.combos)]
-        rows.extend(rep.row() for rep in reps)
+        rows.extend(reps)
         cs = sorted(rep.c_implied for rep in reps)
         print(f"degree {n}: min c_implied = {cs[0]:.4f}, median {cs[len(cs) // 2]:.4f}, "
               f"max {cs[-1]:.4f}, grid_K {cov.size}")
@@ -365,7 +371,7 @@ def _cap(args, run):
             reference = cs[0]
         elif cs[0] < reference / 2.0:
             print(f"  warning: degree {n} fell below half the reference {reference:.4f}")
-    write_csv(run.path("cap.csv"), CAP_CSV_HEADER, rows, comments=run.notes)
+    write_records(run.path("cap.csv"), CapReport, rows, comments=run.notes)
 
 
 def _bloch(args, run):

@@ -27,13 +27,14 @@ schemes.radial_derivative(scheme), whose square-sums weight |a_j|^2 by j^2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .disk import PlanSlot, RandomizedSeries, sup_brackets
 from .errors import fail
+from .reporting import record_json
 from .schemes import CoefficientScheme, clamped_log
 from .weights import BlockSequence, Weight, eval_g
 
@@ -64,23 +65,11 @@ class ScoreReport:
     criterion: str
     score: float
     witness: int
-    range_lo: int
-    range_hi: int
+    range: tuple         # (1, N)
+    trend_ratio: float   # last checkpoint score over the first positive one, else 1
     checkpoints: tuple
 
-    @property
-    def trend_ratio(self) -> float:
-        """Last checkpoint score over the first positive one."""
-        pos = [c.ratio for c in self.checkpoints if c.ratio > 0]
-        if not pos:
-            return 1.0
-        return self.checkpoints[-1].ratio / pos[0]
-
-    def to_json(self) -> dict:
-        return {"criterion": self.criterion, "score": self.score,
-                "witness": self.witness, "range": [self.range_lo, self.range_hi],
-                "trend_ratio": self.trend_ratio,
-                "checkpoints": [asdict(c) for c in self.checkpoints]}
+    to_json = record_json
 
 
 def _dyadic_checkpoints(n_hi: int):
@@ -119,8 +108,9 @@ def score_sup_ratio(kind: str, scheme: CoefficientScheme, weight: GrowthFn,
     i = int(np.argmax(ratios))
     running = np.maximum.accumulate(ratios)
     cps = tuple(Checkpoint(int(m), float(running[m - 1])) for m in _dyadic_checkpoints(N))
-    return ScoreReport(criterion=kind, score=float(ratios[i]), witness=int(n[i]),
-                       range_lo=1, range_hi=N, checkpoints=cps)
+    pos = [c.ratio for c in cps if c.ratio > 0]
+    return ScoreReport(criterion=kind, score=float(ratios[i]), witness=int(n[i]), range=(1, N),
+                       trend_ratio=cps[-1].ratio / pos[0] if pos else 1.0, checkpoints=cps)
 
 
 @dataclass(frozen=True)
@@ -144,10 +134,7 @@ class BlockScoreReport:
     def ratios(self) -> np.ndarray:
         return np.array([r.ratio for r in self.rows])
 
-    def to_json(self) -> dict:
-        return {"criterion": self.criterion, "score": self.score,
-                "witness": self.witness, "c1_hat": self.c1_hat,
-                "rows": [asdict(r) for r in self.rows]}
+    to_json = record_json
 
 
 def _score_blocks(criterion: str, prefix: bool, scheme: CoefficientScheme,

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, is_dataclass
 from typing import Iterable, Sequence
 
 from .errors import fail
@@ -66,11 +66,14 @@ def write_records(path, record_type, rows, comments=()):
 
 
 def record_json(record) -> dict:
-    """The compare=True fields of a dataclass, tuples as lists: its JSON form."""
+    """The compare=True fields of a dataclass, tuples as lists and records as
+    their own record_json: its JSON form."""
     return {f.name: _plain(getattr(record, f.name)) for f in fields(record) if f.compare}
 
 
 def _plain(v):
+    if is_dataclass(v):
+        return record_json(v)
     if isinstance(v, dict):
         return {k: _plain(x) for k, x in v.items()}
     return [_plain(x) for x in v] if isinstance(v, (tuple, list)) else v

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import GrowthLabError, fail, is_number, refuse_unread
 from .reporting import canonical_json, format_csv, write_text
-from .weights import BlockSequence, weight_from_json, weight_to_json
+from .weights import BlockSequence, block_sequence, weight_from_json, weight_to_json
 
 G_OVER_N = "g_over_n"
 G_OVER_SQRT_NLOGN = "g_over_sqrt_nlogn"
@@ -368,7 +368,13 @@ def blocks_from_provenance(d: dict) -> BlockSequence:
     if not (is_number(ratio, numbers.Real) and 1.0 < ratio < math.inf):
         fail("CONFIG_INVALID", f"block ratio A {ratio!r} is malformed: it must be a number "
              "above 1")
-    return BlockSequence(weight=w, ratio_a=float(ratio), n=tuple(int(x) for x in n))
+    blocks = BlockSequence(weight=w, ratio_a=float(ratio), n=tuple(int(x) for x in n))
+    if len(n) > 1:       # the indices are the ones block_sequence builds from n_0
+        rule = block_sequence(w, blocks.ratio_a, blocks.n[0], blocks.k_max)
+        if rule != blocks:
+            fail("CONFIG_INVALID", f"block indices {n!r} are malformed: the ratio rule of "
+                 f"{blocks.label()} gives {list(rule.n)}")
+    return blocks
 
 
 # -- registry -------------------------------------------------------------------

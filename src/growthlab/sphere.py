@@ -253,16 +253,7 @@ class CapReport:
     alpha: float
     fraction: float
     grid_K: int
-
-    @property
-    def c_implied(self) -> float:
-        return self.fraction * self.degree ** 2
-
-    def row(self):
-        return (self.degree, self.alpha, self.fraction, self.grid_K, self.c_implied)
-
-
-CAP_CSV_HEADER = ["degree", "alpha", "fraction", "grid_K", "c_implied"]
+    c_implied: float     # fraction * degree^2, the constant of the c/n^2 estimate
 
 
 def cap_fraction(series: SphereSeries, alpha: float,
@@ -279,7 +270,7 @@ def cap_fraction(series: SphereSeries, alpha: float,
     gmax = float(vals.max())
     frac = 1.0 if gmax == 0.0 else float(np.mean(vals >= alpha * gmax))
     return CapReport(degree=series.degree, alpha=float(alpha), fraction=frac,
-                     grid_K=covering.size)
+                     grid_K=covering.size, c_implied=frac * series.degree ** 2)
 
 
 def random_degree_combination(basis: SphericalBasis, m: int, model: RandomModel,

@@ -135,13 +135,6 @@ class BlockSequence:
     def g_values(self) -> np.ndarray:
         return _g(self.weight, np.asarray(self.n, dtype=float))
 
-    def to_csv(self) -> str:
-        from .reporting import format_csv
-        g = self.g_values()
-        rows = [(k, nk, float(g[k])) for k, nk in enumerate(self.n)]
-        return format_csv(["k", "n_k", "g_nk"], rows,
-                          comments=[f"weight={self.label()}"])
-
     def label(self) -> str:
         return f"{self.weight.label()},A={self.ratio_a:g},n0={self.n[0]},k_max={self.k_max}"
 

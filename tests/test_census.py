@@ -99,7 +99,7 @@ def test_census_counts_non_decreasing():
     b = blocks_pow2(12)
     s = rudin_shapiro_scheme(b)
     rep = coefficient_census(s, W1, NuSequence("log"), 2**12)
-    counts = [r.count for r in rep.rows]
+    counts = [r.N_n for r in rep.rows]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert all(0.0 <= r.fraction <= 1.0 for r in rep.rows)
 

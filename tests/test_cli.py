@@ -1,9 +1,10 @@
 import json
 import re
+import time
 
 import pytest
 
-from growthlab import disk, mclab, schemes
+from growthlab import cli, disk, mclab, schemes
 from growthlab.cli import main
 from growthlab.mclab import EnsembleReport, ExperimentConfig, fit_growth
 
@@ -319,6 +320,20 @@ def test_failed_run_marks_manifest(tmp_path, capsys):
     assert man["error"] == "BUDGET_EXCEEDED"
 
 
+def test_manifest_wall_time_covers_the_whole_run(tmp_path, capsys, monkeypatch):
+    # check scores the scheme before it writes the running manifest
+    score = cli.score_sup_ratio
+
+    def slow_score(*args):
+        time.sleep(0.2)
+        return score(*args)
+
+    monkeypatch.setattr(cli, "score_sup_ratio", slow_score)
+    out = tmp_path / "c"
+    assert run_cli(capsys, "check", "--scheme", "loglog", "--k-max", "2", "--out", str(out))[0] == 0
+    assert json.loads((out / "manifest.json").read_text())["wall_time"] >= 0.2
+
+
 @pytest.mark.parametrize("flags, code", [
     (["--trials", "0"], "DOMAIN"),
     (["--trials", "-3"], "DOMAIN"),
@@ -517,6 +532,8 @@ def _blocks(n):
     {"name": "hadamard", "blocks": _blocks(["1", "2", "4"])},
     {"name": "hadamard", "blocks": dict(_blocks([1, 2, 4]), A="2")},
     {"name": "hadamard", "blocks": dict(_blocks([1, 2, 4]), A=-3.0)},
+    # g(3) / g(2) = 1.5 < A: not the indices block_sequence builds
+    {"name": "saturating", "blocks": _blocks([1, 2, 3, 5, 6]), "nu": {"kind": "sqrt"}},
 ])
 def test_config_scheme_malformed_rejected_before_manifest(tmp_path, capsys, scheme):
     path = tmp_path / "exp.json"
@@ -729,6 +746,7 @@ def test_probe_sz_csv_does_not_depend_on_trial_chunks(tmp_path, capsys, monkeypa
     (["--n-list", "9"], "BLOCKS_TOO_SHORT", "/n_list"),
     (["--n-list", "4,0"], "BLOCKS_TOO_SHORT", "/n_list"),
     (["--n-list", "1"], "EMPTY_BLOCKS", "/n_list"),    # the scheme starts at j = 3
+    (["--model", "steinhaus", "--n-list", "4,6"], "FLAVOR_MISMATCH", "/model"),   # real probe
 ])
 def test_probe_sz_bad_model_or_n_list_rejected_before_manifest(tmp_path, capsys, flags, code,
                                                                pointer):

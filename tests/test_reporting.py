@@ -1,10 +1,11 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from growthlab import GrowthLabError
-from growthlab.reporting import canonical_json, format_csv, write_csv, write_json
+from growthlab.reporting import canonical_json, format_csv, record_json, write_csv, write_json
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -43,3 +44,22 @@ def test_write_csv_finite_bytes(tmp_path):
     path = tmp_path / "r.csv"
     write_csv(path, ["n", "x"], [(1, 0.1), (2, np.float64(2.5))], comments=["c"])
     assert path.read_text() == "# c\nn,x\n1,0.1\n2,2.5\n"
+
+
+@dataclass(frozen=True)
+class _Row:
+    n: int
+    x: float
+
+
+@dataclass(frozen=True)
+class _Report:
+    name: str
+    rows: tuple
+    pair: tuple
+
+
+def test_record_json_nests_records():
+    rep = _Report("r", (_Row(1, 0.5), _Row(2, 1.5)), (1, 2))
+    assert record_json(rep) == {"name": "r", "rows": [{"n": 1, "x": 0.5}, {"n": 2, "x": 1.5}],
+                                "pair": [1, 2]}

@@ -408,6 +408,15 @@ def test_block_provenance_checked_not_coerced(change):
     assert ei.value.code == "CONFIG_INVALID" and "malformed" in str(ei.value)
 
 
+def test_block_provenance_follows_the_ratio_rule():
+    blocks = {"weight": {"family": "power", "alpha": 1.0}, "A": 2.0, "n": [1, 2, 3, 5, 6]}
+    with pytest.raises(GrowthLabError) as ei:     # g(3) / g(2) = 1.5 < A
+        scheme_from_provenance({"name": "saturating", "blocks": blocks, "nu": {"kind": "sqrt"}})
+    assert ei.value.code == "CONFIG_INVALID" and "gives [1, 2, 4, 8, 16]" in str(ei.value)
+    assert schemes.blocks_from_provenance(dict(blocks, n=[1, 2, 4, 8, 16])).k_max == 4
+    assert schemes.blocks_from_provenance(dict(blocks, n=[3])).n == (3,)
+
+
 def test_block_provenance_takes_numpy_numbers():
     good = uniform_block_scheme(blocks_pow2(3), G_OVER_N).provenance["blocks"]
     blocks = schemes.blocks_from_provenance(

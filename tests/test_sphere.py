@@ -243,9 +243,8 @@ def test_cap_stability_small(basis):
 
 def test_cap_report_row(basis):
     rep = cap_fraction(element(basis, 4, 3), 0.5)
-    n, a, f, k, c = rep.row()
-    assert (n, a, k) == (4, 0.5, rep.grid_K)
-    assert c == pytest.approx(f * 16)
+    assert (rep.degree, rep.alpha) == (4, 0.5)
+    assert rep.c_implied == rep.fraction * 16
 
 
 # -- evaluation against an independent reference --------------------------------------

@@ -240,14 +240,6 @@ def test_parse_weight_spec():
         assert ei.value.code == "CONFIG_INVALID"
 
 
-def test_blocks_csv():
-    w = make_weight("power", 1.0)
-    b = block_sequence(w, 2.0, 1, 3)
-    csv = b.to_csv()
-    assert "k,n_k,g_nk" in csv
-    assert "3,8,8.0" in csv
-
-
 def test_weight_takes_only_its_own_parameters():
     assert make_weight("power", 1.0, math.e) == make_weight("power", 1.0)
     for build in (lambda: make_weight("power", 1.0, 3.0),

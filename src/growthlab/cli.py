@@ -218,9 +218,8 @@ def _weights(args, run):
     audit = doubling_audit(w, 1e6)             # g(2x) / g(x) on 1 <= x <= 5e5
     run.start({"family": args.family, "alpha": args.alpha, "log_base": args.log_base,
                "A": args.ratio_A, "n0": args.n0, "k_max": args.k_max})
-    g = blocks.g_values()
     write_csv(run.path("blocks.csv"), ["k", "n_k", "g_nk"],
-              [(k, nk, float(g[k])) for k, nk in enumerate(blocks.n)],
+              zip(itertools.count(), blocks.n, blocks.g_values()),
               comments=run.notes + [f"weight={blocks.label()}"])
     write_json(run.path("audit.json"),
                {"d_hat": audit.d_hat, "worst_x": audit.worst_x,

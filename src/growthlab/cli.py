@@ -49,8 +49,8 @@ from .mclab import (ENSEMBLE_CSV_HEADER, RIESZ_CSV_HEADER, ExperimentConfig, SzR
                     salem_zygmund_probe, scheme_from_provenance, sz_block)
 from .randomness import SeedSpec, make_model
 from .reporting import config_hash, write_csv, write_json, write_records
-from .schemes import (NU_KINDS, SCHEMES, NuSequence, blocks_from_provenance,
-                      blocks_provenance, radial_derivative, scheme_fields)
+from .schemes import (NU_KINDS, SCHEMES, NuSequence, blocks_provenance, decode_provenance,
+                      radial_derivative, scheme_fields)
 from .sphere import (MAX_BASIS_DEGREE, CapReport, build_basis, cap_fraction, default_covering,
                      random_degree_combination)
 from .weights import block_sequence, doubling_audit, make_weight, parse_weight_spec
@@ -247,14 +247,14 @@ def _check(args, run):
 
 def _census(args, run):
     prov = _scheme_provenance(args, run, own=("weight",))
-    scheme = scheme_from_provenance(prov)
+    scheme, fields = decode_provenance(prov)
     w = parse_weight_spec(args.weight)
     n_max = scheme.max_degree if args.n_max is None else args.n_max
     rep = coefficient_census(scheme, w, NuSequence(args.p), n_max)
     run.start({"scheme": prov, "weight": args.weight, "p": args.p, "n_max": n_max})
     write_records(run.path("census.csv"), CensusRow, rep.rows, comments=run.notes)
-    if "blocks" in prov:
-        lim = liminf_profile(scheme, blocks_from_provenance(prov["blocks"]), w)
+    if "blocks" in fields:
+        lim = liminf_profile(scheme, fields["blocks"], w)
         write_records(run.path("liminf.csv"), LiminfRow, lim.rows, comments=run.notes)
     print(f"census fraction at n={rep.rows[-1].n}: {rep.rows[-1].fraction:.6g}")
 
@@ -297,7 +297,8 @@ def _block_scheme(args, run, what, own=()):
     prov = _scheme_provenance(args, run, own)
     if "blocks" not in prov:
         fail("CONFIG_INVALID", f"{what} needs a block-based scheme")
-    return prov, scheme_from_provenance(prov), blocks_from_provenance(prov["blocks"])
+    scheme, fields = decode_provenance(prov)
+    return prov, scheme, fields["blocks"]
 
 
 def _probe_sz(args, run):

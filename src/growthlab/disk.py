@@ -13,9 +13,14 @@ bracket grid (M a power of two of at least 8 above 2n), one direct-summation
 helper at any angles; both take one series or a stack of series on one
 support.  The grid helper never evaluates the zero padding of a fine grid:
 it splits the M angles into P = M / L interleaved rows, L the smallest
-M / 2^a above 2n, and sums each row from twisted coefficients, each in its
-own bin.  A dense support takes one L-point transform per row (the real part
-from its half spectrum); a support of at most WAVE_TERMS coefficients takes
+M / 2^a of at least 8 and 2n (real flavor, whose coefficient L / 2 lands on
+the Nyquist bin) or above 2n (analytic flavor), and sums each row from
+coefficients twisted by e^{2 pi i j p / M}, each in its own bin.  The twists
+of a row come from an exact anchor row, one every TWIST_RUN rows, and the
+exact step e^{2 pi i j / M}; no table of every row's twists is kept.  A
+dense support takes one L-point transform per row (the real part from its
+half spectrum, written into one spectrum buffer that the rows of a call
+share); a support of at most WAVE_TERMS coefficients takes
 one matrix product per block of rows with a table of their L-point waves,
 while that table fits in WAVE_BYTES.  That layout is a CirclePlan, which
 brackets at one radius share through a PlanSlot.  For real coefficients,
@@ -52,6 +57,7 @@ Newton columns are chunked alike.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,9 +168,11 @@ class CirclePlan:
     key: tuple              # (number of coefficients, M, real flavor, half)
     real: bool
     L: int                  # P = M / L rows of L angles
+    rows: int               # rows evaluated: P, or P / 2 + 1 for half
     bins: object            # the coefficients' bins j: a slice when they form one run
     scale: np.ndarray       # L, times the half-spectrum weight for the real flavor
-    twists: np.ndarray      # e^{2 pi i j p / M}, one row per evaluated row p
+    anchors: np.ndarray     # e^{2 pi i j p / M} at every TWIST_RUN-th evaluated row p
+    turn: np.ndarray        # e^{2 pi i j / M}: row p + 1's twists are row p's times turn
     waves: np.ndarray       # few terms: e^{2 pi i j q / L} as [cos; sin] or cos + i sin, else None
     step: int               # rows per block of a bracket
 
@@ -185,34 +193,42 @@ def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> 
     t = 2 pi k / M as a (P, L) array whose entry [p, q] is the value at k = qP + p.
 
     M is a bracket grid: a power of two of at least 8 above 2n (n the largest j),
-    as grid_size makes it; any other M is refused with DOMAIN.  L is the
-    smallest M / 2^a with L > 2n and L >= 8, and P = M / L.  As e^{ijt} =
-    e^{2 pi i j p / M} e^{2 pi i j q / L}, row p is a sum over the coefficients
-    twisted by e^{2 pi i j p / M}, so the zero padding of a fine grid is never
-    evaluated.  L > 2n gives every frequency its own bin j below L / 2, and
-    j p < M / 2 is an exact integer phase.  How a row is summed depends on the
-    number S of coefficients alone.  Up to WAVE_TERMS of them, while the (2S, L)
-    wave table e^{2 pi i (j q mod L) / L} fits in WAVE_BYTES, a block of rows is
-    one matrix product of the twisted coefficients with that table: an S-term
-    direct sum per angle, whose roundoff of about S eps l1 <= S^1.5 eps sup
-    stays far below FLOAT_GUARD (S^1.5 eps < 1e-13 at S = 16).  Otherwise row p
-    is one L-point inverse transform of the twisted coefficients in their bins;
-    the real part comes from the half spectrum, where bin 0 carries weight 1 and
-    the others 1/2 (these weights and the scale L go on the coefficients).  Half
-    evaluates rows 0..P/2, enough for real coefficients: S(-t) = conj S(t), and
-    -k = (L-1-q)P + (P-p) makes row P - p row p reversed, with the same |values|.
+    as grid_size makes it; any other M is refused with DOMAIN.  L is the smallest
+    M / 2^a of at least 8 with L >= 2n for the real flavor and L > 2n for the
+    analytic one, and P = M / L.  As e^{ijt} = e^{2 pi i j p / M} e^{2 pi i j q / L},
+    row p is a sum over the coefficients twisted by e^{2 pi i j p / M}, so the zero
+    padding of a fine grid is never evaluated.  Every frequency has its own bin
+    j <= L / 2, below L / 2 for the analytic flavor, and j p < M / 2 is an exact
+    integer phase.  The plan keeps the exact twists of every TWIST_RUN-th evaluated
+    row and the exact step e^{2 pi i j / M}; _twists makes the rows between.  How a
+    row is summed depends on the number S of coefficients alone.  Up to WAVE_TERMS
+    of them, while the (2S, L) wave table e^{2 pi i (j q mod L) / L} fits in
+    WAVE_BYTES, a block of rows is one matrix product of the twisted coefficients
+    with that table: an S-term direct sum per angle, whose roundoff of about
+    S eps l1 <= S^1.5 eps sup stays far below FLOAT_GUARD (S^1.5 eps < 1e-13 at
+    S = 16).  Otherwise row p is one L-point inverse transform of the twisted
+    coefficients in their bins; the real part comes from the half spectrum, where
+    bin 0 and the Nyquist bin L / 2 carry weight 1 and the others 1/2 (these
+    weights and the scale L go on the coefficients).  Bin L / 2 is exact, as
+    Re(z e^{i pi q}) = Re(z) (-1)^q and the transform reads its real part alone.
+    Half evaluates rows 0..P/2, enough for real coefficients: S(-t) = conj S(t),
+    and -k = (L-1-q)P + (P-p) makes row P - p row p reversed, with the same |values|.
     """
     n = int(support.max(initial=0))
-    L = max(8, 1 << (2 * n).bit_length())     # the smallest power of two >= 8 above 2n
-    if M & (M - 1) or M < L:
+    # the smallest power of two >= 8 that is >= 2n (real) or above 2n (analytic)
+    L = max(8, 1 << (2 * n - 1 if real else 2 * n).bit_length())
+    if M & (M - 1) or M < L or M <= 2 * n:
         fail("DOMAIN", f"a circle plan needs a power of two M >= 8 above 2n = {2 * n}, got {M}")
     P = M // L
-    scale = np.where(support == 0, 1.0, 0.5) * L if real else L
-    # j p < M / 2 is an exact integer, so each twist has one cos or sin roundoff for any P
-    rows = np.arange(P // 2 + 1 if half else P)
-    twists = _unit_phases(rows, support, M, np.empty((len(rows), len(support)), dtype=complex))
+    scale = np.where((support == 0) | (2 * support == L), 1.0, 0.5) * L if real else L
+    rows = P // 2 + 1 if half else P
+    # j p <= M / 2 is an exact integer, so each has one cos or sin roundoff for any P
+    S = len(support)
+    anchors = _unit_phases(np.arange(0, rows, TWIST_RUN), support, M,
+                           np.empty(((rows - 1) // TWIST_RUN + 1, S), dtype=complex))
+    turn = _unit_phases(np.ones(1), support, M, np.empty((1, S), dtype=complex))[0]
     waves, step = None, max(1, BLOCK_BYTES // (16 * (L // 2 + 1 if real else L)))
-    if len(support) <= WAVE_TERMS and 16 * len(support) * L <= WAVE_BYTES:
+    if S <= WAVE_TERMS and 16 * S * L <= WAVE_BYTES:
         # entry [j, q] is base[j q mod L]: an exact index, so one cos or sin roundoff
         q = np.arange(L)
         base = _unit_phases(np.ones(1), q, L, np.empty((2, L)) if real
@@ -220,35 +236,101 @@ def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> 
         waves = np.take(base, np.outer(support, q) % L, axis=1).reshape(-1, L)
         # blocks of a quarter of BLOCK_BYTES of values stay in cache for their reduction;
         # a larger table comes from memory in every product, so a product takes S rows
-        step = (len(support) if waves.nbytes > BLOCK_BYTES
+        step = (S if waves.nbytes > BLOCK_BYTES
                 else max(1, BLOCK_BYTES // (4 * waves.itemsize * L)))
     # SZ blocks, Cesaro means and towers land on one run of bins: a slice write
-    j0 = int(support[0]) if len(support) else 0
-    run = np.array_equal(support, np.arange(j0, j0 + len(support)))
-    bins = slice(j0, j0 + len(support)) if run else support
-    return CirclePlan((len(support), M, real, half), real, L, bins, scale, twists, waves, step)
+    j0 = int(support[0]) if S else 0
+    run = np.array_equal(support, np.arange(j0, j0 + S))
+    bins = slice(j0, j0 + S) if run else support
+    return CirclePlan((S, M, real, half), real, L, rows, bins, scale, anchors, turn, waves, step)
 
 
-def _circle_values(plan: CirclePlan, coeffs: np.ndarray, blocks):
+def _chains(plan: CirclePlan, p: np.ndarray) -> np.ndarray:
+    """The twists of the evaluated rows p (a flat index array), each its anchor times
+    plan.turn, p mod TWIST_RUN times; rows sorted by that count turn together."""
+    a, m = np.divmod(p, TWIST_RUN)
+    order = np.argsort(-m, kind="stable")
+    z = plan.anchors[a[order]]
+    # the rows still to turn at the t-th product are a prefix: those with m >= t
+    for count in np.cumsum(np.bincount(m, minlength=TWIST_RUN)[::-1])[-2::-1]:
+        if not count:
+            break
+        z[:count] *= plan.turn
+    out = np.empty_like(z)
+    out[order] = z
+    return out
+
+
+def _twists(plan: CirclePlan, rows, held):
+    """The twists e^{2 pi i j p / M} of the evaluated rows p in rows (a slice, or an
+    index array of any shape), shaped as rows plus (S,), and the held row to pass
+    with the next selection.
+
+    Row p is the exact anchor of row p - p mod TWIST_RUN times plan.turn, p mod
+    TWIST_RUN times, one product after another: the same chain wherever p is asked
+    for, and within TWIST_RUN roundings of exact whatever P is.  Along a slice each
+    row is the row before it times turn, one product, and held carries the slice's
+    last row (index, twists) on to a slice that starts right after it."""
+    if not isinstance(rows, slice):
+        p = np.asarray(rows)
+        return _chains(plan, p.ravel()).reshape(p.shape + (-1,)), None
+    p0, p1, _ = rows.indices(plan.rows)
+    n = max(p1 - p0, 0)
+    out = np.empty((n, len(plan.turn)), dtype=complex)
+    if n == 0:
+        return out, held
+    first = -p0 % TWIST_RUN          # out's first anchor row
+    a = (p0 + first) // TWIST_RUN
+    out[first::TWIST_RUN] = plan.anchors[a:a + len(range(first, n, TWIST_RUN))]
+    if first:                        # row p0 lies past its anchor
+        if held is not None and held[0] == p0 - 1:
+            np.multiply(held[1], plan.turn, out=out[0])
+        else:
+            out[0] = _chains(plan, np.array([p0]))[0]
+    for t in range(1, TWIST_RUN):    # the rows t past their anchor, each from the row before
+        i = (t - p0) % TWIST_RUN or TWIST_RUN
+        if i < n:
+            np.multiply(out[i - 1:n - 1:TWIST_RUN], plan.turn, out=out[i::TWIST_RUN])
+    return out, (p1 - 1, out[-1])
+
+
+def _circle_values(plan: CirclePlan, coeffs: np.ndarray, blocks, per: int | None = None):
     """Yield, per row selection in blocks, the values of those rows: entry [i, q] is
     the value at k = qP + (row i).  coeffs is one series (S,) or a stack (B, S);
     a selection (slice or index array of evaluated rows) applies to every series
     of the stack, a (B, R) index array gives each series rows of its own, and a
-    stack's values carry its series first, (B, R, L)."""
+    stack's values carry its series first, (B, R, L).  With per, a selection of
+    shared rows yields its values per run of per series of the stack in turn, so
+    its twists are made once for the whole stack.  The transform path writes the
+    twisted coefficients into one spectrum buffer, reused from block to block (the
+    bins outside the support stay zero); what it yields is fresh."""
+    chunks = [slice(None)] if per is None else _blocks(len(coeffs), per)
+    held = None
     if plan.waves is not None:
         for rows in blocks:
-            z = plan.twists[rows] * coeffs[..., None, :]
-            if plan.real:   # Re(z e^{i phi}) = Re z cos phi - Im z sin phi
-                z = np.concatenate([z.real, -z.imag], axis=-1)
-            yield z @ plan.waves    # a product per series: a stack's rows sum as a lone series
+            twists, held = _twists(plan, rows, held)
+            for series in chunks:
+                z = twists * coeffs[series][..., None, :]
+                if plan.real:   # Re(z e^{i phi}) = Re z cos phi - Im z sin phi
+                    z = np.concatenate([z.real, -z.imag], axis=-1)
+                yield z @ plan.waves   # a product per series: a stack's rows sum as a lone series
         return
-    c = coeffs * plan.scale
+    c = (coeffs * plan.scale)[..., None, :]
     width = plan.L // 2 + 1 if plan.real else plan.L
+    spec = np.zeros(0, dtype=complex)
     for rows in blocks:
-        values = plan.twists[rows] * c[..., None, :]
-        block = np.zeros(values.shape[:-1] + (width,), dtype=complex)
-        block[..., plan.bins] = values
-        yield np.fft.irfft(block, n=plan.L) if plan.real else np.fft.ifft(block)
+        twists, held = _twists(plan, rows, held)
+        for series in chunks:
+            shape = np.broadcast_shapes(twists.shape, c[series].shape)[:-1] + (width,)
+            size = math.prod(shape)
+            if spec.size < size:
+                spec = np.zeros(size, dtype=complex)
+            block = spec[:size].reshape(shape)
+            if isinstance(plan.bins, slice):     # a run of bins is a view: write into it
+                np.multiply(twists, c[series], out=block[..., plan.bins])
+            else:
+                block[..., plan.bins] = twists * c[series]
+            yield np.fft.irfft(block, n=plan.L) if plan.real else np.fft.ifft(block)
 
 
 def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
@@ -283,6 +365,7 @@ BLOCK_BYTES = 2**21  # spectrum a bracket hands one transform call
 WAVE_BYTES = 2**23   # the wave table's cap: an 8-term Riesz comb's at offset 0 is 8 MiB
 NEWTON_STEPS = 8     # direct-summation calls of one refinement
 WAVE_TERMS = 16      # most coefficients summed by wave table: the product beat the FFT up to here
+TWIST_RUN = 16       # rows per exact anchor: the products between cost far less than cos and sin
 TINY = 2.2250738585072014e-308   # the smallest normal float
 
 
@@ -381,13 +464,13 @@ def sup_brackets(coeffs: np.ndarray, slot: "PlanSlot", oversample: float, refine
             slot.plan = circle_plan(slot.reduced[:keep], M, real, half)
         plan = slot.plan
         kept = coeffs[rows, :keep]
-        R, step = len(plan.twists), plan.step
+        R, step = plan.rows, plan.step
         row_max = np.empty((len(rows), R))
-        for series in _blocks(len(rows), max(1, step // R)):
-            row_blocks = _blocks(R, step)
-            for sel, v in zip(row_blocks, _circle_values(plan, kept[series], row_blocks)):
-                row_max[series, sel] = (np.maximum(v.max(-1), -v.min(-1)) if real
-                                        else np.abs(v).max(-1))
+        per, row_blocks = max(1, step // R), _blocks(R, step)
+        for (sel, series), v in zip(itertools.product(row_blocks, _blocks(len(rows), per)),
+                                    _circle_values(plan, kept, row_blocks, per)):
+            row_max[series, sel] = (np.maximum(v.max(-1), -v.min(-1)) if real
+                                    else np.abs(v).max(-1))
         gmax = row_max.max(1)
         if refine:
             # the three largest grid values lie in the three rows of largest max

@@ -405,6 +405,12 @@ def scheme_fields(name) -> tuple:
 def scheme_from_provenance(prov: dict) -> CoefficientScheme:
     """Rebuild a scheme bit-exactly from its provenance dict; a field of the
     wrong type or shape is CONFIG_INVALID, as is a provenance that is not an object."""
+    return decode_provenance(prov)[0]
+
+
+def decode_provenance(prov: dict) -> tuple[CoefficientScheme, dict]:
+    """scheme_from_provenance's scheme and the fields it was built from, each
+    decoded once: "blocks" as a BlockSequence, "nu" as a NuSequence."""
     if not isinstance(prov, dict):
         fail("CONFIG_INVALID", f"a scheme provenance must be a JSON object, "
              f"got {type(prov).__name__}")
@@ -416,7 +422,8 @@ def scheme_from_provenance(prov: dict) -> CoefficientScheme:
             fail("CONFIG_INVALID",
                  f"scheme {prov['name']!r} provenance lacks {', '.join(missing)}")
         build = globals()[SCHEMES[prov["name"]][0]]
-        return build(**{f: _DECODE.get(f, lambda v: v)(prov[f]) for f in fields if f in prov})
+        decoded = {f: _DECODE.get(f, lambda v: v)(prov[f]) for f in fields if f in prov}
+        return build(**decoded), decoded
     except GrowthLabError:       # a ValueError subclass that already carries its code
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as e:

@@ -101,6 +101,38 @@ def test_run_dispatch_from_config(tmp_path, capsys):
     assert (out / "blocks.csv").exists()
 
 
+_SAT = ["--scheme", "saturating", "--weight", "power:1", "--nu", "sqrt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--family", "power", "--alpha", "1", "--ratio-A", "2", "--k-max", "12"],
+    ["scheme", *_SAT, "--k-max", "8"],
+    ["check", *_SAT, "--k-max", "8", "--kind", "l2_log"],
+    ["census", "--scheme", "rudin_shapiro", "--weight", "power:1", "--k-max", "8", "--p", "log"],
+    ["probe-sz", *_SAT, "--k-max", "6", "--trials", "2", "--n-list", "4,6"],
+    ["bloch", "--scheme", "hadamard", "--weight", "power:1", "--k-max", "8",
+     "--w-weight", "power:1"],
+    ["run"],
+], ids=lambda argv: argv[0])
+def test_block_sequence_built_at_most_twice(tmp_path, capsys, monkeypatch, argv):
+    # once from the flags and once to check the provenance's indices, which are then reused
+    if argv == ["run"]:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"subcommand": "scheme", "argv": [
+            "--scheme", "hadamard", "--weight", "power:1", "--k-max", "12"]}))
+        argv = ["run", "--config", str(path)]
+    build, calls = schemes.block_sequence, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (cli, schemes):
+        monkeypatch.setattr(module, "block_sequence", counted)
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "o"))[0] == 0
+    assert 1 <= len(calls) <= 2
+
+
 def test_census_subcommand(tmp_path, capsys):
     out = tmp_path / "cen"
     code, _, _ = run_cli(capsys, "census", "--scheme", "rudin_shapiro", "--k-max", "10",

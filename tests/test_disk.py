@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from growthlab import (ANALYTIC, CESARO, PARTIAL, REAL_HARMONIC, GrowthLabError, SeedSpec,
                        cesaro_domination_check, evaluate_at, evaluate_circle, gradient_at,
@@ -111,6 +111,7 @@ def test_fft_aliasing_rule_documented():
 @pytest.mark.parametrize("degree, M, rows", [
     (50, 4096, 32),      # L = 128 > 2n: 32 twisted rows
     (10, 2**18, 8192),   # 8192 rows: twist roundoff must not grow with the row index
+    (20, 2**17, 2048),   # the same by transform: 21 terms, more than WAVE_TERMS
     (50, 1001, 1),       # odd M: no plan, evaluate_circle only
     (50, 1, 1),          # every coefficient aliases onto the single angle
     (50, 100, 1),        # M <= 2n: aliased and folded
@@ -127,12 +128,16 @@ def test_circle_grid_matches_direct_summation(degree, M, rows):
     for series in (real_series, RandomizedSeries(ones, c, ANALYTIC)):
         real = series.flavor == REAL_HARMONIC
         assert np.allclose(series.signed_complex_coeffs(), c)
-        if M >= 8 and M & (M - 1) == 0 and M > 2 * degree:    # a bracket grid has a plan
-            assert next(disk._circle_values(disk.circle_plan(j, M, real), c,
-                                            [slice(None)])).shape == (rows, M // rows)
         circ = evaluate_circle(series, 1.0, M)
         direct = disk._point_values(j, c, 0, th, 1, real)
         assert np.max(np.abs(circ - direct)) <= 1e-13 * np.abs(c).sum(), (M, real)
+        if M >= 8 and M & (M - 1) == 0 and M > 2 * degree:    # a bracket grid has a plan
+            plan = disk.circle_plan(j, M, real)
+            assert (plan.waves is not None) == (degree < disk.WAVE_TERMS)
+            vals = next(disk._circle_values(plan, c, [slice(None)]))
+            assert vals.shape == (rows, M // rows)
+            # entry [p, q] is angle qP + p
+            assert np.max(np.abs(vals.T.ravel() - direct)) <= 1e-13 * np.abs(c).sum(), (M, real)
 
 
 def test_circle_plan_takes_bracket_grids_only():
@@ -144,29 +149,42 @@ def test_circle_plan_takes_bracket_grids_only():
         assert ei.value.code == "DOMAIN"
     assert disk.circle_plan(j, 128, True).L == 128
     assert disk.circle_plan(np.array([0]), 8, False).L == 8
+    # M = 2n: the real rows could be L = M = 2n long, but the secant bound needs M > 2n
+    for real in (True, False):
+        with pytest.raises(GrowthLabError) as ei:
+            disk.circle_plan(np.arange(65), 128, real)
+        assert ei.value.code == "DOMAIN"
+    assert (disk.circle_plan(np.arange(65), 256, True).L,
+            disk.circle_plan(np.arange(65), 256, False).L) == (128, 256)
 
 
-@given(data=st.data())
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(0, 600), st.sampled_from([2**k for k in range(10)])),
+       s=st.integers(0, 39), run=st.booleans(), from_0=st.booleans(), a=st.integers(0, 12),
+       layout=st.sampled_from([(True, True), (True, False), (False, False)]),
+       per=st.integers(1, 2**16))
+@example(seed=0, n=64, s=5, run=False, from_0=True, a=2, layout=(True, True), per=1)
+@example(seed=1, n=64, s=5, run=False, from_0=True, a=0, layout=(True, False), per=3)
 @settings(max_examples=80, deadline=None)
-def test_plan_rows_match_evaluate_circle(data):
+def test_plan_rows_match_evaluate_circle(seed, n, s, run, from_0, a, layout, per):
     # every bracket layout, from one row (M <= 4n) to thousands: runs of bins and scattered
-    # ones, wave products and transforms, half and full rows, against the plan-free reference
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    n = data.draw(st.integers(0, 600), label="n")
-    S = data.draw(st.integers(1, min(n + 1, 40)), label="S")
-    if data.draw(st.booleans(), label="run"):
+    # ones, wave products and transforms, half and full rows, against the plan-free reference;
+    # a power-of-two n puts the real flavor's coefficient n on the Nyquist bin L / 2
+    rng = np.random.default_rng(seed)
+    S = 1 + s % min(n + 1, 40)
+    if run:
         support = np.arange(n - S + 1, n + 1)
     else:
         support = np.append(np.sort(rng.choice(n, size=S - 1, replace=False)), n)
-        if S > 1 and data.draw(st.booleans(), label="from 0"):
+        if S > 1 and from_0:
             support[0] = 0     # bin 0 carries its own half-spectrum weight
     lo = max(3, (2 * n).bit_length())
-    M = 2 ** data.draw(st.integers(lo, min(lo + 12, 18)), label="log2 M")
-    real, half = data.draw(st.sampled_from([(True, True), (True, False), (False, False)]))
+    M = 2 ** (lo + a % (min(lo + 12, 18) - lo + 1))
+    real, half = layout
     c = rng.normal(size=(3, S)) + (0.0 if half else 1j * rng.normal(size=(3, S)))
     plan = disk.circle_plan(support, M, real, half)
-    R, P = len(plan.twists), M // plan.L
-    per = data.draw(st.integers(1, R), label="rows per block")
+    R, P = plan.rows, M // plan.L
+    per = 1 + (per - 1) % R
     rows = _rows_stacked(plan, c, [slice(i, i + per) for i in range(0, R, per)])
     for b in range(3):
         if real:
@@ -179,9 +197,19 @@ def test_plan_rows_match_evaluate_circle(data):
         assert np.max(np.abs(rows[b] - grid)) <= 1e-13 * np.abs(c[b]).sum()
 
 
+def test_tower_plan_keeps_no_twist_table():
+    # the loglog tower at r_4 takes 17 rows of 2^17 angles; its plan keeps the exact twists
+    # of rows 0 and 16 and the step between rows, never a twist per row
+    support = np.arange(3, 65537)
+    plan = disk.circle_plan(support, 2**22, True, True)
+    assert (plan.L, plan.rows, plan.waves) == (2**17, 17, None)
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert sum(v.nbytes for v in arrays) <= 4 * 16 * len(support)
+
+
 def _grid_max(plan, c):
     vals = np.concatenate(list(disk._circle_values(plan, c, [slice(i, i + 1)
-                                                              for i in range(len(plan.twists))])))
+                                                              for i in range(plan.rows)])))
     return float(np.abs(vals).max())
 
 
@@ -198,7 +226,7 @@ def test_half_rows_hold_the_grid_max(degree, M, P):
     c = rng.normal(size=degree + 1).astype(complex)
     for real in (True, False):
         half, full = disk.circle_plan(j, M, real, half=True), disk.circle_plan(j, M, real)
-        assert (M // half.L, len(half.twists), len(full.twists)) == (P, P // 2 + 1, P)
+        assert (M // half.L, half.rows, full.rows) == (P, P // 2 + 1, P)
         assert _grid_max(half, c) == pytest.approx(_grid_max(full, c), rel=1e-15, abs=0)
 
 
@@ -219,7 +247,7 @@ def test_half_row_brackets_match_the_full_grid(oversample, P, monkeypatch):
         ser = randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
         slot = disk.PlanSlot(sch.support, r)
         b = slot_bracket(ser, slot, oversample, refine=False)
-        assert (b.grid_size // slot.plan.L, len(slot.plan.twists)) == (P, P // 2 + 1)
+        assert (b.grid_size // slot.plan.L, slot.plan.rows) == (P, P // 2 + 1)
         assert b.lower == pytest.approx(_full_grid_lower(evaluate_circle(ser, r, b.grid_size)),
                                         rel=1e-15, abs=0)
         assert b == sup_bracket(ser, r, oversample=oversample, refine=False)
@@ -233,6 +261,25 @@ def test_half_row_brackets_match_the_full_grid(oversample, P, monkeypatch):
                                     rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("sin", [0.0, 1.0])     # cosine only: half rows; a sine part: all
+def test_nyquist_bin_brackets_match_the_full_grid(sin):
+    # degree 2^6 with bin 0: the real flavor's rows have L = 2n = 128, so coefficient n
+    # lands on the Nyquist bin with weight 1, like bin 0
+    rng = np.random.default_rng(6)
+    n, r = 64, 0.97
+    sch = scheme_from_arrays(np.arange(n + 1), rng.normal(size=n + 1),
+                             sin * rng.normal(size=n + 1), n, {"name": "t"})
+    for trial in range(4):
+        ser = randomize(sch, make_model("rademacher"), SEED, trial)
+        slot = disk.PlanSlot(sch.support, r)
+        b = slot_bracket(ser, slot, refine=False)
+        P = b.grid_size // slot.plan.L
+        assert (slot.plan.L, slot.plan.waves) == (2 * n, None)
+        assert slot.plan.rows == (P if sin else P // 2 + 1)
+        assert b.lower == pytest.approx(_full_grid_lower(evaluate_circle(ser, r, b.grid_size)),
+                                        rel=1e-15, abs=0)
+
+
 def test_imaginary_coefficients_use_every_row():
     # sine-only: c_j = -i a_j1 xi_j1 is imaginary, so the realness test fails and no row is dropped
     sch = scheme_from_arrays(np.arange(1, 41), np.zeros(40), np.linspace(1.0, 2.0, 40), 40,
@@ -240,7 +287,7 @@ def test_imaginary_coefficients_use_every_row():
     ser = randomize(sch, make_model("rademacher"), SEED, 2)
     slot = disk.PlanSlot(sch.support, 0.9)
     b = slot_bracket(ser, slot, refine=False)
-    assert len(slot.plan.twists) == b.grid_size // slot.plan.L > 2
+    assert slot.plan.rows == b.grid_size // slot.plan.L > 2
     assert b == sup_bracket(ser, 0.9, oversample=16.0, refine=False)
 
 
@@ -273,7 +320,7 @@ def test_wave_blocks_match_fft_and_direct(S, real, half, M, n, monkeypatch):
     plan, fft = disk.circle_plan(support, M, real, half), _fft_plan(support, M, real, half,
                                                                     monkeypatch)
     assert (plan.waves is not None) == (S <= disk.WAVE_TERMS) and fft.waves is None
-    rows = np.arange(len(plan.twists))
+    rows = np.arange(plan.rows)
     blocks = [rows[::-1][:2], slice(0, plan.step), slice(plan.step, None)]
     vals = _rows(plan, c, blocks)
     l1 = np.abs(c).sum()
@@ -326,7 +373,7 @@ def test_wave_brackets_match_fft_brackets(flavor, monkeypatch):
         ser = randomize(sch, make_model("rademacher"), SEED, trial, flavor=flavor)
         slot = disk.PlanSlot(support, 1.0)
         wave = slot_bracket(ser, slot)
-        assert slot.plan.waves is not None and len(slot.plan.twists) == 17   # half of 32 rows
+        assert slot.plan.waves is not None and slot.plan.rows == 17   # half of 32 rows
         with monkeypatch.context() as m:
             m.setattr(disk, "WAVE_TERMS", 0)
             fft = sup_bracket(ser, 1.0, refine=True)
@@ -703,7 +750,7 @@ def test_stacked_circle_values_match_rows(S, real, half, M):
     support = np.sort(rng.choice(51, size=S, replace=False))
     c = rng.normal(size=(3, S)) + (0.0 if half else 1j * rng.normal(size=(3, S)))
     plan = disk.circle_plan(support, M, real, half)
-    R = len(plan.twists)
+    R = plan.rows
     rows = rng.integers(0, R, size=(3, 2))     # rows of each series' own
     for blocks in ([slice(None)], [slice(0, 1), slice(1, None)]):
         stacked = _rows_stacked(plan, c, blocks)

@@ -43,21 +43,20 @@ angles, sized from n / g, stands for the g M angles that SupBracket.grid_size
 reports.  Long series are truncated where the exact l1 tail at the radius
 drops below TAIL_RTOL of the total; the tail bound widens both sides of the
 bracket, keeping it sound.  Refinement sharpens the lower bound by a Newton
-ascent from the three best grid angles at once, summing the bracket's own
-untruncated coefficients and their derivatives at exact grid phases plus
-an offset.
+ascent from the peaks of the three grid rows of largest max at once, which
+the grid pass records, summing the bracket's own untruncated coefficients
+and their derivatives at exact grid phases plus an offset.
 
 A bracket kernel takes a stack of coefficient rows on one support and
 radius (sup_brackets; sup_bracket and gradient_sup_bracket are stacks of
 one).  Each row keeps its own truncation, rows sharing a plan key are
 evaluated together, and every transform call or wave product takes as many
-(series, row) pairs as fit in BLOCK_BYTES; the refinement's top rows and
-Newton columns are chunked alike.
+(series, row) pairs as fit in BLOCK_BYTES; the Newton columns are chunked
+alike.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -200,8 +199,8 @@ def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> 
     padding of a fine grid is never evaluated.  Every frequency has its own bin
     j <= L / 2, below L / 2 for the analytic flavor, and j p < M / 2 is an exact
     integer phase.  The plan keeps the exact twists of every TWIST_RUN-th evaluated
-    row and the exact step e^{2 pi i j / M}; _twists makes the rows between.  How a
-    row is summed depends on the number S of coefficients alone.  Up to WAVE_TERMS
+    row and the exact step e^{2 pi i j / M}; _circle_values makes the rows between.
+    How a row is summed depends on the number S of coefficients alone.  Up to WAVE_TERMS
     of them, while the (2S, L) wave table e^{2 pi i (j q mod L) / L} fits in
     WAVE_BYTES, a block of rows is one matrix product of the twisted coefficients
     with that table: an S-term direct sum per angle, whose roundoff of about
@@ -245,92 +244,57 @@ def circle_plan(support: np.ndarray, M: int, real: bool, half: bool = False) -> 
     return CirclePlan((S, M, real, half), real, L, rows, bins, scale, anchors, turn, waves, step)
 
 
-def _chains(plan: CirclePlan, p: np.ndarray) -> np.ndarray:
-    """The twists of the evaluated rows p (a flat index array), each its anchor times
-    plan.turn, p mod TWIST_RUN times; rows sorted by that count turn together."""
-    a, m = np.divmod(p, TWIST_RUN)
-    order = np.argsort(-m, kind="stable")
-    z = plan.anchors[a[order]]
-    # the rows still to turn at the t-th product are a prefix: those with m >= t
-    for count in np.cumsum(np.bincount(m, minlength=TWIST_RUN)[::-1])[-2::-1]:
-        if not count:
-            break
-        z[:count] *= plan.turn
-    out = np.empty_like(z)
-    out[order] = z
-    return out
+def _circle_values(plan: CirclePlan, coeffs: np.ndarray, step: int, per: int | None = None):
+    """Yield (rows, series, values) for the evaluated rows 0..R-1 in order, step rows
+    at a time: entry [i, q] of values is the value at k = qP + p, p the i-th row of
+    the slice rows.  coeffs is one series (S,) or a stack (B, S), whose values carry
+    its series first, (B, rows, L); series is the slice of the stack they belong to,
+    the whole stack, or with per each run of per series in turn, so a block's twists
+    are made once for the whole stack.
 
-
-def _twists(plan: CirclePlan, rows, held):
-    """The twists e^{2 pi i j p / M} of the evaluated rows p in rows (a slice, or an
-    index array of any shape), shaped as rows plus (S,), and the held row to pass
-    with the next selection.
-
-    Row p is the exact anchor of row p - p mod TWIST_RUN times plan.turn, p mod
-    TWIST_RUN times, one product after another: the same chain wherever p is asked
-    for, and within TWIST_RUN roundings of exact whatever P is.  Along a slice each
-    row is the row before it times turn, one product, and held carries the slice's
-    last row (index, twists) on to a slice that starts right after it."""
-    if not isinstance(rows, slice):
-        p = np.asarray(rows)
-        return _chains(plan, p.ravel()).reshape(p.shape + (-1,)), None
-    p0, p1, _ = rows.indices(plan.rows)
-    n = max(p1 - p0, 0)
-    out = np.empty((n, len(plan.turn)), dtype=complex)
-    if n == 0:
-        return out, held
-    first = -p0 % TWIST_RUN          # out's first anchor row
-    a = (p0 + first) // TWIST_RUN
-    out[first::TWIST_RUN] = plan.anchors[a:a + len(range(first, n, TWIST_RUN))]
-    if first:                        # row p0 lies past its anchor
-        if held is not None and held[0] == p0 - 1:
-            np.multiply(held[1], plan.turn, out=out[0])
-        else:
-            out[0] = _chains(plan, np.array([p0]))[0]
-    for t in range(1, TWIST_RUN):    # the rows t past their anchor, each from the row before
-        i = (t - p0) % TWIST_RUN or TWIST_RUN
-        if i < n:
-            np.multiply(out[i - 1:n - 1:TWIST_RUN], plan.turn, out=out[i::TWIST_RUN])
-    return out, (p1 - 1, out[-1])
-
-
-def _circle_values(plan: CirclePlan, coeffs: np.ndarray, blocks, per: int | None = None):
-    """Yield, per row selection in blocks, the values of those rows: entry [i, q] is
-    the value at k = qP + (row i).  coeffs is one series (S,) or a stack (B, S);
-    a selection (slice or index array of evaluated rows) applies to every series
-    of the stack, a (B, R) index array gives each series rows of its own, and a
-    stack's values carry its series first, (B, R, L).  With per, a selection of
-    shared rows yields its values per run of per series of the stack in turn, so
-    its twists are made once for the whole stack.  The transform path writes the
-    twisted coefficients into one spectrum buffer, reused from block to block (the
-    bins outside the support stay zero); what it yields is fresh."""
+    Row p's twists e^{2 pi i j p / M} are the exact anchor when p is a multiple of
+    TWIST_RUN, else row p - 1's times plan.turn, one in-place product for the rows
+    at the same distance from their anchor: within TWIST_RUN roundings of exact
+    whatever P is.  The transform path writes the twisted coefficients into one
+    spectrum buffer, reused from block to block (the bins outside the support stay
+    zero); what it yields is fresh."""
     chunks = [slice(None)] if per is None else _blocks(len(coeffs), per)
-    held = None
-    if plan.waves is not None:
-        for rows in blocks:
-            twists, held = _twists(plan, rows, held)
-            for series in chunks:
-                z = twists * coeffs[series][..., None, :]
+    if plan.waves is None:
+        coeffs = coeffs * plan.scale
+        width = plan.L // 2 + 1 if plan.real else plan.L
+        spec = np.zeros(0, dtype=complex)
+    for p0 in range(0, plan.rows, step):
+        n = min(step, plan.rows - p0)
+        twists = np.empty((n, len(plan.turn)), dtype=complex)
+        first = -p0 % TWIST_RUN          # the block's first anchor row
+        twists[first::TWIST_RUN] = plan.anchors[(p0 + first) // TWIST_RUN:
+                                                (p0 + n - 1) // TWIST_RUN + 1]
+        if first:                        # row p0 follows the last row of the block before
+            np.multiply(last, plan.turn, out=twists[0])
+        for t in range(1, TWIST_RUN):    # the rows t past their anchor, each from the row before
+            i = (t - p0) % TWIST_RUN or TWIST_RUN
+            if i < n:
+                np.multiply(twists[i - 1:n - 1:TWIST_RUN], plan.turn, out=twists[i::TWIST_RUN])
+        last, rows = twists[-1], slice(p0, p0 + n)
+        for series in chunks:
+            c = coeffs[series][..., None, :]
+            if plan.waves is not None:
+                z = twists * c
                 if plan.real:   # Re(z e^{i phi}) = Re z cos phi - Im z sin phi
                     z = np.concatenate([z.real, -z.imag], axis=-1)
-                yield z @ plan.waves   # a product per series: a stack's rows sum as a lone series
-        return
-    c = (coeffs * plan.scale)[..., None, :]
-    width = plan.L // 2 + 1 if plan.real else plan.L
-    spec = np.zeros(0, dtype=complex)
-    for rows in blocks:
-        twists, held = _twists(plan, rows, held)
-        for series in chunks:
-            shape = np.broadcast_shapes(twists.shape, c[series].shape)[:-1] + (width,)
-            size = math.prod(shape)
-            if spec.size < size:
-                spec = np.zeros(size, dtype=complex)
-            block = spec[:size].reshape(shape)
-            if isinstance(plan.bins, slice):     # a run of bins is a view: write into it
-                np.multiply(twists, c[series], out=block[..., plan.bins])
+                values = z @ plan.waves   # per series: a stack's rows sum as a lone series
             else:
-                block[..., plan.bins] = twists * c[series]
-            yield np.fft.irfft(block, n=plan.L) if plan.real else np.fft.ifft(block)
+                shape = c.shape[:-2] + (n, width)
+                size = math.prod(shape)
+                if spec.size < size:
+                    spec = np.zeros(size, dtype=complex)
+                block = spec[:size].reshape(shape)
+                if isinstance(plan.bins, slice):     # a run of bins is a view: write into it
+                    np.multiply(twists, c, out=block[..., plan.bins])
+                else:
+                    block[..., plan.bins] = twists * c
+                values = np.fft.irfft(block, n=plan.L) if plan.real else np.fft.ifft(block)
+            yield rows, series, values
 
 
 def evaluate_circle(series: RandomizedSeries, r: float, M: int) -> np.ndarray:
@@ -441,7 +405,8 @@ def sup_brackets(coeffs: np.ndarray, slot: "PlanSlot", oversample: float, refine
     circle, and are grouped by plan key (kept prefix, M, real, half); the
     slot's plan is reused when a group's key fits, else replaced.  A group's
     transform calls and wave products each take as many (series, row) pairs as
-    fit in BLOCK_BYTES.  Refinement runs on the untruncated coefficients.
+    fit in BLOCK_BYTES.  Refinement runs on the untruncated coefficients, from
+    the peak of each of the three rows of largest max, recorded in the grid pass.
     """
     check_oversample(oversample)
     real = flavor == REAL_HARMONIC
@@ -464,23 +429,21 @@ def sup_brackets(coeffs: np.ndarray, slot: "PlanSlot", oversample: float, refine
             slot.plan = circle_plan(slot.reduced[:keep], M, real, half)
         plan = slot.plan
         kept = coeffs[rows, :keep]
-        R, step = plan.rows, plan.step
-        row_max = np.empty((len(rows), R))
-        per, row_blocks = max(1, step // R), _blocks(R, step)
-        for (sel, series), v in zip(itertools.product(row_blocks, _blocks(len(rows), per)),
-                                    _circle_values(plan, kept, row_blocks, per)):
-            row_max[series, sel] = (np.maximum(v.max(-1), -v.min(-1)) if real
-                                    else np.abs(v).max(-1))
+        row_max = np.empty((len(rows), plan.rows))
+        peaks = np.empty(row_max.shape, dtype=np.int64)
+        for sel, series, v in _circle_values(plan, kept, plan.step,
+                                             max(1, plan.step // plan.rows)):
+            if refine:   # each row's peak, a Newton seed should its max be among the top three
+                a = np.abs(v)
+                peaks[series, sel] = a.argmax(-1)
+                row_max[series, sel] = a.max(-1)
+            else:
+                row_max[series, sel] = (np.maximum(v.max(-1), -v.min(-1)) if real
+                                        else np.abs(v).max(-1))
         gmax = row_max.max(1)
         if refine:
-            # the three largest grid values lie in the three rows of largest max
             top = np.argsort(row_max, axis=1)[:, -3:]
-            seeds = np.empty((len(rows), 3), dtype=np.int64)
-            for series in _blocks(len(rows), max(1, step // top.shape[1])):
-                vals = np.abs(next(_circle_values(plan, kept[series], [top[series]])))
-                best = np.argpartition(vals.reshape(len(vals), -1), -3, axis=1)[:, -3:]
-                i, q = np.divmod(best, plan.L)
-                seeds[series] = q * (M // plan.L) + np.take_along_axis(top[series], i, 1)
+            seeds = np.take_along_axis(peaks, top, 1) * (M // plan.L) + top
             full = coeffs[rows]
             per = max(1, BLOCK_BYTES // (16 * 3 * full.shape[1]))
             climbed = np.concatenate([_newton_max(slot.reduced, full[s], real, seeds[s], M)
@@ -535,10 +498,10 @@ def sup_bracket(series: RandomizedSeries, r: float, oversample: float = 16.0,
     points on the reduced support (a finite oversample >= 4, M <= MAX_GRID),
     so pi n / (g M) <= 1/oversample and the secant bound keeps upper / lower <=
     1 / cos(1/oversample) up to the TAIL_RTOL and roundoff guards; grid_size
-    reports g M.  With refine on, a safeguarded Newton ascent from the top
-    three grid angles, each kept within one grid step of its seed, sharpens
-    the lower bound: at most NEWTON_STEPS direct summations of the same
-    coefficients c_j r^j, untruncated, for all three.
+    reports g M.  With refine on, a safeguarded Newton ascent from the peaks
+    of the three grid rows of largest max, each kept within one grid step of
+    its seed, sharpens the lower bound: at most NEWTON_STEPS direct summations
+    of the same coefficients c_j r^j, untruncated, for all three.
     """
     return sup_brackets(series.signed_complex_coeffs()[None],
                         PlanSlot(series.scheme.support, r), oversample, refine,

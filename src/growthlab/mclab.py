@@ -256,8 +256,8 @@ def run_growth_ensemble(config: ExperimentConfig) -> EnsembleReport:
                                     config.flavor)
             lowers[rows, i] = [b.lower for b in brackets]
             uppers[rows, i] = [b.upper for b in brackets]
-    q10, med, q90 = (np.quantile(lowers, q, axis=0) for q in (0.10, 0.50, 0.90))
-    uq10, upmed, uq90 = (np.quantile(uppers, q, axis=0) for q in (0.10, 0.50, 0.90))
+    q10, med, q90 = np.quantile(lowers, (0.10, 0.50, 0.90), axis=0)
+    uq10, upmed, uq90 = np.quantile(uppers, (0.10, 0.50, 0.90), axis=0)
     n_of_r = [1.0 / (1.0 - r) for r in radii]
     ratios = {}
     for name in config.candidates:
@@ -348,7 +348,7 @@ def salem_zygmund_probe(scheme: CoefficientScheme, blocks, model: RandomModel,
             maxima[chunk] = [b.lower for b in sup_brackets(coeffs, slot, PROBE_OVERSAMPLE,
                                                           False, REAL_HARMONIC)]
         normed = maxima / denom
-        q05, q50, q95 = (float(np.quantile(normed, q)) for q in (0.05, 0.50, 0.95))
+        q05, q50, q95 = (float(q) for q in np.quantile(normed, (0.05, 0.50, 0.95)))
         rows.append(SzRow(n_index=int(N), n=int(hi), big_r=big_r, t4_ratio=t4_ratio,
                           q05=q05, q50=q50, q95=q95))
     return SzReport(rows=tuple(rows))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -134,7 +135,7 @@ def test_circle_grid_matches_direct_summation(degree, M, rows):
         if M >= 8 and M & (M - 1) == 0 and M > 2 * degree:    # a bracket grid has a plan
             plan = disk.circle_plan(j, M, real)
             assert (plan.waves is not None) == (degree < disk.WAVE_TERMS)
-            vals = next(disk._circle_values(plan, c, [slice(None)]))
+            vals = next(disk._circle_values(plan, c, plan.rows))[2]
             assert vals.shape == (rows, M // rows)
             # entry [p, q] is angle qP + p
             assert np.max(np.abs(vals.T.ravel() - direct)) <= 1e-13 * np.abs(c).sum(), (M, real)
@@ -185,7 +186,7 @@ def test_plan_rows_match_evaluate_circle(seed, n, s, run, from_0, a, layout, per
     plan = disk.circle_plan(support, M, real, half)
     R, P = plan.rows, M // plan.L
     per = 1 + (per - 1) % R
-    rows = _rows_stacked(plan, c, [slice(i, i + per) for i in range(0, R, per)])
+    rows = _rows_stacked(plan, c, per)
     for b in range(3):
         if real:
             series = RandomizedSeries(scheme_from_arrays(support, c[b].real, -c[b].imag, n,
@@ -208,9 +209,7 @@ def test_tower_plan_keeps_no_twist_table():
 
 
 def _grid_max(plan, c):
-    vals = np.concatenate(list(disk._circle_values(plan, c, [slice(i, i + 1)
-                                                              for i in range(plan.rows)])))
-    return float(np.abs(vals).max())
+    return float(np.abs(_rows(plan, c, 1)).max())
 
 
 @pytest.mark.parametrize("degree, M, P", [
@@ -305,8 +304,8 @@ def _fft_plan(support, M, real, half, monkeypatch):
         return disk.circle_plan(support, M, real, half)
 
 
-def _rows(plan, c, blocks):
-    return np.concatenate(list(disk._circle_values(plan, c, blocks)))
+def _rows(plan, c, step):
+    return np.concatenate([v for _, _, v in disk._circle_values(plan, c, step)])
 
 
 @pytest.mark.parametrize("S", [disk.WAVE_TERMS, disk.WAVE_TERMS + 1])
@@ -320,17 +319,16 @@ def test_wave_blocks_match_fft_and_direct(S, real, half, M, n, monkeypatch):
     plan, fft = disk.circle_plan(support, M, real, half), _fft_plan(support, M, real, half,
                                                                     monkeypatch)
     assert (plan.waves is not None) == (S <= disk.WAVE_TERMS) and fft.waves is None
-    rows = np.arange(plan.rows)
-    blocks = [rows[::-1][:2], slice(0, plan.step), slice(plan.step, None)]
-    vals = _rows(plan, c, blocks)
-    l1 = np.abs(c).sum()
-    assert np.max(np.abs(vals - _rows(fft, c, blocks))) <= 1e-13 * l1
-    order = np.concatenate([rows[::-1][:2], rows])
-    th = 2 * np.pi * (np.arange(plan.L)[None, :] * (M // plan.L) + order[:, None]) / M
-    assert vals.shape == th.shape
+    th = 2 * np.pi * (np.arange(plan.L)[None, :] * (M // plan.L)
+                      + np.arange(plan.rows)[:, None]) / M
     # a direct sum's angle j t carries about n eps of rounding; the grid's phases are exact
     direct = disk._point_values(support, c, 0, th.ravel(), 1, real).reshape(th.shape)
-    assert np.max(np.abs(vals - direct)) <= 1e-15 * n * l1
+    l1 = np.abs(c).sum()
+    for step in (3, plan.step):     # 3 rows: blocks that start between anchors
+        vals = _rows(plan, c, step)
+        assert vals.shape == th.shape
+        assert np.max(np.abs(vals - _rows(fft, c, step))) <= 1e-13 * l1
+        assert np.max(np.abs(vals - direct)) <= 1e-15 * n * l1
 
 
 def test_wave_table_fits_its_budget(monkeypatch):
@@ -346,8 +344,7 @@ def test_wave_table_fits_its_budget(monkeypatch):
     monkeypatch.setattr(disk, "WAVE_BYTES", wave.waves.nbytes - 1)
     fft = disk.circle_plan(support, 2**14, True, True)
     assert fft.waves is None
-    blocks = [slice(None)]
-    assert np.allclose(_rows(wave, c, blocks), _rows(fft, c, blocks), rtol=0,
+    assert np.allclose(_rows(wave, c, wave.rows), _rows(fft, c, fft.rows), rtol=0,
                        atol=1e-13 * np.abs(c).sum())
 
 
@@ -679,6 +676,44 @@ def test_refinement_sums_at_most_newton_steps_times(monkeypatch):
         assert 1 <= len(calls) <= disk.NEWTON_STEPS == 8
 
 
+def test_refinement_adds_no_grid_pass(monkeypatch):
+    # the grid pass records each row's peak, so refinement evaluates no grid row again:
+    # a refined bracket makes as many transforms (degree 200) or wave products (16 terms)
+    # as an unrefined one
+    calls = []
+
+    class Waves(np.ndarray):
+        def __rmatmul__(self, z):
+            calls.append("@")
+            return z @ self.view(np.ndarray)
+
+    def counted(name):
+        f = getattr(np.fft, name)
+        return lambda *a, **k: calls.append(name) or f(*a, **k)
+
+    def plan(*args):
+        p = build(*args)
+        return p if p.waves is None else dataclasses.replace(p, waves=p.waves.view(Waves))
+
+    build = disk.circle_plan
+    monkeypatch.setattr(disk, "circle_plan", plan)
+    for name in ("irfft", "ifft"):
+        monkeypatch.setattr(disk.np.fft, name, counted(name))
+    rng = np.random.default_rng(200)
+    wave = scheme_from_arrays(_lacunary(16, 1000), rng.normal(size=16), rng.normal(size=16),
+                              1000, {"name": "t"})
+    for sch, kinds in ((random_scheme(SEED, 0, 200), ("irfft", "ifft")), (wave, ("@", "@"))):
+        for flavor, kind in zip((REAL_HARMONIC, ANALYTIC), kinds):
+            ser = randomize(sch, make_model("rademacher"), SEED, 1, flavor=flavor)
+            counts = []
+            for refine in (False, True):
+                calls.clear()
+                sup_bracket(ser, 0.99, refine=refine)
+                counts.append(len(calls))
+            assert set(calls) == {kind}
+            assert counts[0] == counts[1], (kind, flavor)
+
+
 @given(coeffs=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=40),
        r=st.floats(0.0, 1.0), oversample=st.floats(4.0, 64.0),
        flavor=st.sampled_from([REAL_HARMONIC, ANALYTIC]))
@@ -751,19 +786,15 @@ def test_stacked_circle_values_match_rows(S, real, half, M):
     c = rng.normal(size=(3, S)) + (0.0 if half else 1j * rng.normal(size=(3, S)))
     plan = disk.circle_plan(support, M, real, half)
     R = plan.rows
-    rows = rng.integers(0, R, size=(3, 2))     # rows of each series' own
-    for blocks in ([slice(None)], [slice(0, 1), slice(1, None)]):
-        stacked = _rows_stacked(plan, c, blocks)
+    for step in (R, 1):     # one block; one row a block, each from the row before it
+        stacked = _rows_stacked(plan, c, step)
         assert stacked.shape == (3, R, plan.L)
         for b in range(3):
-            assert np.array_equal(stacked[b], _rows(plan, c[b], blocks))
-    own = next(disk._circle_values(plan, c, [rows]))
-    for b in range(3):
-        assert np.array_equal(own[b], next(disk._circle_values(plan, c[b], [rows[b]])))
+            assert np.array_equal(stacked[b], _rows(plan, c[b], step))
 
 
-def _rows_stacked(plan, c, blocks):
-    return np.concatenate(list(disk._circle_values(plan, c, blocks)), axis=1)
+def _rows_stacked(plan, c, step):
+    return np.concatenate([v for _, _, v in disk._circle_values(plan, c, step)], axis=1)
 
 
 @pytest.mark.parametrize("g", [3, 4, 6])
